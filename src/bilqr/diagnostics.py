@@ -26,7 +26,7 @@ from .numkit import (
     transition_table,
     vec_norm,
 )
-from .solver import IterationState, freeze_coefficients, freeze_iteration_fields
+from .solver import IterationState, TabulatedField, freeze_iteration_fields
 
 __all__ = [
     "ContractionReport",
@@ -131,10 +131,9 @@ def bound_coefficients(
     sigma >= t and forward bounds pairs with sigma <= t.  Node pairs are
     subsampled to bound the quadratic pair cost.
     """
-    from .solver import TabulatedField
-
-    fields = freeze_iteration_fields(prob, factors, prev.x.values, grid)
-    closed_loop = prob.A - np.matmul(fields.O_nodes, cur.K.values)
+    W = freeze_iteration_fields(prob, factors, prev.x.values).W_nodes
+    O_nodes = np.matmul(W, np.transpose(W, (0, 2, 1)))
+    closed_loop = prob.A - np.matmul(O_nodes, cur.K.values)
     field = TabulatedField(grid, -np.transpose(closed_loop, (0, 2, 1)))
     table = transition_table(field, grid)
     idx = _sub_indices(grid.steps, subsample)
@@ -145,7 +144,7 @@ def bound_coefficients(
     x_prev = _node_vec_norms(prev.x.values)[idx]
     K_prev = _node_mat_norms(prev.K.values)[idx]
     K_cur = _node_mat_norms(cur.K.values)[idx]
-    O_norm = _node_mat_norms(fields.O_nodes)[idx]
+    O_norm = _node_mat_norms(O_nodes)[idx]
     g_norm = vec_norm(prob.g)
 
     S = len(idx)
@@ -294,11 +293,12 @@ def hjb_residual(
 
     The time derivative of V = x'Kx/2 + x's + q/2 is assembled from the
     stored trajectories and the defining right-hand sides of the K, s, q
-    sweeps (no numerical differentiation), then added to the Hamiltonian of
-    the original bilinear problem along the stored (x, u) pair.  At a fixed
-    point the residual vanishes up to the interpolation error of the frozen
-    coefficients, certifying that the converged pair solves the bilinear
-    dynamic-programming equation.
+    sweeps (no numerical differentiation), contracted with x as V needs
+    them, so no (T, n, n) derivative is formed; it is then added to the
+    Hamiltonian of the original bilinear problem along the stored (x, u)
+    pair.  At a fixed point the residual vanishes up to the interpolation
+    error of the frozen coefficients, certifying that the converged pair
+    solves the bilinear dynamic-programming equation.
     """
     if final.K is None or final.s is None or final.q is None:
         raise ValueError("iterate carries no gain/affine sweeps (Riccati escape)")
@@ -309,21 +309,21 @@ def hjb_residual(
     S = final.s.values
     g = prob.g
 
-    fields = freeze_iteration_fields(prob, factors, X, grid)
-    O_t = fields.O_nodes
-    A = prob.A
+    W = freeze_iteration_fields(prob, factors, X).W_nodes
+    KX = np.matmul(K, X[:, :, np.newaxis])[:, :, 0]
+    AX = X @ prob.A.T
+    WtKX = np.matmul(KX[:, np.newaxis, :], W)[:, 0]  # rows (W' K x)'
+    WtS = np.matmul(S[:, np.newaxis, :], W)[:, 0]
 
-    Kdot = -np.matmul(K, A) - np.matmul(A.T, K) + np.matmul(K, np.matmul(O_t, K))
-    sdot = (
-        -(S @ A)
-        + np.einsum("tij,tjk,tk->ti", K, O_t, S)
-        - K @ g
-    )
-    qdot = np.einsum("ti,tij,tj->t", S, O_t, S) - 2.0 * (S @ g)
-    v_t = 0.5 * np.einsum("ti,tij,tj->t", X, Kdot, X) + np.einsum("ti,ti->t", X, sdot) + 0.5 * qdot
+    # x'K'x with K' = -KA - A'K + K W W' K
+    xKdx = -2.0 * np.einsum("ti,ti->t", KX, AX) + np.einsum("ti,ti->t", WtKX, WtKX)
+    # x's' with s' = -A's + K W W' s - K g
+    xsd = -np.einsum("ti,ti->t", AX, S) + np.einsum("ti,ti->t", WtKX, WtS) - KX @ g
+    qdot = np.einsum("ti,ti->t", WtS, WtS) - 2.0 * (S @ g)
+    v_t = 0.5 * xKdx + xsd + 0.5 * qdot
 
     lam = prob.B + np.einsum("tj,jki->tki", X, factors.mats)
-    dyn = (X @ prob.A.T) + np.einsum("tki,ti->tk", lam, U) + g
+    dyn = AX + np.einsum("tki,ti->tk", lam, U) + g
     h_dyn = np.einsum("ti,ti->t", P, dyn)
     h_energy = 0.5 * np.einsum("ti,ij,tj->t", U, prob.R, U)
 
@@ -345,19 +345,21 @@ def necessary_condition_residual(
     """Relative sup residuals of the canonical state/costate equations.
 
     Central finite differences of the stored (x, p) are compared against
-    the right-hand sides evaluated with the converged frozen coefficients;
-    the finite-difference floor is O(h^2).
+    the right-hand sides evaluated with the converged frozen coefficients
+    (frozen_drift and frozen_gram along (x, p)), through the identities
+    drift x - gram p = A x - L R^-1 L' p and
+    drift' p = A' p - 2 [p' N_j R^-1 L' p]_j; the finite-difference floor
+    is O(h^2).
     """
     X = final.x.values
     P = final.p.values
     h = grid.h
 
-    tabs = freeze_coefficients(prob, factors, X, P, grid)
-    A_t = tabs.A_nodes
-    O_t = tabs.O_nodes
-
-    rhs_x = np.einsum("tij,tj->ti", A_t, X) - np.einsum("tij,tj->ti", O_t, P) + prob.g
-    rhs_p = -np.einsum("tji,tj->ti", A_t, P)
+    NtP = np.tensordot(P, factors.mats, axes=(1, 1))  # (T, j, i): [N_j' p]_i
+    lam = prob.B + np.tensordot(X, factors.mats, axes=(1, 0))  # (T, n, m)
+    w = np.matmul(P[:, np.newaxis, :], lam)[:, 0] @ prob.Rinv  # rows (R^-1 L' p)'
+    rhs_x = X @ prob.A.T - np.matmul(lam, w[:, :, np.newaxis])[:, :, 0] + prob.g
+    rhs_p = -(P @ prob.A) + 2.0 * np.matmul(NtP, w[:, :, np.newaxis])[:, :, 0]
 
     xdot = (X[2:] - X[:-2]) / (2.0 * h)
     pdot = (P[2:] - P[:-2]) / (2.0 * h)

@@ -22,9 +22,13 @@ weight B R^-1 B' - C R^-1 C' can be indefinite and makes the backward flow
 escape in finite time on broadcast ensembles (it is kept as a diagnostic
 quantity, see the model module).
 
-Sweeps evaluate their coefficient fields at the RK4 stage times (nodes and
-interval midpoints) once up front; the time-stepping loops then only index
-the tabulated values.
+The sweeps take the subproblem's coefficients as arrays at the RK4 stage
+times (nodes and interval midpoints), in the structure the problem has:
+the drift A as its diagonal blocks (q, b, b), one per ensemble sample, and
+the input gram L R^-1 L', whose rank is at most m, as its factor
+W = L C with R^-1 = C C'.  Every product with the gram is taken through W,
+so an RK4 stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense
+n x n products, and no (T, n, n) gram table is formed.
 """
 
 from __future__ import annotations
@@ -166,252 +170,241 @@ class TabulatedField:
             return self.node_values[i]
         return (1.0 - theta) * self.node_values[i] + theta * self.node_values[i + 1]
 
-    def stage_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        v = self.node_values
-        return v, 0.5 * (v[:-1] + v[1:])
-
-
-class ConstantField:
-    """Time-independent matrix with the tabulated-field interface."""
-
-    def __init__(self, grid: TimeGrid, value: np.ndarray):
-        self.grid = grid
-        self.value = np.asarray(value, dtype=float)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.value
-
-    def stage_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        T = self.grid.steps
-        shape = self.value.shape
-        return (
-            np.broadcast_to(self.value, (T + 1,) + shape),
-            np.broadcast_to(self.value, (T,) + shape),
-        )
-
-
-def _stage_tables(field: Callable[[float], np.ndarray], grid: TimeGrid):
-    """Field values at the grid nodes and at the interval midpoints."""
-    if isinstance(field, (TabulatedField, ConstantField)) and field.grid is grid:
-        return field.stage_tables()
-    nodes = grid.nodes
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    at_nodes = np.stack([np.asarray(field(t), dtype=float) for t in nodes])
-    at_mids = np.stack([np.asarray(field(t), dtype=float) for t in mids])
-    return at_nodes, at_mids
-
 
 def _traj_stage_tables(traj: GriddedTrajectory):
     v = traj.values
     return v, 0.5 * (v[:-1] + v[1:])
 
 
-class _CoefficientTables:
-    """Frozen drift/gram matrices tabulated at the grid nodes."""
+def drift_blocks(A: np.ndarray) -> np.ndarray:
+    """Diagonal blocks (q, b, b) of the finest equal block split of A.
 
-    def __init__(self, grid: TimeGrid, A_nodes: np.ndarray, O_nodes: np.ndarray):
-        self.grid = grid
-        self.A_nodes = A_nodes
-        self.O_nodes = O_nodes
-        self.afield = TabulatedField(grid, A_nodes)
-        self.ofield = TabulatedField(grid, O_nodes)
-
-
-def freeze_coefficients(
-    prob: BilinearProblem,
-    factors: BilinearFactors,
-    X: np.ndarray,
-    P: np.ndarray,
-    grid: TimeGrid,
-) -> _CoefficientTables:
-    """Evaluate the change-of-variables drift and gram along (X, P) node-wise.
-
-    These are the diagnostic coefficient matrices (see frozen_drift and
-    frozen_gram); the iteration itself consumes freeze_iteration_fields.
+    b is the smallest divisor of n such that A vanishes outside its b x b
+    diagonal blocks: 1 for a diagonal (or zero) drift, the sample size for
+    a stacked ensemble, n for a dense single system.
     """
-    Nm = factors.mats  # (n, n, m)
-    Rinv = prob.Rinv
-    lam = prob.B + np.einsum("tj,jki->tki", X, Nm)  # (T, n, m)
-    # drift correction, column j: N_j (R^-1 L' p) + (L R^-1) (N_j' p)
-    w = np.einsum("mi,tki,tk->tm", Rinv, lam, P)  # R^-1 L' p
-    term1 = np.einsum("jki,ti->tkj", Nm, w)
-    v = np.einsum("jki,tk->tji", Nm, P)  # N_j' p
-    lr = lam @ Rinv
-    term2 = np.einsum("tki,tji->tkj", lr, v)
-    A_nodes = prob.A - (term1 + term2)
-
-    C = lam - prob.B
-    O_nodes = prob.B @ Rinv @ prob.B.T - np.einsum("tki,ij,tlj->tkl", C, Rinv, C)
-    O_nodes = 0.5 * (O_nodes + np.transpose(O_nodes, (0, 2, 1)))
-    return _CoefficientTables(grid, A_nodes, O_nodes)
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    nonzero = np.count_nonzero(A)
+    for b in (b for b in range(1, n + 1) if n % b == 0):
+        q = n // b
+        blocks = A.reshape(q, b, q, b)[np.arange(q), :, np.arange(q), :]
+        if np.count_nonzero(blocks) == nonzero:
+            return np.ascontiguousarray(blocks)
 
 
-class _IterationFields:
-    """Subproblem coefficients of one iteration: constant drift A and the
-    positive-semidefinite input gram L_prev R^-1 L_prev' at the nodes."""
+def _block_product(blocks: np.ndarray):
+    """y -> blockdiag(blocks) @ y for y of shape (n,) or (n, k)."""
+    q, b, _ = blocks.shape
+    if q == 1:
+        dense = blocks[0]
+        return lambda y: np.dot(dense, y)
+    return lambda y: np.matmul(blocks, y.reshape(q, b, -1)).reshape(y.shape)
 
-    def __init__(self, grid: TimeGrid, A: np.ndarray, O_nodes: np.ndarray):
-        self.grid = grid
-        self.afield = ConstantField(grid, A)
-        self.ofield = TabulatedField(grid, O_nodes)
-        self.O_nodes = O_nodes
+
+@dataclass(frozen=True)
+class IterationFields:
+    """Subproblem coefficients of one iteration.
+
+    The drift is A itself, given by its diagonal blocks; the positive
+    semidefinite input gram L_prev R^-1 L_prev' is given by its factor
+    W = L_prev C (R^-1 = C C') at the nodes, and at the interval midpoints
+    by [W_i, W_i+1] / sqrt(2), whose gram is the average of the two node
+    grams.
+    """
+
+    A_blocks: np.ndarray  # (q, b, b)
+    W_nodes: np.ndarray  # (T + 1, n, m)
+    W_mids: np.ndarray  # (T, n, 2 m)
 
 
 def freeze_iteration_fields(
     prob: BilinearProblem,
     factors: BilinearFactors,
     X: np.ndarray,
-    grid: TimeGrid,
-) -> _IterationFields:
-    """Freeze the input map along X and form the subproblem coefficients."""
-    lam = prob.B + np.einsum("tj,jki->tki", X, factors.mats)  # (T, n, m)
-    O_nodes = np.einsum("tki,ij,tlj->tkl", lam, prob.Rinv, lam)
-    O_nodes = 0.5 * (O_nodes + np.transpose(O_nodes, (0, 2, 1)))
-    return _IterationFields(grid, prob.A, O_nodes)
+    A_blocks: np.ndarray | None = None,
+) -> IterationFields:
+    """Freeze the input map along X and form the subproblem coefficients.
+
+    `A_blocks` may carry drift_blocks(prob.A), which depends only on the
+    problem.
+    """
+    if A_blocks is None:
+        A_blocks = drift_blocks(prob.A)
+    lam = prob.B + np.tensordot(X, factors.mats, axes=(1, 0))  # (T, n, m)
+    W = lam @ np.linalg.cholesky(prob.Rinv)
+    W_mids = np.concatenate((W[:-1], W[1:]), axis=2) * np.sqrt(0.5)
+    return IterationFields(A_blocks, W, W_mids)
 
 
-def _check_finite(y: np.ndarray, node: int, t: float):
-    if not np.all(np.isfinite(y)):
+def _first_nonfinite(values: np.ndarray, backward: bool) -> int | None:
+    """Node at which a sweep first produced a non-finite value, if any."""
+    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if not bad.any():
+        return None
+    nodes = np.flatnonzero(bad)
+    return int(nodes[-1] if backward else nodes[0])
+
+
+def _check_finite(values: np.ndarray, grid: TimeGrid, backward: bool):
+    node = _first_nonfinite(values, backward)
+    if node is not None:
+        t = float(grid.nodes[node])
         raise BlowupError(
             f"numerical blow-up at node {node} (t={t:.6g})", node_index=node, t=t
         )
 
 
 def riccati_sweep(
-    Afield: Callable[[float], np.ndarray],
-    Ofield: Callable[[float], np.ndarray],
+    A_blocks: np.ndarray,
+    W_nodes: np.ndarray,
+    W_mids: np.ndarray,
     K_T: np.ndarray,
     grid: TimeGrid,
 ) -> GriddedTrajectory:
-    """Backward sweep of dK/dt = -K A - A' K + K O K from K(tf) = K_T.
+    """Backward sweep of dK/dt = -K A - A' K + (K W)(K W)' from K(tf) = K_T.
 
-    The output is re-symmetrized after every step to suppress drift.
+    A is block-diagonal with the given blocks and W W' is the input gram at
+    the stage time.  The output is re-symmetrized after every step to
+    suppress drift.
     """
     K_T = np.asarray(K_T, dtype=float)
     if np.max(np.abs(K_T - K_T.T)) > 1e-10 * max(1.0, np.max(np.abs(K_T))):
         raise ValueError("terminal Riccati matrix must be symmetric")
-    A_n, A_m = _stage_tables(Afield, grid)
-    O_n, O_m = _stage_tables(Ofield, grid)
-    nodes = grid.nodes
+    At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
     h = -grid.h
 
-    def rhs(K, A, O):
-        KA = K @ A
-        return K @ (O @ K) - KA - KA.T
+    def rhs(K, W):
+        KW = np.dot(K, W)
+        out = np.dot(KW, KW.T)
+        AtK = At(K)
+        out -= AtK
+        out -= AtK.T
+        return out
 
     out = np.empty((grid.steps + 1,) + K_T.shape)
     out[-1] = K = 0.5 * (K_T + K_T.T)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.steps - 1, -1, -1):
-            k1 = rhs(K, A_n[i + 1], O_n[i + 1])
-            k2 = rhs(K + (0.5 * h) * k1, A_m[i], O_m[i])
-            k3 = rhs(K + (0.5 * h) * k2, A_m[i], O_m[i])
-            k4 = rhs(K + h * k3, A_n[i], O_n[i])
+            k1 = rhs(K, W_nodes[i + 1])
+            k2 = rhs(K + (0.5 * h) * k1, W_mids[i])
+            k3 = rhs(K + (0.5 * h) * k2, W_mids[i])
+            k4 = rhs(K + h * k3, W_nodes[i])
             K = K + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             K = 0.5 * (K + K.T)
-            if not np.all(np.isfinite(K)):
-                raise RiccatiEscapeError(
-                    f"Riccati escape at t={nodes[i]:.6g}; try increasing R",
-                    node_index=i,
-                    t=float(nodes[i]),
-                )
             out[i] = K
+    node = _first_nonfinite(out, backward=True)
+    if node is not None:
+        t = float(grid.nodes[node])
+        raise RiccatiEscapeError(
+            f"Riccati escape at t={t:.6g}; try increasing R", node_index=node, t=t
+        )
     return GriddedTrajectory(grid, out)
 
 
 def affine_sweep(
-    Afield: Callable[[float], np.ndarray],
-    Ofield: Callable[[float], np.ndarray],
+    A_blocks: np.ndarray,
+    W_nodes: np.ndarray,
+    W_mids: np.ndarray,
     Ktraj: GriddedTrajectory,
     g: np.ndarray,
     s_T: np.ndarray,
     grid: TimeGrid,
 ) -> GriddedTrajectory:
-    """Backward sweep of ds/dt = -[A' - K O] s - K g from s(tf) = s_T.
+    """Backward sweep of ds/dt = -[A' - K W W'] s - K g from s(tf) = s_T.
 
     K is interpolated linearly at the RK4 stage times.
     """
     g = np.asarray(g, dtype=float)
-    A_n, A_m = _stage_tables(Afield, grid)
-    O_n, O_m = _stage_tables(Ofield, grid)
+    At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
     K_n, K_m = _traj_stage_tables(Ktraj)
     Kg_n = K_n @ g
     Kg_m = K_m @ g
-    nodes = grid.nodes
     h = -grid.h
 
-    def rhs(s, A, O, K, Kg):
-        return K @ (O @ s) - A.T @ s - Kg
+    def rhs(s, W, K, Kg):
+        out = np.dot(K, np.dot(W, np.dot(W.T, s)))
+        out -= At(s)
+        out -= Kg
+        return out
 
     out = np.empty((grid.steps + 1, len(g)))
     out[-1] = s = np.asarray(s_T, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.steps - 1, -1, -1):
-            k1 = rhs(s, A_n[i + 1], O_n[i + 1], K_n[i + 1], Kg_n[i + 1])
-            k2 = rhs(s + (0.5 * h) * k1, A_m[i], O_m[i], K_m[i], Kg_m[i])
-            k3 = rhs(s + (0.5 * h) * k2, A_m[i], O_m[i], K_m[i], Kg_m[i])
-            k4 = rhs(s + h * k3, A_n[i], O_n[i], K_n[i], Kg_n[i])
+            k1 = rhs(s, W_nodes[i + 1], K_n[i + 1], Kg_n[i + 1])
+            k2 = rhs(s + (0.5 * h) * k1, W_mids[i], K_m[i], Kg_m[i])
+            k3 = rhs(s + (0.5 * h) * k2, W_mids[i], K_m[i], Kg_m[i])
+            k4 = rhs(s + h * k3, W_nodes[i], K_n[i], Kg_n[i])
             s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            _check_finite(s, i, float(nodes[i]))
             out[i] = s
+    _check_finite(out, grid, backward=True)
     return GriddedTrajectory(grid, out)
 
 
+def _gram_times(W: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Node-wise W W' v for W of shape (T, n, r) and v of shape (T, n)."""
+    Wtv = np.matmul(v[:, np.newaxis, :], W)  # (T, 1, r)
+    return np.matmul(W, np.transpose(Wtv, (0, 2, 1)))[:, :, 0]
+
+
 def value_offset_sweep(
-    Ofield: Callable[[float], np.ndarray],
+    W_nodes: np.ndarray,
+    W_mids: np.ndarray,
     straj: GriddedTrajectory,
     g: np.ndarray,
     grid: TimeGrid,
 ) -> GriddedTrajectory:
-    """Backward quadrature of dq/dt = s' O s - 2 s' g from q(tf) = 0.
+    """Backward quadrature of dq/dt = |W' s|^2 - 2 s' g from q(tf) = 0.
 
     The integrand depends on time only, so RK4 reduces to a Simpson rule
     over each interval; the sweep is one reversed cumulative sum.
     """
     g = np.asarray(g, dtype=float)
-    O_n, O_m = _stage_tables(Ofield, grid)
     s_n, s_m = _traj_stage_tables(straj)
-    f_n = np.einsum("ti,tij,tj->t", s_n, O_n, s_n) - 2.0 * (s_n @ g)
-    f_m = np.einsum("ti,tij,tj->t", s_m, O_m, s_m) - 2.0 * (s_m @ g)
+    f_n = np.sum((s_n[:, np.newaxis, :] @ W_nodes) ** 2, axis=(1, 2)) - 2.0 * (s_n @ g)
+    f_m = np.sum((s_m[:, np.newaxis, :] @ W_mids) ** 2, axis=(1, 2)) - 2.0 * (s_m @ g)
     increments = (grid.h / 6.0) * (f_n[:-1] + 4.0 * f_m + f_n[1:])
     q = np.concatenate([-np.cumsum(increments[::-1])[::-1], [0.0]])
     return GriddedTrajectory(grid, q)
 
 
 def closed_loop_forward(
-    Afield: Callable[[float], np.ndarray],
-    Ofield: Callable[[float], np.ndarray],
+    A_blocks: np.ndarray,
+    W_nodes: np.ndarray,
+    W_mids: np.ndarray,
     Ktraj: GriddedTrajectory,
     straj: GriddedTrajectory,
     g: np.ndarray,
     x0: np.ndarray,
     grid: TimeGrid,
 ) -> GriddedTrajectory:
-    """Forward sweep of dx/dt = (A - O K) x - O s + g from x(0) = x0."""
+    """Forward sweep of dx/dt = (A - W W' K) x - W W' s + g from x(0) = x0."""
     g = np.asarray(g, dtype=float)
-    A_n, A_m = _stage_tables(Afield, grid)
-    O_n, O_m = _stage_tables(Ofield, grid)
+    A = _block_product(A_blocks)
     K_n, K_m = _traj_stage_tables(Ktraj)
     s_n, s_m = _traj_stage_tables(straj)
-    Os_n = np.einsum("tij,tj->ti", O_n, s_n) - g
-    Os_m = np.einsum("tij,tj->ti", O_m, s_m) - g
-    nodes = grid.nodes
+    Os_n = _gram_times(W_nodes, s_n) - g
+    Os_m = _gram_times(W_mids, s_m) - g
     h = grid.h
 
-    def rhs(x, A, O, K, Os):
-        return A @ x - O @ (K @ x) - Os
+    def rhs(x, W, K, Os):
+        out = A(x)
+        out -= np.dot(W, np.dot(W.T, np.dot(K, x)))
+        out -= Os
+        return out
 
     out = np.empty((grid.steps + 1, len(g)))
     out[0] = x = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.steps):
-            k1 = rhs(x, A_n[i], O_n[i], K_n[i], Os_n[i])
-            k2 = rhs(x + (0.5 * h) * k1, A_m[i], O_m[i], K_m[i], Os_m[i])
-            k3 = rhs(x + (0.5 * h) * k2, A_m[i], O_m[i], K_m[i], Os_m[i])
-            k4 = rhs(x + h * k3, A_n[i + 1], O_n[i + 1], K_n[i + 1], Os_n[i + 1])
+            k1 = rhs(x, W_nodes[i], K_n[i], Os_n[i])
+            k2 = rhs(x + (0.5 * h) * k1, W_mids[i], K_m[i], Os_m[i])
+            k3 = rhs(x + (0.5 * h) * k2, W_mids[i], K_m[i], Os_m[i])
+            k4 = rhs(x + h * k3, W_nodes[i + 1], K_n[i + 1], Os_n[i + 1])
             x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            _check_finite(x, i + 1, float(nodes[i + 1]))
             out[i + 1] = x
+    _check_finite(out, grid, backward=False)
     return GriddedTrajectory(grid, out)
 
 
@@ -457,8 +450,9 @@ def value_function_initial(prob: BilinearProblem, state: IterationState) -> floa
 
 def solve_frozen_boundary_value(
     prob: BilinearProblem,
-    Afield: Callable[[float], np.ndarray],
-    Ofield: Callable[[float], np.ndarray],
+    A_blocks: np.ndarray,
+    W_nodes: np.ndarray,
+    W_mids: np.ndarray,
     grid: TimeGrid,
 ) -> tuple[GriddedTrajectory, GriddedTrajectory]:
     """Solve the frozen linear two-point boundary-value problem directly.
@@ -472,8 +466,8 @@ def solve_frozen_boundary_value(
     """
     n = prob.n
     w = prob.terminal_weight
-    A_n, A_m = _stage_tables(Afield, grid)
-    O_n, O_m = _stage_tables(Ofield, grid)
+    A = _block_product(A_blocks)
+    At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
     h = grid.h
 
     # backward fundamental of dp/dt = -A' p, Theta(tf) = I
@@ -481,10 +475,10 @@ def solve_frozen_boundary_value(
     theta[-1] = Th = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.steps - 1, -1, -1):
-            k1 = -A_n[i + 1].T @ Th
-            k2 = -A_m[i].T @ (Th - (0.5 * h) * k1)
-            k3 = -A_m[i].T @ (Th - (0.5 * h) * k2)
-            k4 = -A_n[i].T @ (Th - h * k3)
+            k1 = -At(Th)
+            k2 = -At(Th - (0.5 * h) * k1)
+            k3 = -At(Th - (0.5 * h) * k2)
+            k4 = -At(Th - h * k3)
             Th = Th - (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             theta[i] = Th
     if not np.all(np.isfinite(theta)):
@@ -493,24 +487,24 @@ def solve_frozen_boundary_value(
         )
     theta_m = 0.5 * (theta[:-1] + theta[1:])
 
-    # forward: Y = [X_c | phi] with dX_c/dt = A X_c - O Theta, dphi/dt = A phi + g
+    # forward: Y = [X_c | phi] with dX_c/dt = A X_c - W W' Theta, dphi/dt = A phi + g
     Y = np.zeros((n, n + 1))
     Y[:, n] = prob.x0
     stored = np.empty((grid.steps + 1, n, n + 1))
     stored[0] = Y
 
-    def rhs(Yv, Ai, Oi, Thi):
-        out = Ai @ Yv
-        out[:, :n] -= Oi @ Thi
+    def rhs(Yv, W, Thi):
+        out = A(Yv)
+        out[:, :n] -= np.dot(W, np.dot(W.T, Thi))
         out[:, n] += prob.g
         return out
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.steps):
-            k1 = rhs(Y, A_n[i], O_n[i], theta[i])
-            k2 = rhs(Y + (0.5 * h) * k1, A_m[i], O_m[i], theta_m[i])
-            k3 = rhs(Y + (0.5 * h) * k2, A_m[i], O_m[i], theta_m[i])
-            k4 = rhs(Y + h * k3, A_n[i + 1], O_n[i + 1], theta[i + 1])
+            k1 = rhs(Y, W_nodes[i], theta[i])
+            k2 = rhs(Y + (0.5 * h) * k1, W_mids[i], theta_m[i])
+            k3 = rhs(Y + (0.5 * h) * k2, W_mids[i], theta_m[i])
+            k4 = rhs(Y + h * k3, W_nodes[i + 1], theta[i + 1])
             Y = Y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             stored[i + 1] = Y
     if not np.all(np.isfinite(stored)):
@@ -541,6 +535,7 @@ def iterate_once(
     factors: BilinearFactors,
     prev: IterationState,
     grid: TimeGrid,
+    A_blocks: np.ndarray | None = None,
 ) -> IterationState:
     """One pass of the frozen-coefficient map applied to `prev`.
 
@@ -549,20 +544,21 @@ def iterate_once(
     Riccati escape would indicate pathological data and falls back to the
     direct boundary-value route, which computes the same iterate wherever
     both are defined.  `diff_x` measures how far the map moved the state
-    away from its argument.
+    away from its argument.  `A_blocks` may carry drift_blocks(prob.A).
     """
     w = prob.terminal_weight
-    fields = freeze_iteration_fields(prob, factors, prev.x.values, grid)
+    f = freeze_iteration_fields(prob, factors, prev.x.values, A_blocks)
+    Ab, Wn, Wm = f.A_blocks, f.W_nodes, f.W_mids
     try:
-        K = riccati_sweep(fields.afield, fields.ofield, 2.0 * w * np.eye(prob.n), grid)
-        s = affine_sweep(fields.afield, fields.ofield, K, prob.g, -2.0 * w * prob.xd, grid)
-        q = value_offset_sweep(fields.ofield, s, prob.g, grid)
-        x = closed_loop_forward(fields.afield, fields.ofield, K, s, prob.g, prob.x0, grid)
+        K = riccati_sweep(Ab, Wn, Wm, 2.0 * w * np.eye(prob.n), grid)
+        s = affine_sweep(Ab, Wn, Wm, K, prob.g, -2.0 * w * prob.xd, grid)
+        q = value_offset_sweep(Wn, Wm, s, prob.g, grid)
+        x = closed_loop_forward(Ab, Wn, Wm, K, s, prob.g, prob.x0, grid)
         P = np.einsum("tij,tj->ti", K.values, x.values) + s.values
         p = GriddedTrajectory(grid, P)
         via_sweeps = True
     except RiccatiEscapeError:
-        x, p = solve_frozen_boundary_value(prob, fields.afield, fields.ofield, grid)
+        x, p = solve_frozen_boundary_value(prob, Ab, Wn, Wm, grid)
         K = s = q = None
         via_sweeps = False
     u = reconstruct_control(prob, factors, x, p)
@@ -622,6 +618,7 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
     opts = opts or SolveOptions()
     grid = TimeGrid(0.0, prob.tf, opts.steps)
     factors = bilinear_factors(prob.Blist)
+    A_blocks = drift_blocks(prob.A)
 
     state = _initial_state(prob, grid, probe=opts.init_control)
     frozen_x = state.x.values
@@ -640,7 +637,7 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
         feed = state if theta == 1.0 else dataclasses.replace(
             state, x=GriddedTrajectory(grid, frozen_x))
         try:
-            nxt = iterate_once(prob, factors, feed, grid)
+            nxt = iterate_once(prob, factors, feed, grid, A_blocks)
         except (RiccatiEscapeError, BoundarySolveError, BlowupError) as exc:
             exc.args = (f"iteration {k}: {exc.args[0]}",) + exc.args[1:]
             raise

@@ -218,6 +218,45 @@ def test_necessary_condition_residuals():
     assert rx < 1e-4 and rp < 1e-4
 
 
+def test_necessary_condition_residuals_match_per_node_frozen_coefficients():
+    # random 3-sample ensemble (sample size 2, m = 2) at a random (x, p)
+    from types import SimpleNamespace
+
+    from scipy.linalg import block_diag
+
+    from bilqr.model import frozen_drift, frozen_gram
+    from bilqr.numkit import GriddedTrajectory
+
+    rng = np.random.default_rng(11)
+    q, b, m = 3, 2, 2
+    n = q * b
+    prob = BilinearProblem(
+        A=block_diag(*rng.normal(size=(q, b, b))), B=rng.normal(size=(n, m)),
+        Blist=tuple(block_diag(*rng.normal(size=(q, b, b))) for _ in range(m)),
+        g=rng.normal(size=n), x0=np.zeros(n), xd=np.zeros(n), tf=1.0,
+        R=[[2.0, 0.5], [0.5, 1.0]],
+    )
+    factors = bilinear_factors(prob.Blist)
+    grid = TimeGrid(0.0, prob.tf, 30)
+    X = rng.normal(size=(31, n))
+    P = rng.normal(size=(31, n))
+    final = SimpleNamespace(x=GriddedTrajectory(grid, X), p=GriddedTrajectory(grid, P))
+    rx, rp = necessary_condition_residual(prob, factors, final, grid)
+
+    drift = [frozen_drift(prob, factors, x, p) for x, p in zip(X, P)]
+    rhs_x = np.stack([D @ x - frozen_gram(prob, factors, x) @ p + prob.g
+                      for D, x, p in zip(drift, X, P)])
+    rhs_p = np.stack([-D.T @ p for D, p in zip(drift, P)])
+
+    def residual(Y, rhs):
+        ydot = (Y[2:] - Y[:-2]) / (2.0 * grid.h)
+        res = np.max(np.sum(np.abs(ydot - rhs[1:-1]), axis=1))
+        return res / (1.0 + np.max(np.sum(np.abs(rhs), axis=1)))
+
+    assert rx == pytest.approx(residual(X, rhs_x), rel=1e-12)
+    assert rp == pytest.approx(residual(P, rhs_p), rel=1e-12)
+
+
 def test_necessary_condition_residuals_iaf(iaf_run):
     prob, res = iaf_run
     factors = bilinear_factors(prob.Blist)

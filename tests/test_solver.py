@@ -9,7 +9,9 @@ from bilqr.solver import (
     TabulatedField,
     affine_sweep,
     closed_loop_forward,
+    drift_blocks,
     evaluate_cost,
+    freeze_iteration_fields,
     iterate_once,
     reconstruct_control,
     riccati_sweep,
@@ -20,9 +22,12 @@ from bilqr.solver import (
 )
 
 
-def const_field(M):
-    M = np.asarray(M, dtype=float)
-    return lambda t: M
+def const_fields(A, W, grid):
+    """Drift blocks and gram-factor stage tables of a constant A and O = W W'."""
+    W = np.asarray(W, dtype=float)
+    T = grid.steps
+    return (drift_blocks(A), np.broadcast_to(W, (T + 1,) + W.shape),
+            np.broadcast_to(W, (T,) + W.shape))
 
 
 def make_linear_problem():
@@ -81,14 +86,14 @@ def reference_affine_lqr(prob, nodes):
 def test_riccati_constant_when_fields_zero():
     grid = TimeGrid(0.0, 1.0, 50)
     K_T = np.array([[2.0, 0.5], [0.5, 1.0]])
-    K = riccati_sweep(const_field(np.zeros((2, 2))), const_field(np.zeros((2, 2))), K_T, grid)
+    K = riccati_sweep(*const_fields(np.zeros((2, 2)), np.zeros((2, 1)), grid), K_T, grid)
     assert np.max(np.abs(K.values - K_T)) < 1e-14
 
 
 def test_riccati_scalar_closed_form():
     # A = 0, O = 1, K(1) = 2 gives K(t) = 2 / (1 + 2 (1 - t))
     grid = TimeGrid(0.0, 1.0, 2000)
-    K = riccati_sweep(const_field([[0.0]]), const_field([[1.0]]), np.array([[2.0]]), grid)
+    K = riccati_sweep(*const_fields([[0.0]], [[1.0]], grid), np.array([[2.0]]), grid)
     exact = 2.0 / (1.0 + 2.0 * (1.0 - grid.nodes))
     assert np.max(np.abs(K.values[:, 0, 0] - exact)) < 1e-8
     assert abs(K.values[0, 0, 0] - 2.0 / 3.0) < 1e-8
@@ -98,7 +103,8 @@ def test_riccati_matches_independent_lqr_reference():
     prob = make_linear_problem()
     grid = TimeGrid(0.0, prob.tf, 2000)
     S = prob.B @ prob.Rinv @ prob.B.T
-    K = riccati_sweep(const_field(prob.A), const_field(S), 2.0 * np.eye(2), grid)
+    W = prob.B @ np.linalg.cholesky(prob.Rinv)  # W W' = S
+    K = riccati_sweep(*const_fields(prob.A, W, grid), 2.0 * np.eye(2), grid)
 
     def kdot(t, kflat):
         Km = kflat.reshape(2, 2)
@@ -115,8 +121,8 @@ def test_riccati_symmetry_maintained():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(3, 3))
     W = rng.normal(size=(3, 3))
-    O = W @ W.T  # standard sign keeps the backward flow bounded
-    K = riccati_sweep(const_field(A), const_field(O), 2.0 * np.eye(3), grid)
+    # O = W W' has the standard sign, which keeps the backward flow bounded
+    K = riccati_sweep(*const_fields(A, W, grid), 2.0 * np.eye(3), grid)
     asym = np.max(np.abs(K.values - np.transpose(K.values, (0, 2, 1))))
     assert asym < 1e-8
 
@@ -124,7 +130,7 @@ def test_riccati_symmetry_maintained():
 def test_affine_sweep_zero_sources():
     grid = TimeGrid(0.0, 1.0, 100)
     Ktraj = GriddedTrajectory(grid, np.tile(np.eye(2), (101, 1, 1)))
-    s = affine_sweep(const_field(np.zeros((2, 2))), const_field(np.zeros((2, 2))),
+    s = affine_sweep(*const_fields(np.zeros((2, 2)), np.zeros((2, 1)), grid),
                      Ktraj, np.zeros(2), np.zeros(2), grid)
     assert np.all(s.values == 0.0)
 
@@ -136,7 +142,7 @@ def test_affine_sweep_constant_coefficient_quadrature():
     g = np.array([0.3, -0.1])
     s_T = np.array([1.0, 1.0])
     Ktraj = GriddedTrajectory(grid, np.tile(Kc, (401, 1, 1)))
-    s = affine_sweep(const_field(np.zeros((2, 2))), const_field(np.zeros((2, 2))),
+    s = affine_sweep(*const_fields(np.zeros((2, 2)), np.zeros((2, 1)), grid),
                      Ktraj, g, s_T, grid)
     expected = s_T + np.outer(2.0 - grid.nodes, Kc @ g)
     assert np.max(np.abs(s.values - expected)) < 1e-12
@@ -145,10 +151,12 @@ def test_affine_sweep_constant_coefficient_quadrature():
 def test_value_offset_trivial_cases():
     grid = TimeGrid(0.0, 1.0, 100)
     zero_s = GriddedTrajectory(grid, np.zeros((101, 2)))
-    q = value_offset_sweep(const_field(np.eye(2)), zero_s, np.ones(2), grid)
+    _, Wn, Wm = const_fields(np.zeros((2, 2)), np.eye(2), grid)
+    q = value_offset_sweep(Wn, Wm, zero_s, np.ones(2), grid)
     assert np.all(q.values == 0.0)
     s_const = GriddedTrajectory(grid, np.tile([1.0, -1.0], (101, 1)))
-    q = value_offset_sweep(const_field(np.zeros((2, 2))), s_const, np.zeros(2), grid)
+    _, Wn, Wm = const_fields(np.zeros((2, 2)), np.zeros((2, 1)), grid)
+    q = value_offset_sweep(Wn, Wm, s_const, np.zeros(2), grid)
     assert np.max(np.abs(q.values)) < 1e-14
 
 
@@ -159,7 +167,8 @@ def test_value_offset_constant_integrand():
     O = np.array([[0.5, 0.0], [0.0, 0.25]])
     g = np.array([0.1, -0.2])
     straj = GriddedTrajectory(grid, np.tile(s_c, (301, 1)))
-    q = value_offset_sweep(const_field(O), straj, g, grid)
+    _, Wn, Wm = const_fields(np.zeros((2, 2)), np.sqrt(O), grid)  # O diagonal
+    q = value_offset_sweep(Wn, Wm, straj, g, grid)
     rate = s_c @ O @ s_c - 2.0 * s_c @ g
     expected = -(3.0 - grid.nodes) * rate
     assert np.max(np.abs(q.values - expected)) < 1e-10
@@ -167,13 +176,13 @@ def test_value_offset_constant_integrand():
 
 def test_forward_trivial_cases():
     grid = TimeGrid(0.0, 1.0, 100)
-    zero_nn = const_field(np.zeros((2, 2)))
+    zero = const_fields(np.zeros((2, 2)), np.zeros((2, 1)), grid)
     Ktraj = GriddedTrajectory(grid, np.zeros((101, 2, 2)))
     straj = GriddedTrajectory(grid, np.zeros((101, 2)))
-    x = closed_loop_forward(zero_nn, zero_nn, Ktraj, straj, np.zeros(2), np.zeros(2), grid)
+    x = closed_loop_forward(*zero, Ktraj, straj, np.zeros(2), np.zeros(2), grid)
     assert np.all(x.values == 0.0)
     g = np.array([0.4, -0.6])
-    x = closed_loop_forward(zero_nn, zero_nn, Ktraj, straj, g, np.array([1.0, 2.0]), grid)
+    x = closed_loop_forward(*zero, Ktraj, straj, g, np.array([1.0, 2.0]), grid)
     expected = np.array([1.0, 2.0]) + np.outer(grid.nodes, g)
     assert np.max(np.abs(x.values - expected)) < 1e-12
 
@@ -316,19 +325,20 @@ def test_tabulated_field_blend():
 
 
 def test_boundary_value_route_matches_sweeps():
-    from bilqr.solver import freeze_iteration_fields, solve_frozen_boundary_value
+    from bilqr.solver import solve_frozen_boundary_value
 
     prob = make_linear_problem()
     factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 1000)
     T = grid.steps + 1
-    fields = freeze_iteration_fields(prob, factors, np.zeros((T, 2)), grid)
+    f = freeze_iteration_fields(prob, factors, np.zeros((T, 2)))
+    arrays = (f.A_blocks, f.W_nodes, f.W_mids)
     w = prob.terminal_weight
-    K = riccati_sweep(fields.afield, fields.ofield, 2 * w * np.eye(2), grid)
-    s = affine_sweep(fields.afield, fields.ofield, K, prob.g, -2 * w * prob.xd, grid)
-    x_sweep = closed_loop_forward(fields.afield, fields.ofield, K, s, prob.g, prob.x0, grid)
+    K = riccati_sweep(*arrays, 2 * w * np.eye(2), grid)
+    s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
+    x_sweep = closed_loop_forward(*arrays, K, s, prob.g, prob.x0, grid)
     p_sweep = np.einsum("tij,tj->ti", K.values, x_sweep.values) + s.values
-    x_bv, p_bv = solve_frozen_boundary_value(prob, fields.afield, fields.ofield, grid)
+    x_bv, p_bv = solve_frozen_boundary_value(prob, *arrays, grid)
     assert np.max(np.abs(x_bv.values - x_sweep.values)) < 1e-6
     assert np.max(np.abs(p_bv.values - p_sweep)) < 1e-6
 
@@ -361,3 +371,116 @@ def test_relaxation_preserves_fixed_point():
     damped = solve(prob, SolveOptions(steps=500, tol=1e-12, max_iters=160, relaxation=0.6))
     assert plain.converged and damped.converged
     assert np.max(np.abs(plain.final.x.values - damped.final.x.values)) < 1e-9
+
+
+def random_bilinear_problem(rng, q, b, m):
+    """A random problem of q samples of size b: block-diagonal drift and
+    bilinear maps, a shared dense input map."""
+    from scipy.linalg import block_diag
+
+    n = q * b
+    R = rng.normal(size=(m, m))
+    return BilinearProblem(
+        A=block_diag(*rng.normal(size=(q, b, b))), B=rng.normal(size=(n, m)),
+        Blist=tuple(block_diag(*rng.normal(size=(q, b, b))) for _ in range(m)),
+        g=rng.normal(size=n), x0=rng.normal(size=n), xd=rng.normal(size=n),
+        tf=0.5, R=R @ R.T + m * np.eye(m),
+    )
+
+
+def rk4_reference(rhs, y_end, grid, backward):
+    """Classical RK4 with stages at (node, midpoint, midpoint, node)."""
+    T = grid.steps
+    h = -grid.h if backward else grid.h
+    y = np.asarray(y_end, dtype=float)
+    out = np.empty((T + 1,) + y.shape)
+    out[T if backward else 0] = y
+    for i in (range(T - 1, -1, -1) if backward else range(T)):
+        start, stop = (i + 1, i) if backward else (i, i + 1)
+        k1 = rhs(y, "node", start)
+        k2 = rhs(y + (0.5 * h) * k1, "mid", i)
+        k3 = rhs(y + (0.5 * h) * k2, "mid", i)
+        k4 = rhs(y + h * k3, "node", stop)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out[stop] = y
+    return out
+
+
+@pytest.mark.parametrize("q,b", [(4, 2), (1, 5)])
+def test_factored_sweeps_match_dense_gram_reference(q, b):
+    # a block-diagonal ensemble and one dense single system, m = 2
+    rng = np.random.default_rng(7)
+    prob = random_bilinear_problem(rng, q, b, 2)
+    factors = bilinear_factors(prob.Blist)
+    grid = TimeGrid(0.0, prob.tf, 40)
+    X = rng.normal(size=(grid.steps + 1, prob.n))
+    f = freeze_iteration_fields(prob, factors, X)
+    arrays = (f.A_blocks, f.W_nodes, f.W_mids)
+    w = prob.terminal_weight
+    K = riccati_sweep(*arrays, 2 * w * np.eye(prob.n), grid)
+    s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
+    qv = value_offset_sweep(f.W_nodes, f.W_mids, s, prob.g, grid)
+    x = closed_loop_forward(*arrays, K, s, prob.g, prob.x0, grid)
+
+    # dense reference: the gram tabulated at the nodes, averaged at midpoints
+    A, g = prob.A, prob.g
+    lam = prob.B + np.einsum("tj,jki->tki", X, factors.mats)
+    O_n = np.einsum("tki,ij,tlj->tkl", lam, prob.Rinv, lam)
+    O = {"node": O_n, "mid": 0.5 * (O_n[:-1] + O_n[1:])}
+    Kt = {"node": K.values, "mid": 0.5 * (K.values[:-1] + K.values[1:])}
+    st = {"node": s.values, "mid": 0.5 * (s.values[:-1] + s.values[1:])}
+
+    def close(a, ref):
+        return np.max(np.abs(a - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    K_ref = rk4_reference(
+        lambda Km, kind, i: Km @ O[kind][i] @ Km - Km @ A - A.T @ Km,
+        2 * w * np.eye(prob.n), grid, backward=True)
+    assert close(K.values, K_ref)
+    s_ref = rk4_reference(
+        lambda sv, kind, i: Kt[kind][i] @ (O[kind][i] @ sv) - A.T @ sv - Kt[kind][i] @ g,
+        -2 * w * prob.xd, grid, backward=True)
+    assert close(s.values, s_ref)
+    q_ref = rk4_reference(
+        lambda qv, kind, i: st[kind][i] @ O[kind][i] @ st[kind][i] - 2 * st[kind][i] @ g,
+        0.0, grid, backward=True)
+    assert close(qv.values, q_ref)
+    x_ref = rk4_reference(
+        lambda xv, kind, i: (A @ xv - O[kind][i] @ (Kt[kind][i] @ xv)
+                             - O[kind][i] @ st[kind][i] + g),
+        prob.x0, grid, backward=False)
+    assert close(x.values, x_ref)
+
+
+def test_drift_blocks_detection():
+    rng = np.random.default_rng(3)
+    blocks = rng.normal(size=(4, 2, 2))
+    from scipy.linalg import block_diag
+
+    assert np.array_equal(drift_blocks(block_diag(*blocks)), blocks)
+    dense = rng.normal(size=(6, 6))
+    assert np.array_equal(drift_blocks(dense), dense[np.newaxis])
+    diag = np.diag(rng.normal(size=5))
+    assert np.array_equal(drift_blocks(diag), np.diag(diag)[:, None, None])
+    assert np.array_equal(drift_blocks(np.zeros((3, 3))), np.zeros((3, 1, 1)))
+
+
+def test_sweep_blowup_names_first_nonfinite_node():
+    # dx/dt = c x overflows float64 one RK4 step per ~8-9 decades of growth;
+    # each error names the first node, in sweep order, that is not finite
+    from bilqr.numkit import BlowupError
+    from bilqr.solver import RiccatiEscapeError
+
+    grid = TimeGrid(0.0, 1.0, 100)
+    fields = const_fields(2e4 * np.eye(2), np.zeros((2, 1)), grid)
+    K0 = GriddedTrajectory(grid, np.zeros((101, 2, 2)))
+    s0 = GriddedTrajectory(grid, np.zeros((101, 2)))
+    with pytest.raises(RiccatiEscapeError) as exc:
+        riccati_sweep(*fields, np.eye(2), grid)
+    assert (exc.value.node_index, exc.value.t) == (66, pytest.approx(0.66))
+    with pytest.raises(BlowupError) as exc:
+        affine_sweep(*fields, K0, np.zeros(2), np.ones(2), grid)
+    assert exc.value.node_index == 60
+    with pytest.raises(BlowupError) as exc:
+        closed_loop_forward(*fields, K0, s0, np.zeros(2), np.ones(2), grid)
+    assert exc.value.node_index == 40
