@@ -131,7 +131,7 @@ def bound_coefficients(
     sigma >= t and forward bounds pairs with sigma <= t.  Node pairs are
     subsampled to bound the quadratic pair cost.
     """
-    W = freeze_iteration_fields(prob, factors, prev.x.values).W_nodes
+    W, _ = freeze_iteration_fields(prob, factors, prev.x.values)
     O_nodes = np.matmul(W, np.transpose(W, (0, 2, 1)))
     closed_loop = prob.A - np.matmul(O_nodes, cur.K.values)
     field = TabulatedField(grid, -np.transpose(closed_loop, (0, 2, 1)))
@@ -309,7 +309,7 @@ def hjb_residual(
     S = final.s.values
     g = prob.g
 
-    W = freeze_iteration_fields(prob, factors, X).W_nodes
+    W, _ = freeze_iteration_fields(prob, factors, X)
     KX = np.matmul(K, X[:, :, np.newaxis])[:, :, 0]
     AX = X @ prob.A.T
     WtKX = np.matmul(KX[:, np.newaxis, :], W)[:, 0]  # rows (W' K x)'

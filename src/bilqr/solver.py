@@ -202,57 +202,45 @@ def _block_product(blocks: np.ndarray):
     return lambda y: np.matmul(blocks, y.reshape(q, b, -1)).reshape(y.shape)
 
 
-@dataclass(frozen=True)
-class IterationFields:
-    """Subproblem coefficients of one iteration.
-
-    The drift is A itself, given by its diagonal blocks; the positive
-    semidefinite input gram L_prev R^-1 L_prev' is given by its factor
-    W = L_prev C (R^-1 = C C') at the nodes, and at the interval midpoints
-    by [W_i, W_i+1] / sqrt(2), whose gram is the average of the two node
-    grams.
-    """
-
-    A_blocks: np.ndarray  # (q, b, b)
-    W_nodes: np.ndarray  # (T + 1, n, m)
-    W_mids: np.ndarray  # (T, n, 2 m)
-
-
 def freeze_iteration_fields(
     prob: BilinearProblem,
     factors: BilinearFactors,
     X: np.ndarray,
-    A_blocks: np.ndarray | None = None,
-) -> IterationFields:
-    """Freeze the input map along X and form the subproblem coefficients.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factor of the input gram L R^-1 L' frozen along X, at the stage times.
 
-    `A_blocks` may carry drift_blocks(prob.A), which depends only on the
-    problem.
+    Returns W = L C (R^-1 = C C') at the nodes, (T + 1, n, m), and
+    [W_i, W_i+1] / sqrt(2) at the interval midpoints, (T, n, 2 m), whose
+    gram is the average of the two node grams.
     """
-    if A_blocks is None:
-        A_blocks = drift_blocks(prob.A)
     lam = prob.B + np.tensordot(X, factors.mats, axes=(1, 0))  # (T, n, m)
     W = lam @ np.linalg.cholesky(prob.Rinv)
-    W_mids = np.concatenate((W[:-1], W[1:]), axis=2) * np.sqrt(0.5)
-    return IterationFields(A_blocks, W, W_mids)
+    return W, np.concatenate((W[:-1], W[1:]), axis=2) * np.sqrt(0.5)
 
 
-def _first_nonfinite(values: np.ndarray, backward: bool) -> int | None:
-    """Node at which a sweep first produced a non-finite value, if any."""
-    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-    if not bad.any():
-        return None
-    nodes = np.flatnonzero(bad)
-    return int(nodes[-1] if backward else nodes[0])
+# Steps between a sweep's checks of its current value.  A non-finite entry
+# stays non-finite in every later RK4 step, so a sweep stops at the first
+# check that sees one; the nodes it leaves unset lie past the first
+# non-finite node and do not change which node _check_finite names.
+_CHECK_EVERY = 32
 
 
-def _check_finite(values: np.ndarray, grid: TimeGrid, backward: bool):
-    node = _first_nonfinite(values, backward)
-    if node is not None:
-        t = float(grid.nodes[node])
-        raise BlowupError(
-            f"numerical blow-up at node {node} (t={t:.6g})", node_index=node, t=t
-        )
+def _blowup(node: int, t: float) -> Exception:
+    return BlowupError(f"numerical blow-up at node {node} (t={t:.6g})", node_index=node, t=t)
+
+
+def _riccati_escape(node: int, t: float) -> Exception:
+    return RiccatiEscapeError(
+        f"Riccati escape at t={t:.6g}; try increasing R", node_index=node, t=t
+    )
+
+
+def _check_finite(values: np.ndarray, grid: TimeGrid, backward: bool, error=_blowup):
+    """Raise error(node, t) at the first node, in sweep order, that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
+    if len(bad):
+        node = int(bad[-1] if backward else bad[0])
+        raise error(node, float(grid.nodes[node]))
 
 
 def riccati_sweep(
@@ -293,12 +281,9 @@ def riccati_sweep(
             K = K + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             K = 0.5 * (K + K.T)
             out[i] = K
-    node = _first_nonfinite(out, backward=True)
-    if node is not None:
-        t = float(grid.nodes[node])
-        raise RiccatiEscapeError(
-            f"Riccati escape at t={t:.6g}; try increasing R", node_index=node, t=t
-        )
+            if i % _CHECK_EVERY == 0 and not np.isfinite(K).all():
+                break
+    _check_finite(out, grid, backward=True, error=_riccati_escape)
     return GriddedTrajectory(grid, out)
 
 
@@ -338,6 +323,8 @@ def affine_sweep(
             k4 = rhs(s + h * k3, W_nodes[i], K_n[i], Kg_n[i])
             s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             out[i] = s
+            if i % _CHECK_EVERY == 0 and not np.isfinite(s).all():
+                break
     _check_finite(out, grid, backward=True)
     return GriddedTrajectory(grid, out)
 
@@ -404,6 +391,8 @@ def closed_loop_forward(
             k4 = rhs(x + h * k3, W_nodes[i + 1], K_n[i + 1], Os_n[i + 1])
             x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             out[i + 1] = x
+            if i % _CHECK_EVERY == 0 and not np.isfinite(x).all():
+                break
     _check_finite(out, grid, backward=False)
     return GriddedTrajectory(grid, out)
 
@@ -535,7 +524,6 @@ def iterate_once(
     factors: BilinearFactors,
     prev: IterationState,
     grid: TimeGrid,
-    A_blocks: np.ndarray | None = None,
 ) -> IterationState:
     """One pass of the frozen-coefficient map applied to `prev`.
 
@@ -544,11 +532,11 @@ def iterate_once(
     Riccati escape would indicate pathological data and falls back to the
     direct boundary-value route, which computes the same iterate wherever
     both are defined.  `diff_x` measures how far the map moved the state
-    away from its argument.  `A_blocks` may carry drift_blocks(prob.A).
+    away from its argument.
     """
     w = prob.terminal_weight
-    f = freeze_iteration_fields(prob, factors, prev.x.values, A_blocks)
-    Ab, Wn, Wm = f.A_blocks, f.W_nodes, f.W_mids
+    Ab = drift_blocks(prob.A)
+    Wn, Wm = freeze_iteration_fields(prob, factors, prev.x.values)
     try:
         K = riccati_sweep(Ab, Wn, Wm, 2.0 * w * np.eye(prob.n), grid)
         s = affine_sweep(Ab, Wn, Wm, K, prob.g, -2.0 * w * prob.xd, grid)
@@ -618,7 +606,6 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
     opts = opts or SolveOptions()
     grid = TimeGrid(0.0, prob.tf, opts.steps)
     factors = bilinear_factors(prob.Blist)
-    A_blocks = drift_blocks(prob.A)
 
     state = _initial_state(prob, grid, probe=opts.init_control)
     frozen_x = state.x.values
@@ -637,7 +624,7 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
         feed = state if theta == 1.0 else dataclasses.replace(
             state, x=GriddedTrajectory(grid, frozen_x))
         try:
-            nxt = iterate_once(prob, factors, feed, grid, A_blocks)
+            nxt = iterate_once(prob, factors, feed, grid)
         except (RiccatiEscapeError, BoundarySolveError, BlowupError) as exc:
             exc.args = (f"iteration {k}: {exc.args[0]}",) + exc.args[1:]
             raise

@@ -331,8 +331,7 @@ def test_boundary_value_route_matches_sweeps():
     factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 1000)
     T = grid.steps + 1
-    f = freeze_iteration_fields(prob, factors, np.zeros((T, 2)))
-    arrays = (f.A_blocks, f.W_nodes, f.W_mids)
+    arrays = (drift_blocks(prob.A),) + freeze_iteration_fields(prob, factors, np.zeros((T, 2)))
     w = prob.terminal_weight
     K = riccati_sweep(*arrays, 2 * w * np.eye(2), grid)
     s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
@@ -414,12 +413,12 @@ def test_factored_sweeps_match_dense_gram_reference(q, b):
     factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 40)
     X = rng.normal(size=(grid.steps + 1, prob.n))
-    f = freeze_iteration_fields(prob, factors, X)
-    arrays = (f.A_blocks, f.W_nodes, f.W_mids)
+    W_nodes, W_mids = freeze_iteration_fields(prob, factors, X)
+    arrays = (drift_blocks(prob.A), W_nodes, W_mids)
     w = prob.terminal_weight
     K = riccati_sweep(*arrays, 2 * w * np.eye(prob.n), grid)
     s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
-    qv = value_offset_sweep(f.W_nodes, f.W_mids, s, prob.g, grid)
+    qv = value_offset_sweep(W_nodes, W_mids, s, prob.g, grid)
     x = closed_loop_forward(*arrays, K, s, prob.g, prob.x0, grid)
 
     # dense reference: the gram tabulated at the nodes, averaged at midpoints
@@ -467,7 +466,8 @@ def test_drift_blocks_detection():
 
 def test_sweep_blowup_names_first_nonfinite_node():
     # dx/dt = c x overflows float64 one RK4 step per ~8-9 decades of growth;
-    # each error names the first node, in sweep order, that is not finite
+    # each error names the first node, in sweep order, that is not finite,
+    # although each sweep stops at a later periodic check
     from bilqr.numkit import BlowupError
     from bilqr.solver import RiccatiEscapeError
 
