@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import hjb_residual, necessary_condition_residual
 from .ensemble import averaged_terminal_cost
 from .model import bilinear_factors
-from .numkit import BlowupError, GriddedTrajectory, TimeGrid
+from .numkit import BlowupError, GriddedTrajectory, TimeGrid, TransitionInversionError
 from .probfile import ProblemFileError, load_problem_file
 from .scenarios import SCENARIO_IDS, RunSetup, build, scenario_metrics
 from .solver import (
@@ -32,6 +32,10 @@ from .solver import (
 from .stochastic import mean_consistency, simulate_poisson_paths, simulate_wiener_paths
 
 OUT_ROOT_ENV = "BILQR_OUT"
+
+# Errors a solve (with or without its diagnostics) reports as exit 1.
+SOLVER_ERRORS = (RiccatiEscapeError, BoundarySolveError, BlowupError,
+                 TransitionInversionError, np.linalg.LinAlgError)
 
 
 def _fmt(x: float) -> str:
@@ -194,7 +198,7 @@ def cmd_solve(args) -> int:
     config = _config_dict(args, setup, opts)
     try:
         result = solve(setup.problem, opts)
-    except (RiccatiEscapeError, BoundarySolveError, BlowupError) as exc:
+    except SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_outputs(out, setup, opts, result, config)
@@ -265,7 +269,11 @@ def cmd_validate(args) -> int:
     }
     if setup.noise is not None and args.mc_paths:
         M = args.mc_paths
-        stat = _ensemble_mc_statistic(setup, utraj, resim, M, args.seed)
+        try:
+            stat = _ensemble_mc_statistic(setup, utraj, resim, M, args.seed)
+        except RuntimeError as exc:
+            print(f"error: Monte Carlo paths failed: {exc}", file=sys.stderr)
+            return 1
         report["mc"] = {
             "paths": M,
             "seed": args.seed,
@@ -358,7 +366,7 @@ def cmd_sweep_r(args) -> int:
             rows.append([scale, result.converged, result.iterations_used,
                          crossover if crossover is not None else "",
                          result.final.cost, terminal, ""])
-        except (RiccatiEscapeError, BoundarySolveError, BlowupError) as exc:
+        except SOLVER_ERRORS as exc:
             rows.append([scale, False, "", "", "", "", str(exc)])
     out = _out_dir(args, build(args.scenario, {"q": args.q} if args.q else None))
     path = out / "sweep_r.csv"

@@ -6,8 +6,9 @@ test |m11| + |m21| + |m31| < 1 certifies the iteration map contracts.  M
 is a conservative diagnostic, never a gate: the solver runs regardless.
 
 The optimality side evaluates the dynamic-programming residual of the
-converged value function and the finite-difference residuals of the
-canonical two-point boundary-value equations.
+iterate's value function (an identity at round-off level, not a
+certificate) and the finite-difference residuals of the canonical
+two-point boundary-value equations.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .numkit import (
     TimeGrid,
     alpha_norm,
     mat_norm,
+    node_norms,
     spectral_radius,
     transition_table,
     vec_norm,
 )
-from .solver import IterationState, TabulatedField, freeze_iteration_fields
+from .solver import IterationState, freeze_iteration_fields
 
 __all__ = [
     "ContractionReport",
@@ -99,14 +101,6 @@ def coupling_strengths(prob: BilinearProblem, factors: BilinearFactors) -> tuple
     return float(np.sqrt(delta_sq)), float(np.sqrt(zeta_sq))
 
 
-def _node_vec_norms(values: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(values), axis=1)
-
-
-def _node_mat_norms(values: np.ndarray) -> np.ndarray:
-    return np.max(np.sum(np.abs(values), axis=1), axis=1)
-
-
 def _sub_indices(steps: int, subsample: int) -> np.ndarray:
     idx = np.arange(0, steps + 1, subsample)
     if idx[-1] != steps:
@@ -134,17 +128,16 @@ def bound_coefficients(
     W, _ = freeze_iteration_fields(prob, factors, prev.x.values)
     O_nodes = np.matmul(W, np.transpose(W, (0, 2, 1)))
     closed_loop = prob.A - np.matmul(O_nodes, cur.K.values)
-    field = TabulatedField(grid, -np.transpose(closed_loop, (0, 2, 1)))
-    table = transition_table(field, grid)
+    table = transition_table(-np.transpose(closed_loop, (0, 2, 1)), grid)
     idx = _sub_indices(grid.steps, subsample)
     phi = table.norm_table(idx)  # phi[a, b] = ||Phi(t_a, t_b)||
 
-    s_prev = _node_vec_norms(prev.s.values)[idx]
-    s_cur = _node_vec_norms(cur.s.values)[idx]
-    x_prev = _node_vec_norms(prev.x.values)[idx]
-    K_prev = _node_mat_norms(prev.K.values)[idx]
-    K_cur = _node_mat_norms(cur.K.values)[idx]
-    O_norm = _node_mat_norms(O_nodes)[idx]
+    s_prev = node_norms(prev.s.values)[idx]
+    s_cur = node_norms(cur.s.values)[idx]
+    x_prev = node_norms(prev.x.values)[idx]
+    K_prev = node_norms(prev.K.values)[idx]
+    K_cur = node_norms(cur.K.values)[idx]
+    O_norm = node_norms(O_nodes)[idx]
     g_norm = vec_norm(prob.g)
 
     S = len(idx)
@@ -296,9 +289,9 @@ def hjb_residual(
     sweeps (no numerical differentiation), contracted with x as V needs
     them, so no (T, n, n) derivative is formed; it is then added to the
     Hamiltonian of the original bilinear problem along the stored (x, u)
-    pair.  At a fixed point the residual vanishes up to the interpolation
-    error of the frozen coefficients, certifying that the converged pair
-    solves the bilinear dynamic-programming equation.
+    pair.  This is not an optimality certificate: with p = K x + s and
+    u = -R^-1 L' p the terms cancel identically for any K and s, so the
+    residual sits at round-off level at every iterate, converged or not.
     """
     if final.K is None or final.s is None or final.q is None:
         raise ValueError("iterate carries no gain/affine sweeps (Riccati escape)")

@@ -85,6 +85,10 @@ class BilinearProblem:
                 raise ValueError(f"{name} must have length {n}, got {v.shape}")
         if R.shape != (m, m):
             raise ValueError(f"R must be {m}x{m}, got {R.shape}")
+        for name, v in (("A", A), ("B", B), ("Blist", Blist), ("g", g), ("x0", x0), ("xd", xd),
+                        ("R", R), ("tf", self.tf), ("terminal_weight", self.terminal_weight)):
+            if not np.all(np.isfinite(np.asarray(v, dtype=float))):
+                raise ValueError(f"{name} must be finite")
         if not self.tf > 0:
             raise ValueError(f"tf must be positive, got {self.tf}")
         if not self.terminal_weight > 0:

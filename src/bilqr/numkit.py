@@ -1,14 +1,17 @@
-"""Shared numerical substrate: time grids, fixed-step RK4 integration,
-piecewise-linear interpolation, the l1/max-column-sum norm pair, weighted
-sup-norms, transition-matrix tables, and spectral radius.
+"""Shared numerical substrate: time grids, the one RK4 stepper, the
+l1/max-column-sum norm pair, weighted sup-norms, transition-matrix tables,
+and spectral radius.
 
-Everything here is deterministic and pure: fixed-step classical RK4 only,
-no adaptive stepping, so repeated runs produce bitwise-identical iterates.
+Every integration in the package is `rk4_sweep`: fixed-step classical RK4,
+forward or backward over a uniform grid, of y' = rhs(y, *args) whose
+time-dependent arguments are stage tables, arrays precomputed at the grid
+nodes and at the interval midpoints.  There is no adaptive stepping, so
+repeated runs produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,79 +94,78 @@ class GriddedTrajectory:
         return (1.0 - th) * lo + th * hi
 
 
-def interp(traj: GriddedTrajectory, t):
-    """Value of `traj` at time `t` (piecewise-linear, exact at nodes)."""
-    return traj.at(t)
+def midpoints(values: np.ndarray) -> np.ndarray:
+    """Averages of consecutive node values: the stage table at interval midpoints."""
+    return 0.5 * (values[:-1] + values[1:])
 
 
-def _rk4_step(field, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = field(t, y)
-    k2 = field(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = field(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = field(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(rhs, y, h, start: tuple, mid: tuple, end: tuple):
+    """One classical RK4 step of y' = rhs(y, *args) with the arguments at the
+    step's start, midpoint and end; h may be negative or an array."""
+    k1 = rhs(y, *start)
+    k2 = rhs(y + (0.5 * h) * k1, *mid)
+    k3 = rhs(y + (0.5 * h) * k2, *mid)
+    k4 = rhs(y + h * k3, *end)
+    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def integrate_forward(
-    field: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
+# Steps between a sweep's checks of its current value.  A non-finite entry
+# stays non-finite in every later RK4 step, so a sweep stops at the first
+# check that sees one; the nodes it leaves unset lie past the first
+# non-finite node and do not change which node the final check names.
+_CHECK_EVERY = 32
+
+
+def _blowup(node: int, t: float) -> Exception:
+    return BlowupError(f"numerical blow-up at node {node} (t={t:.6g})", node_index=node, t=t)
+
+
+def rk4_sweep(
+    rhs: Callable[..., np.ndarray],
+    y_start,
     grid: TimeGrid,
+    nodes: tuple = (),
+    mids: tuple = (),
+    backward: bool = False,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
+    error: Callable[[int, float], Exception] = _blowup,
 ) -> GriddedTrajectory:
-    """Classical fixed-step RK4 from values[0] = y0 up to tf.
+    """Fixed-step RK4 of y' = rhs(y, *args) over the grid.
 
-    `project`, when given, is applied after every accepted step (used for
-    constraint maintenance such as re-symmetrization).
+    The arguments are stage tables: `nodes` holds arrays of shape
+    (steps + 1, ...) at the grid nodes and `mids` arrays of shape
+    (steps, ...) at the interval midpoints, in the same order.  A forward
+    sweep starts from values[0] = y_start, a backward one from
+    values[-1] = y_start.  `project`, when given, is applied after every
+    step.  The first non-finite node, in sweep order, raises error(node, t).
     """
-    y = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("initial value must be finite")
-    nodes = grid.nodes
-    out = np.empty((grid.steps + 1,) + y.shape, dtype=float)
-    out[0] = y
-    h = grid.h
+    y = np.asarray(y_start, dtype=float)
+    T = grid.steps
+    node_rows = list(zip(*nodes)) or [()] * (T + 1)
+    mid_rows = list(zip(*mids)) or [()] * T
+    h, order = (-grid.h, range(T - 1, -1, -1)) if backward else (grid.h, range(T))
+    out = np.empty((T + 1,) + y.shape)
+    out[T if backward else 0] = y
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.steps):
-            y = _rk4_step(field, nodes[i], y, h)
+        for i in order:
+            a, b = (i + 1, i) if backward else (i, i + 1)
+            y = rk4_step(rhs, y, h, node_rows[a], mid_rows[i], node_rows[b])
             if project is not None:
                 y = project(y)
-            if not np.all(np.isfinite(y)):
-                raise BlowupError(
-                    f"numerical blow-up at node {i + 1} (t={nodes[i + 1]:.6g})",
-                    node_index=i + 1,
-                    t=float(nodes[i + 1]),
-                )
-            out[i + 1] = y
+            out[b] = y
+            if i % _CHECK_EVERY == 0 and not np.isfinite(y).all():
+                break
+    bad = np.flatnonzero(~np.isfinite(out.reshape(T + 1, -1)).all(axis=1))
+    if len(bad):
+        node = int(bad[-1] if backward else bad[0])
+        raise error(node, float(grid.nodes[node]))
     return GriddedTrajectory(grid, out)
 
 
-def integrate_backward(
-    field: Callable[[float, np.ndarray], np.ndarray],
-    yT: np.ndarray,
-    grid: TimeGrid,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> GriddedTrajectory:
-    """Classical fixed-step RK4 run in reversed time; values[-1] = yT."""
-    y = np.asarray(yT, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("terminal value must be finite")
-    nodes = grid.nodes
-    out = np.empty((grid.steps + 1,) + y.shape, dtype=float)
-    out[-1] = y
-    h = -grid.h
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.steps - 1, -1, -1):
-            y = _rk4_step(field, nodes[i + 1], y, h)
-            if project is not None:
-                y = project(y)
-            if not np.all(np.isfinite(y)):
-                raise BlowupError(
-                    f"numerical blow-up at node {i} (t={nodes[i]:.6g})",
-                    node_index=i,
-                    t=float(nodes[i]),
-                )
-            out[i] = y
-    return GriddedTrajectory(grid, out)
+def integrate_forward(field: Callable[[float, np.ndarray], np.ndarray], y0, grid: TimeGrid):
+    """RK4 of y' = field(t, y) from values[0] = y0, with t tabulated on the grid."""
+    t = grid.nodes
+    return rk4_sweep(lambda y, s: field(s, y), y0, grid, (t,), (midpoints(t),))
 
 
 def vec_norm(v: np.ndarray) -> float:
@@ -176,7 +178,8 @@ def mat_norm(D: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(D), axis=0)))
 
 
-def _node_norms(values: np.ndarray) -> np.ndarray:
+def node_norms(values: np.ndarray) -> np.ndarray:
+    """Node-wise l1 (vector) or max-column-sum (matrix) norms of a table."""
     if values.ndim <= 1:
         return np.abs(values)
     if values.ndim == 2:
@@ -200,7 +203,7 @@ def alpha_norm(traj: GriddedTrajectory, alpha: float, direction: str) -> float:
         weights = np.exp(-alpha * (g.tf - g.nodes))
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return float(np.max(_node_norms(traj.values) * weights))
+    return float(np.max(node_norms(traj.values) * weights))
 
 
 class TransitionTable:
@@ -243,10 +246,14 @@ class TransitionTable:
         return table
 
 
-def transition_table(Afield: Callable[[float], np.ndarray], grid: TimeGrid) -> TransitionTable:
-    """Transition matrices of dPhi/dt = A(t) Phi with Phi(t0, t0) = I."""
-    n = np.asarray(Afield(grid.t0)).shape[0]
-    base = integrate_forward(lambda t, y: Afield(t) @ y, np.eye(n), grid)
+def transition_table(A_nodes: np.ndarray, grid: TimeGrid) -> TransitionTable:
+    """Transition matrices of dPhi/dt = A(t) Phi with Phi(t0, t0) = I.
+
+    A is given at the grid nodes, (steps + 1, n, n), and blended linearly
+    between them.
+    """
+    base = rk4_sweep(lambda Phi, A: A @ Phi, np.eye(A_nodes.shape[1]), grid,
+                     (A_nodes,), (midpoints(A_nodes),))
     return TransitionTable(grid, base.values)
 
 

@@ -84,6 +84,16 @@ def _noise(data: dict, n: int, ctx: str) -> NoiseSpec | None:
     return NoiseSpec("wiener", G)
 
 
+def _poisson_reduction(problem: BilinearProblem, noise, ctx: str) -> BilinearProblem:
+    """The mean problem under Poisson noise, whose translation G lam replaces g."""
+    if noise is None or noise.kind != "poisson":
+        return problem
+    if np.any(problem.g != 0):
+        raise ProblemFileError(f"{ctx}: field 'g' must be zero under Poisson noise "
+                               "(the mean translation is G lambda)")
+    return expected_reduction(problem, noise)
+
+
 def _coefficients(data: dict, n: int, m: int, ctx: str) -> SampleCoefficients:
     Blist_raw = _require(data, "Blist", ctx)
     if not isinstance(Blist_raw, (list, tuple)) or len(Blist_raw) != m:
@@ -119,8 +129,7 @@ def _load_single(data: dict, label: str) -> RunSetup:
     except ValueError as exc:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
     noise = _noise(data, n, ctx)
-    if noise is not None and noise.kind == "poisson":
-        problem = expected_reduction(problem, noise)
+    problem = _poisson_reduction(problem, noise, ctx)
     return RunSetup(
         label=label,
         problem=problem,
@@ -164,8 +173,7 @@ def _load_ensemble(data: dict, label: str) -> RunSetup:
     except ValueError as exc:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
     noise = stack_noise(noises) if noises else None
-    if noise is not None and noise.kind == "poisson":
-        problem = expected_reduction(problem, noise)
+    problem = _poisson_reduction(problem, noise, ctx)
     betas = data.get("betas", list(range(len(coeffs))))
     return RunSetup(
         label=label,

@@ -13,19 +13,21 @@ the costate p = K x + s and the control u = -R^-1 L(x)' p.  The loop stops
 on an iterate-difference or target-distance rule.
 
 At a fixed point the state satisfies the original bilinear dynamics under
-the reconstructed control exactly, and the subproblem's value function
-solves the dynamic-programming equation of the bilinear problem along the
-converged pair, which is what the optimality diagnostics certify.  The
-frozen quadratic weight L_prev R^-1 L_prev' is positive semidefinite, so
-the backward Riccati flow cannot escape; the literal change-of-variables
-weight B R^-1 B' - C R^-1 C' can be indefinite and makes the backward flow
-escape in finite time on broadcast ensembles (it is kept as a diagnostic
-quantity, see the model module).
+the reconstructed control exactly, which the resimulation check measures
+(the dynamic-programming residual in diagnostics cancels identically for
+any iterate and certifies nothing).  The frozen quadratic weight
+L_prev R^-1 L_prev' is positive semidefinite, so the backward Riccati flow
+cannot escape; the literal change-of-variables weight B R^-1 B' - C R^-1 C'
+can be indefinite and makes the backward flow escape in finite time on
+broadcast ensembles (it is kept as a diagnostic quantity, see the model
+module).
 
-The sweeps take the subproblem's coefficients as arrays at the RK4 stage
-times (nodes and interval midpoints), in the structure the problem has:
-the drift A as its diagonal blocks (q, b, b), one per ensemble sample, and
-the input gram L R^-1 L', whose rank is at most m, as its factor
+Every sweep, both passes of the boundary-value route, the initial flow and
+the bilinear resimulation are one call of numkit.rk4_sweep, whose
+right-hand side takes the coefficients as stage tables: arrays at the grid
+nodes and interval midpoints, in the structure the problem has.  The
+drift A comes as its diagonal blocks (q, b, b), one per sample, and the
+input gram L R^-1 L', whose rank is at most m, as its factor
 W = L C with R^-1 = C C'.  Every product with the gram is taken through W,
 so an RK4 stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense
 n x n products, and no (T, n, n) gram table is formed.
@@ -35,17 +37,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .model import BilinearFactors, BilinearProblem, bilinear_factors
-from .numkit import (
-    BlowupError,
-    GriddedTrajectory,
-    TimeGrid,
-    integrate_forward,
-)
+from .numkit import BlowupError, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
 
 __all__ = [
     "IterationState",
@@ -154,28 +150,6 @@ class SolveResult:
     diagnostics: object = None
 
 
-class TabulatedField:
-    """Time-dependent matrix given by node values, blended linearly between."""
-
-    def __init__(self, grid: TimeGrid, node_values: np.ndarray):
-        self.grid = grid
-        self.node_values = node_values
-
-    def __call__(self, t: float) -> np.ndarray:
-        g = self.grid
-        u = (t - g.t0) / g.h
-        i = min(max(int(u), 0), g.steps - 1)
-        theta = min(max(u - i, 0.0), 1.0)
-        if theta == 0.0:
-            return self.node_values[i]
-        return (1.0 - theta) * self.node_values[i] + theta * self.node_values[i + 1]
-
-
-def _traj_stage_tables(traj: GriddedTrajectory):
-    v = traj.values
-    return v, 0.5 * (v[:-1] + v[1:])
-
-
 def drift_blocks(A: np.ndarray) -> np.ndarray:
     """Diagonal blocks (q, b, b) of the finest equal block split of A.
 
@@ -218,29 +192,16 @@ def freeze_iteration_fields(
     return W, np.concatenate((W[:-1], W[1:]), axis=2) * np.sqrt(0.5)
 
 
-# Steps between a sweep's checks of its current value.  A non-finite entry
-# stays non-finite in every later RK4 step, so a sweep stops at the first
-# check that sees one; the nodes it leaves unset lie past the first
-# non-finite node and do not change which node _check_finite names.
-_CHECK_EVERY = 32
-
-
-def _blowup(node: int, t: float) -> Exception:
-    return BlowupError(f"numerical blow-up at node {node} (t={t:.6g})", node_index=node, t=t)
-
-
 def _riccati_escape(node: int, t: float) -> Exception:
     return RiccatiEscapeError(
         f"Riccati escape at t={t:.6g}; try increasing R", node_index=node, t=t
     )
 
 
-def _check_finite(values: np.ndarray, grid: TimeGrid, backward: bool, error=_blowup):
-    """Raise error(node, t) at the first node, in sweep order, that is not finite."""
-    bad = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
-    if len(bad):
-        node = int(bad[-1] if backward else bad[0])
-        raise error(node, float(grid.nodes[node]))
+def _boundary_error(node: int, t: float) -> Exception:
+    return BoundarySolveError(
+        "frozen boundary-value system produced non-finite data; try increasing R"
+    )
 
 
 def riccati_sweep(
@@ -260,7 +221,6 @@ def riccati_sweep(
     if np.max(np.abs(K_T - K_T.T)) > 1e-10 * max(1.0, np.max(np.abs(K_T))):
         raise ValueError("terminal Riccati matrix must be symmetric")
     At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
-    h = -grid.h
 
     def rhs(K, W):
         KW = np.dot(K, W)
@@ -270,21 +230,8 @@ def riccati_sweep(
         out -= AtK.T
         return out
 
-    out = np.empty((grid.steps + 1,) + K_T.shape)
-    out[-1] = K = 0.5 * (K_T + K_T.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.steps - 1, -1, -1):
-            k1 = rhs(K, W_nodes[i + 1])
-            k2 = rhs(K + (0.5 * h) * k1, W_mids[i])
-            k3 = rhs(K + (0.5 * h) * k2, W_mids[i])
-            k4 = rhs(K + h * k3, W_nodes[i])
-            K = K + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            K = 0.5 * (K + K.T)
-            out[i] = K
-            if i % _CHECK_EVERY == 0 and not np.isfinite(K).all():
-                break
-    _check_finite(out, grid, backward=True, error=_riccati_escape)
-    return GriddedTrajectory(grid, out)
+    return rk4_sweep(rhs, 0.5 * (K_T + K_T.T), grid, (W_nodes,), (W_mids,), backward=True,
+                     project=lambda K: 0.5 * (K + K.T), error=_riccati_escape)
 
 
 def affine_sweep(
@@ -302,10 +249,8 @@ def affine_sweep(
     """
     g = np.asarray(g, dtype=float)
     At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
-    K_n, K_m = _traj_stage_tables(Ktraj)
-    Kg_n = K_n @ g
-    Kg_m = K_m @ g
-    h = -grid.h
+    K_n = Ktraj.values
+    K_m = midpoints(K_n)
 
     def rhs(s, W, K, Kg):
         out = np.dot(K, np.dot(W, np.dot(W.T, s)))
@@ -313,20 +258,8 @@ def affine_sweep(
         out -= Kg
         return out
 
-    out = np.empty((grid.steps + 1, len(g)))
-    out[-1] = s = np.asarray(s_T, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.steps - 1, -1, -1):
-            k1 = rhs(s, W_nodes[i + 1], K_n[i + 1], Kg_n[i + 1])
-            k2 = rhs(s + (0.5 * h) * k1, W_mids[i], K_m[i], Kg_m[i])
-            k3 = rhs(s + (0.5 * h) * k2, W_mids[i], K_m[i], Kg_m[i])
-            k4 = rhs(s + h * k3, W_nodes[i], K_n[i], Kg_n[i])
-            s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            out[i] = s
-            if i % _CHECK_EVERY == 0 and not np.isfinite(s).all():
-                break
-    _check_finite(out, grid, backward=True)
-    return GriddedTrajectory(grid, out)
+    return rk4_sweep(rhs, s_T, grid, (W_nodes, K_n, K_n @ g), (W_mids, K_m, K_m @ g),
+                     backward=True)
 
 
 def _gram_times(W: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -348,7 +281,8 @@ def value_offset_sweep(
     over each interval; the sweep is one reversed cumulative sum.
     """
     g = np.asarray(g, dtype=float)
-    s_n, s_m = _traj_stage_tables(straj)
+    s_n = straj.values
+    s_m = midpoints(s_n)
     f_n = np.sum((s_n[:, np.newaxis, :] @ W_nodes) ** 2, axis=(1, 2)) - 2.0 * (s_n @ g)
     f_m = np.sum((s_m[:, np.newaxis, :] @ W_mids) ** 2, axis=(1, 2)) - 2.0 * (s_m @ g)
     increments = (grid.h / 6.0) * (f_n[:-1] + 4.0 * f_m + f_n[1:])
@@ -369,11 +303,8 @@ def closed_loop_forward(
     """Forward sweep of dx/dt = (A - W W' K) x - W W' s + g from x(0) = x0."""
     g = np.asarray(g, dtype=float)
     A = _block_product(A_blocks)
-    K_n, K_m = _traj_stage_tables(Ktraj)
-    s_n, s_m = _traj_stage_tables(straj)
-    Os_n = _gram_times(W_nodes, s_n) - g
-    Os_m = _gram_times(W_mids, s_m) - g
-    h = grid.h
+    K_n = Ktraj.values
+    s_n = straj.values
 
     def rhs(x, W, K, Os):
         out = A(x)
@@ -381,20 +312,8 @@ def closed_loop_forward(
         out -= Os
         return out
 
-    out = np.empty((grid.steps + 1, len(g)))
-    out[0] = x = np.asarray(x0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.steps):
-            k1 = rhs(x, W_nodes[i], K_n[i], Os_n[i])
-            k2 = rhs(x + (0.5 * h) * k1, W_mids[i], K_m[i], Os_m[i])
-            k3 = rhs(x + (0.5 * h) * k2, W_mids[i], K_m[i], Os_m[i])
-            k4 = rhs(x + h * k3, W_nodes[i + 1], K_n[i + 1], Os_n[i + 1])
-            x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            out[i + 1] = x
-            if i % _CHECK_EVERY == 0 and not np.isfinite(x).all():
-                break
-    _check_finite(out, grid, backward=False)
-    return GriddedTrajectory(grid, out)
+    return rk4_sweep(rhs, x0, grid, (W_nodes, K_n, _gram_times(W_nodes, s_n) - g),
+                     (W_mids, midpoints(K_n), _gram_times(W_mids, midpoints(s_n)) - g))
 
 
 def reconstruct_control(
@@ -457,49 +376,22 @@ def solve_frozen_boundary_value(
     w = prob.terminal_weight
     A = _block_product(A_blocks)
     At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
-    h = grid.h
 
     # backward fundamental of dp/dt = -A' p, Theta(tf) = I
-    theta = np.empty((grid.steps + 1, n, n))
-    theta[-1] = Th = np.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.steps - 1, -1, -1):
-            k1 = -At(Th)
-            k2 = -At(Th - (0.5 * h) * k1)
-            k3 = -At(Th - (0.5 * h) * k2)
-            k4 = -At(Th - h * k3)
-            Th = Th - (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            theta[i] = Th
-    if not np.all(np.isfinite(theta)):
-        raise BoundarySolveError(
-            "frozen boundary-value system produced non-finite data; try increasing R"
-        )
-    theta_m = 0.5 * (theta[:-1] + theta[1:])
+    theta = rk4_sweep(lambda Th: -At(Th), np.eye(n), grid, backward=True,
+                      error=_boundary_error).values
 
     # forward: Y = [X_c | phi] with dX_c/dt = A X_c - W W' Theta, dphi/dt = A phi + g
-    Y = np.zeros((n, n + 1))
-    Y[:, n] = prob.x0
-    stored = np.empty((grid.steps + 1, n, n + 1))
-    stored[0] = Y
-
     def rhs(Yv, W, Thi):
         out = A(Yv)
         out[:, :n] -= np.dot(W, np.dot(W.T, Thi))
         out[:, n] += prob.g
         return out
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.steps):
-            k1 = rhs(Y, W_nodes[i], theta[i])
-            k2 = rhs(Y + (0.5 * h) * k1, W_mids[i], theta_m[i])
-            k3 = rhs(Y + (0.5 * h) * k2, W_mids[i], theta_m[i])
-            k4 = rhs(Y + h * k3, W_nodes[i + 1], theta[i + 1])
-            Y = Y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            stored[i + 1] = Y
-    if not np.all(np.isfinite(stored)):
-        raise BoundarySolveError(
-            "frozen boundary-value system produced non-finite data; try increasing R"
-        )
+    Y0 = np.zeros((n, n + 1))
+    Y0[:, n] = prob.x0
+    stored = rk4_sweep(rhs, Y0, grid, (W_nodes, theta), (W_mids, midpoints(theta)),
+                       error=_boundary_error).values
 
     Xc_f = stored[-1, :, :n]
     phi_f = stored[-1, :, n]
@@ -511,9 +403,7 @@ def solve_frozen_boundary_value(
             "frozen boundary-value system singular; try increasing R"
         ) from exc
     if not np.all(np.isfinite(c)):
-        raise BoundarySolveError(
-            "frozen boundary-value system produced non-finite data; try increasing R"
-        )
+        raise _boundary_error(grid.steps, grid.tf)
     X = stored[:, :, :n] @ c + stored[:, :, n]
     P = theta @ c
     return GriddedTrajectory(grid, X), GriddedTrajectory(grid, P)
@@ -566,15 +456,10 @@ def _initial_state(prob: BilinearProblem, grid: TimeGrid, probe: float = 0.0) ->
     """
     T = grid.steps + 1
     u0 = np.full(prob.m, probe)
-    if probe == 0.0:
-        field = lambda t, y: prob.A @ y + prob.g
-        u_traj = GriddedTrajectory(grid, np.zeros((T, prob.m)))
-    else:
-        coupling = prob.A + np.tensordot(u0, np.stack(prob.Blist), axes=(0, 0))
-        drive = prob.B @ u0 + prob.g
-        field = lambda t, y: coupling @ y + drive
-        u_traj = GriddedTrajectory(grid, np.tile(u0, (T, 1)))
-    x = integrate_forward(field, prob.x0, grid)
+    coupling = prob.A + np.tensordot(u0, np.stack(prob.Blist), axes=(0, 0))
+    drive = prob.B @ u0 + prob.g
+    x = rk4_sweep(lambda y: coupling @ y + drive, prob.x0, grid)
+    u_traj = GriddedTrajectory(grid, np.tile(u0, (T, 1)))
     zeros_n = GriddedTrajectory(grid, np.zeros((T, prob.n)))
     zeros_nn = GriddedTrajectory(grid, np.zeros((T, prob.n, prob.n)))
     zeros_scalar = GriddedTrajectory(grid, np.zeros(T))
@@ -659,20 +544,6 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
     )
 
 
-def bilinear_field(
-    prob: BilinearProblem, utraj: GriddedTrajectory
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Right-hand side of the original bilinear dynamics under a stored control."""
-    Bs = np.stack(prob.Blist)  # (m, n, n)
-
-    def rhs(t, x):
-        u = utraj.at(t)
-        coupling = np.tensordot(u, Bs, axes=(0, 0))
-        return prob.A @ x + prob.B @ u + coupling @ x + prob.g
-
-    return rhs
-
-
 def simulate_bilinear(
     prob: BilinearProblem,
     utraj: GriddedTrajectory,
@@ -681,6 +552,15 @@ def simulate_bilinear(
     """Forward RK4 of the original bilinear dynamics with u interpolated.
 
     `grid` defaults to the control's own grid; a finer grid may be passed
-    for refinement checks.
+    for refinement checks.  u is tabulated once at the grid's nodes and
+    interval midpoints.
     """
-    return integrate_forward(bilinear_field(prob, utraj), prob.x0, grid or utraj.grid)
+    grid = grid or utraj.grid
+    Bs = np.stack(prob.Blist)  # (m, n, n)
+
+    def rhs(x, u):
+        coupling = np.tensordot(u, Bs, axes=(0, 0))
+        return prob.A @ x + prob.B @ u + coupling @ x + prob.g
+
+    t = grid.nodes
+    return rk4_sweep(rhs, prob.x0, grid, (utraj.at(t),), (utraj.at(midpoints(t)),))

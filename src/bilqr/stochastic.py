@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .model import BilinearProblem
-from .numkit import GriddedTrajectory, TimeGrid
+from .numkit import GriddedTrajectory, TimeGrid, rk4_step
 
 __all__ = [
     "NoiseSpec",
@@ -111,8 +111,8 @@ def _batch_field(prob: BilinearProblem, utraj: GriddedTrajectory):
     """Bilinear right-hand side vectorized over paths with per-path times."""
     Bs = np.stack(prob.Blist)  # (m, n, n)
 
-    def rhs(t, Y):
-        # t: (M,) or scalar; Y: (M, n)
+    def rhs(Y, t):
+        # Y: (M, n); t: (M,) or scalar
         u = np.atleast_2d(utraj.at(t))  # (M, m) or (1, m)
         drift = Y @ prob.A.T + u @ prob.B.T + prob.g
         coupling = np.einsum("pm,mnk,pk->pn", u, Bs, Y)
@@ -121,14 +121,9 @@ def _batch_field(prob: BilinearProblem, utraj: GriddedTrajectory):
     return rhs
 
 
-def _rk4_batch(rhs, t0, y, h):
-    """One RK4 step vectorized over paths; t0 and h may be per-path arrays."""
-    hcol = h[:, np.newaxis] if np.ndim(h) > 0 else h
-    k1 = rhs(t0, y)
-    k2 = rhs(t0 + 0.5 * h, y + 0.5 * hcol * k1)
-    k3 = rhs(t0 + 0.5 * h, y + 0.5 * hcol * k2)
-    k4 = rhs(t0 + h, y + hcol * k3)
-    return y + (hcol / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_path_step(rhs, Y, t, h):
+    """One RK4 step of every path in Y from its own time t over its own step h."""
+    return rk4_step(rhs, Y, h[:, np.newaxis], (t,), (t + 0.5 * h,), (t + h,))
 
 
 def _draw_jump_times(rng, lam: np.ndarray, M: int, tf: float):
@@ -209,14 +204,12 @@ def simulate_poisson_paths(
             if not np.any(active):
                 break
             ya = Y[active]
-            ha = next_t[active] - tcur[active]
-            ya = _rk4_batch(rhs, tcur[active], ya, ha)
+            ya = _rk4_path_step(rhs, ya, tcur[active], next_t[active] - tcur[active])
             ya += G_cols[jc[ptr[active]]]
             Y[active] = ya
             tcur[active] = next_t[active]
             ptr[active] += 1
-        h_rem = t_right - tcur
-        Y = _rk4_batch(rhs, tcur, Y, h_rem)
+        Y = _rk4_path_step(rhs, Y, tcur, t_right - tcur)
         if not np.all(np.isfinite(Y)):
             bad = int(np.where(~np.all(np.isfinite(Y), axis=1))[0][0])
             raise RuntimeError(f"path {bad} blew up at node {i + 1} (t={t_right:.6g})")
@@ -248,7 +241,7 @@ def simulate_wiener_paths(
     states[:, 0] = Y
     for i in range(grid.steps):
         xi = rng.standard_normal((M, noise.k))
-        Y = Y + h * rhs(nodes[i], Y) + sqrt_h * (xi @ noise.G.T)
+        Y = Y + h * rhs(Y, nodes[i]) + sqrt_h * (xi @ noise.G.T)
         if not np.all(np.isfinite(Y)):
             bad = int(np.where(~np.all(np.isfinite(Y), axis=1))[0][0])
             raise RuntimeError(f"path {bad} blew up at node {i + 1} (t={nodes[i + 1]:.6g})")

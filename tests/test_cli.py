@@ -195,3 +195,58 @@ def test_summary_schema(tmp_path):
         },
     }
     jsonschema.validate(summary, schema)
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
+def test_solve_non_finite_problem_data_exit_one(tmp_path, capsys):
+    for field, value in (("x0", [float("nan"), 0.0]), ("tf", float("inf")),
+                         ("A", [[0.0, float("-inf")], [-2.0, -3.0]])):
+        prob = write_problem(tmp_path, dict(LINEAR_PROBLEM, **{field: value}))
+        assert main(solve_args(prob, tmp_path / "run")) == 1
+        assert f"{field} must be finite" in one_error_line(capsys)
+
+
+def test_solver_errors_exit_one_without_traceback(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    import bilqr.cli as cli
+    from bilqr.numkit import TransitionInversionError
+
+    prob = write_problem(tmp_path, LINEAR_PROBLEM)
+    for exc in (TransitionInversionError("transition inversion failure at node 3"),
+                np.linalg.LinAlgError("Array must not contain infs or NaNs")):
+        def fail(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve", fail)
+        assert main(solve_args(prob, tmp_path / "run")) == 1
+        assert str(exc) in one_error_line(capsys)
+        # sweep-r records a failed scale as a table row and goes on
+        out = tmp_path / "sweep"
+        assert main(["sweep-r", "--scenario", "iaf_case1", "--scales", "1.0",
+                     "--q", "2", "--grid", "50", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert str(exc) in (out / "sweep_r.csv").read_text()
+
+
+def test_validate_monte_carlo_blowup_exit_one(tmp_path, capsys, monkeypatch):
+    import bilqr.cli as cli
+
+    prob = write_problem(tmp_path, SCALAR_BILINEAR)
+    out = tmp_path / "run"
+    assert main(solve_args(prob, out)) == 0
+    capsys.readouterr()
+
+    def blow_up(*args, **kwargs):
+        raise RuntimeError("path 3 blew up at node 7 (t=0.175)")
+
+    monkeypatch.setattr(cli, "simulate_poisson_paths", blow_up)
+    assert main(["validate", "--run", str(out), "--mc-paths", "10"]) == 1
+    assert "path 3 blew up" in one_error_line(capsys)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilqr.ensemble import (
     EnsembleSpec,
@@ -7,6 +9,7 @@ from bilqr.ensemble import (
     averaged_terminal_cost,
     refinement_study,
     sample_uniform,
+    stack_coefficients,
     stack_problem,
 )
 from bilqr.model import bilinear_factors, consistency_residual
@@ -167,3 +170,28 @@ def test_spec_validation():
         EnsembleSpec(box=((0.0, 1.0),), q=2, coefficients=lambda b: None,
                      base_n=1, base_m=1, tf=1.0, R=np.array([[1.0]]),
                      terminal_weighting="mean")
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(2, 4), n=st.integers(1, 2),
+       m=st.integers(1, 2))
+def test_duplicated_stack_matches_single_system(seed, q, n, m):
+    # q identical blocks against one: same u and cost, the state tiled q times
+    rng = np.random.default_rng(seed)
+    c = SampleCoefficients(
+        A=rng.normal(scale=0.5, size=(n, n)), B=rng.normal(size=(n, m)),
+        Blist=tuple(rng.normal(scale=0.3, size=(n, n)) for _ in range(m)),
+        g=rng.normal(scale=0.2, size=n), x0=rng.normal(size=n), xd=rng.normal(size=n),
+    )
+    R = np.diag(rng.uniform(0.5, 2.0, size=m))
+    # a tol no iterate meets fixes the iteration count on both sides
+    opts = SolveOptions(steps=60, tol=1e-300, max_iters=4)
+    single = solve(stack_coefficients([c], 1.0, R), opts).final
+    stacked = solve(stack_coefficients([c] * q, 1.0, R), opts).final
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
+
+    assert close(stacked.u.values, single.u.values)
+    assert abs(stacked.cost - single.cost) <= 1e-10 * max(1.0, abs(single.cost))
+    assert close(stacked.x.values, np.tile(single.x.values, (1, q)))

@@ -7,10 +7,10 @@ from bilqr.numkit import (
     TimeGrid,
     TransitionInversionError,
     alpha_norm,
-    integrate_backward,
     integrate_forward,
-    interp,
     mat_norm,
+    midpoints,
+    rk4_sweep,
     spectral_radius,
     transition_table,
     vec_norm,
@@ -78,13 +78,13 @@ def test_forward_blowup_reports_node():
     g = TimeGrid(0.0, 1.0, 100)
     with pytest.raises(BlowupError) as exc:
         integrate_forward(lambda t, y: y**3, np.array([50.0]), g)
-    assert exc.value.node_index >= 1
+    assert exc.value.node_index == 2
 
 
 def test_backward_zero_field_is_constant():
     g = TimeGrid(0.0, 1.0, 8)
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    traj = integrate_backward(lambda t, y: np.zeros_like(y), M, g)
+    traj = rk4_sweep(lambda y: np.zeros_like(y), M, g, backward=True)
     assert np.all(traj.values == M)
     assert np.all(traj.values[-1] == M)
 
@@ -92,7 +92,7 @@ def test_backward_zero_field_is_constant():
 def test_backward_scalar_riccati_closed_form():
     # K' = K^2 with K(1) = 1 has K(t) = 1/(2 - t)
     g = TimeGrid(0.0, 1.0, 1000)
-    traj = integrate_backward(lambda t, y: y**2, np.array(1.0), g)
+    traj = rk4_sweep(lambda y: y**2, np.array(1.0), g, backward=True)
     assert abs(traj.values[0] - 0.5) < 1e-8
 
 
@@ -103,17 +103,20 @@ def test_backward_of_forward_identity():
     g = TimeGrid(0.0, 2.0, 800)
     y0 = np.array([0.7, -0.3])
     fwd = integrate_forward(lambda t, y: A(t) @ y, y0, g)
-    back = integrate_backward(lambda t, y: A(t) @ y, fwd.values[-1], g)
+    A_nodes = np.stack([A(t) for t in g.nodes])
+    A_mids = np.stack([A(t) for t in midpoints(g.nodes)])
+    back = rk4_sweep(lambda y, At: At @ y, fwd.values[-1], g, (A_nodes,), (A_mids,),
+                     backward=True)
     assert np.max(np.abs(back.values[0] - y0)) < 1e-8
 
 
 def test_interp_exact_at_nodes_and_midpoints():
     g = TimeGrid(0.0, 1.0, 4)
     traj = GriddedTrajectory(g, np.arange(5, dtype=float).reshape(5, 1))
-    assert interp(traj, 0.5)[0] == 2.0
-    assert interp(traj, 0.375)[0] == 1.5  # midpoint of nodes 1 and 2
+    assert traj.at(0.5)[0] == 2.0
+    assert traj.at(0.375)[0] == 1.5  # midpoint of nodes 1 and 2
     with pytest.raises(ValueError):
-        interp(traj, 1.5)
+        traj.at(1.5)
 
 
 def test_interp_reproduces_linear_trajectory():
@@ -121,7 +124,7 @@ def test_interp_reproduces_linear_trajectory():
     slope = np.array([1.0, -2.0])
     traj = GriddedTrajectory(g, np.outer(g.nodes, slope))
     for t in (0.0, 0.123, 1.57, 2.0):
-        np.testing.assert_allclose(interp(traj, t), slope * t, atol=1e-14)
+        np.testing.assert_allclose(traj.at(t), slope * t, atol=1e-14)
 
 
 def test_interp_vectorized_times():
@@ -164,14 +167,14 @@ def test_alpha_norm_exponential_weights_cancel():
 
 def test_transition_identity_for_zero_field():
     g = TimeGrid(0.0, 1.0, 50)
-    table = transition_table(lambda t: np.zeros((2, 2)), g)
+    table = transition_table(np.zeros((51, 2, 2)), g)
     np.testing.assert_allclose(table.phi(30, 10), np.eye(2), atol=1e-12)
 
 
 def test_transition_constant_scalar_exponential():
     a = -0.7
     g = TimeGrid(0.0, 2.0, 400)
-    table = transition_table(lambda t: np.array([[a]]), g)
+    table = transition_table(np.full((401, 1, 1), a), g)
     for i, j in ((100, 0), (350, 200), (0, 399)):
         expected = np.exp(a * (g.nodes[i] - g.nodes[j]))
         assert abs(table.phi(i, j)[0, 0] - expected) < 1e-8
@@ -182,7 +185,7 @@ def test_transition_semigroup_property():
         return np.array([[0.0, 1.0], [-2.0 - 0.2 * t, -0.3]])
 
     g = TimeGrid(0.0, 1.5, 600)
-    table = transition_table(A, g)
+    table = transition_table(np.stack([A(t) for t in g.nodes]), g)
     rng = np.random.default_rng(11)
     for _ in range(10):
         i, j, k = sorted(rng.integers(0, 601, size=3))
@@ -196,7 +199,7 @@ def test_transition_norm_table_matches_pairs():
         return np.array([[0.0, 1.0], [-1.0, -0.2]])
 
     g = TimeGrid(0.0, 1.0, 100)
-    table = transition_table(A, g)
+    table = transition_table(np.stack([A(t) for t in g.nodes]), g)
     idx = np.array([0, 25, 50, 75, 100])
     norms = table.norm_table(idx)
     for a, ia in enumerate(idx):
@@ -213,6 +216,6 @@ def test_spectral_radius_values():
 def test_transition_inversion_failure_detected():
     # strongly separated scales make the base transition numerically singular
     g = TimeGrid(0.0, 1.0, 200)
-    table = transition_table(lambda t: np.diag([40.0, -40.0]), g)
+    table = transition_table(np.tile(np.diag([40.0, -40.0]), (201, 1, 1)), g)
     with pytest.raises(TransitionInversionError):
         table.phi(0, 200)

@@ -107,3 +107,17 @@ def test_ensemble_builtin_scenario(tmp_path):
 def test_unknown_kind(tmp_path):
     with pytest.raises(ProblemFileError, match="kind"):
         load_problem_file(write(tmp_path, {"kind": "batch"}))
+
+
+def test_poisson_noise_rejects_nonzero_g(tmp_path):
+    # the mean translation G lambda would silently replace g
+    payload = single_payload()
+    payload["noise"] = {"kind": "poisson", "G": [[0.15], [0.0]], "lambda": [2.0]}
+    with pytest.raises(ProblemFileError, match="'g'"):
+        load_problem_file(write(tmp_path, payload))
+    sample = {"A": [[-1.0]], "B": [[1.0]], "Blist": [[[-0.5]]], "g": [0.1], "x0": [0.0],
+              "xd": [0.3], "noise": {"kind": "poisson", "G": [[0.15]], "lambda": [2.0]}}
+    ensemble = {"kind": "ensemble", "n": 1, "m": 1, "tf": 2.0, "R": [[2.0]],
+                "samples": [sample, dict(sample, g=[0.0])]}
+    with pytest.raises(ProblemFileError, match="'g'"):
+        load_problem_file(write(tmp_path, ensemble, name="ens.json"))

@@ -6,7 +6,6 @@ from bilqr.model import BilinearProblem, bilinear_factors
 from bilqr.numkit import GriddedTrajectory, TimeGrid
 from bilqr.solver import (
     SolveOptions,
-    TabulatedField,
     affine_sweep,
     closed_loop_forward,
     drift_blocks,
@@ -315,15 +314,6 @@ def test_target_stop_rule():
     assert tgt <= 2.0
 
 
-def test_tabulated_field_blend():
-    grid = TimeGrid(0.0, 1.0, 2)
-    vals = np.array([[[0.0]], [[2.0]], [[4.0]]])
-    f = TabulatedField(grid, vals)
-    assert f(0.0)[0, 0] == 0.0
-    assert f(0.25)[0, 0] == 1.0
-    assert f(1.0)[0, 0] == 4.0
-
-
 def test_boundary_value_route_matches_sweeps():
     from bilqr.solver import solve_frozen_boundary_value
 
@@ -484,3 +474,35 @@ def test_sweep_blowup_names_first_nonfinite_node():
     with pytest.raises(BlowupError) as exc:
         closed_loop_forward(*fields, K0, s0, np.zeros(2), np.ones(2), grid)
     assert exc.value.node_index == 40
+
+
+def test_simulate_bilinear_finer_grid_matches_per_stage_interpolation():
+    # u tabulated once at the fine grid's nodes and midpoints equals
+    # interpolating the coarse control at every RK4 stage time
+    rng = np.random.default_rng(5)
+    prob = BilinearProblem(
+        A=rng.normal(scale=0.5, size=(3, 3)), B=rng.normal(size=(3, 2)),
+        Blist=tuple(rng.normal(scale=0.3, size=(3, 3)) for _ in range(2)),
+        g=rng.normal(size=3), x0=rng.normal(size=3), xd=np.zeros(3), tf=2.0, R=np.eye(2),
+    )
+    coarse = TimeGrid(0.0, prob.tf, 40)
+    utraj = GriddedTrajectory(coarse, np.column_stack(
+        [np.sin(3.0 * coarse.nodes), np.cos(coarse.nodes) ** 2]))
+    fine = TimeGrid(0.0, prob.tf, 80)
+
+    def f(t, x):
+        u = utraj.at(t)
+        return prob.A @ x + prob.B @ u + sum(ui * Bi for ui, Bi in zip(u, prob.Blist)) @ x + prob.g
+
+    ref = [prob.x0]
+    h = fine.h
+    for t in fine.nodes[:-1]:
+        x = ref[-1]
+        k1 = f(t, x)
+        k2 = f(t + h / 2, x + h / 2 * k1)
+        k3 = f(t + h / 2, x + h / 2 * k2)
+        k4 = f(t + h, x + h * k3)
+        ref.append(x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    resim = simulate_bilinear(prob, utraj, fine)
+    assert resim.grid == fine
+    assert np.max(np.abs(resim.values - np.array(ref))) < 1e-12
