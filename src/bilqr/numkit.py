@@ -115,6 +115,21 @@ def rk4_step(rhs, y, h, start: tuple, mid: tuple, end: tuple):
 # non-finite node and do not change which node the final check names.
 _CHECK_EVERY = 32
 
+# Bytes of the block of midpoints a sweep forms at a time for a `mids` entry
+# None: a row or two of a large gain table, all of a small one.
+MID_BLOCK_BYTES = 1 << 18
+
+
+def _mid_rows(nodes: tuple, mids: tuple, T: int, backward: bool):
+    """Midpoint argument rows in sweep order, None entries formed a block at a time."""
+    row = max((n[0].nbytes for n, m in zip(nodes, mids) if m is None), default=1)
+    starts = range(0, T, max(1, MID_BLOCK_BYTES // row))
+    for lo in (reversed(starts) if backward else starts):
+        hi = min(lo + starts.step, T)
+        rows = list(zip(*(midpoints(n[lo:hi + 1]) if m is None else m[lo:hi]
+                          for n, m in zip(nodes, mids)))) or [()] * (hi - lo)
+        yield from (reversed(rows) if backward else rows)
+
 
 def _blowup(node: int, t: float) -> Exception:
     return BlowupError(f"numerical blow-up at node {node} (t={t:.6g})", node_index=node, t=t)
@@ -134,7 +149,8 @@ def rk4_sweep(
 
     The arguments are stage tables: `nodes` holds arrays of shape
     (steps + 1, ...) at the grid nodes and `mids` arrays of shape
-    (steps, ...) at the interval midpoints, in the same order.  A forward
+    (steps, ...) at the interval midpoints, in the same order; a `mids`
+    entry None is formed from its node table in small blocks.  A forward
     sweep starts from values[0] = y_start, a backward one from
     values[-1] = y_start.  `project`, when given, is applied after every
     step.  The first non-finite node, in sweep order, raises error(node, t).
@@ -142,14 +158,13 @@ def rk4_sweep(
     y = np.asarray(y_start, dtype=float)
     T = grid.steps
     node_rows = list(zip(*nodes)) or [()] * (T + 1)
-    mid_rows = list(zip(*mids)) or [()] * T
     h, order = (-grid.h, range(T - 1, -1, -1)) if backward else (grid.h, range(T))
     out = np.empty((T + 1,) + y.shape)
     out[T if backward else 0] = y
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in order:
+        for i, mid in zip(order, _mid_rows(nodes, mids, T, backward)):
             a, b = (i + 1, i) if backward else (i, i + 1)
-            y = rk4_step(rhs, y, h, node_rows[a], mid_rows[i], node_rows[b])
+            y = rk4_step(rhs, y, h, node_rows[a], mid, node_rows[b])
             if project is not None:
                 y = project(y)
             out[b] = y
@@ -253,7 +268,7 @@ def transition_table(A_nodes: np.ndarray, grid: TimeGrid) -> TransitionTable:
     between them.
     """
     base = rk4_sweep(lambda Phi, A: A @ Phi, np.eye(A_nodes.shape[1]), grid,
-                     (A_nodes,), (midpoints(A_nodes),))
+                     (A_nodes,), (None,))
     return TransitionTable(grid, base.values)
 
 

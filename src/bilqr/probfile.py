@@ -75,13 +75,13 @@ def _noise(data: dict, n: int, ctx: str) -> NoiseSpec | None:
         G = G.reshape(-1, 1)
     if G.shape[0] != n:
         raise ProblemFileError(f"{ctx}.noise: field 'G' must have {n} rows")
+    lam = None
     if kind == "poisson":
         lam = np.atleast_1d(np.asarray(_require(block, "lambda", f"{ctx}.noise"), dtype=float))
-        try:
-            return NoiseSpec("poisson", G, lam)
-        except ValueError as exc:
-            raise ProblemFileError(f"{ctx}.noise: {exc}") from exc
-    return NoiseSpec("wiener", G)
+    try:
+        return NoiseSpec(kind, G, lam)
+    except ValueError as exc:
+        raise ProblemFileError(f"{ctx}.noise: {exc}") from exc
 
 
 def _poisson_reduction(problem: BilinearProblem, noise, ctx: str) -> BilinearProblem:

@@ -30,7 +30,9 @@ drift A comes as its diagonal blocks (q, b, b), one per sample, and the
 input gram L R^-1 L', whose rank is at most m, as its factor
 W = L C with R^-1 = C C'.  Every product with the gram is taken through W,
 so an RK4 stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense
-n x n products, and no (T, n, n) gram table is formed.
+n x n products, and no (T, n, n) gram table is formed.  One (T + 1, n, n)
+gain table is alive per iteration: K midpoints are formed in small blocks,
+and spent sweeps are released unless the diagnostics need them.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BilinearFactors, BilinearProblem, bilinear_factors
-from .numkit import BlowupError, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
+from .numkit import MID_BLOCK_BYTES, BlowupError, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
 
 __all__ = [
     "IterationState",
@@ -87,11 +89,12 @@ class IterationState:
     """One iterate: trajectories, cost, and the difference to its predecessor.
 
     K, s, q hold the gain/affine/offset sweeps of the frozen subproblem and
-    satisfy p = K x + s node-wise.  When the backward Riccati flow has a
-    finite escape (possible since the frozen quadratic weight may be
-    indefinite), the iterate is computed through the linear boundary-value
-    route instead and K, s, q are None (`via_sweeps` False); x, p, u, cost
-    are always present.
+    satisfy p = K x + s node-wise.  The frozen quadratic weight is positive
+    semidefinite, so the backward Riccati flow should not escape; if it does
+    on pathological data, the linear boundary-value route computes the
+    iterate and K, s, q are None (`via_sweeps` False).  Without recorded
+    diagnostics only `SolveResult.final` carries K, s, q: `solve` drops them
+    from spent iterates.  x, p, u, cost are always present.
     """
 
     k: int
@@ -245,12 +248,14 @@ def affine_sweep(
 ) -> GriddedTrajectory:
     """Backward sweep of ds/dt = -[A' - K W W'] s - K g from s(tf) = s_T.
 
-    K is interpolated linearly at the RK4 stage times.
+    K is interpolated linearly at the RK4 stage times; its midpoints, and
+    K g at them, are formed in small blocks.
     """
     g = np.asarray(g, dtype=float)
     At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
     K_n = Ktraj.values
-    K_m = midpoints(K_n)
+    size = max(1, MID_BLOCK_BYTES // K_n[0].nbytes)
+    Kg_m = np.concatenate([midpoints(K_n[i:i + size + 1]) @ g for i in range(0, grid.steps, size)])
 
     def rhs(s, W, K, Kg):
         out = np.dot(K, np.dot(W, np.dot(W.T, s)))
@@ -258,7 +263,7 @@ def affine_sweep(
         out -= Kg
         return out
 
-    return rk4_sweep(rhs, s_T, grid, (W_nodes, K_n, K_n @ g), (W_mids, K_m, K_m @ g),
+    return rk4_sweep(rhs, s_T, grid, (W_nodes, K_n, K_n @ g), (W_mids, None, Kg_m),
                      backward=True)
 
 
@@ -313,7 +318,7 @@ def closed_loop_forward(
         return out
 
     return rk4_sweep(rhs, x0, grid, (W_nodes, K_n, _gram_times(W_nodes, s_n) - g),
-                     (W_mids, midpoints(K_n), _gram_times(W_mids, midpoints(s_n)) - g))
+                     (W_mids, None, _gram_times(W_mids, midpoints(s_n)) - g))
 
 
 def reconstruct_control(
@@ -390,7 +395,7 @@ def solve_frozen_boundary_value(
 
     Y0 = np.zeros((n, n + 1))
     Y0[:, n] = prob.x0
-    stored = rk4_sweep(rhs, Y0, grid, (W_nodes, theta), (W_mids, midpoints(theta)),
+    stored = rk4_sweep(rhs, Y0, grid, (W_nodes, theta), (W_mids, None),
                        error=_boundary_error).values
 
     Xc_f = stored[-1, :, :n]
@@ -506,25 +511,28 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
         strengths = _diag.coupling_strengths(prob, factors)
 
     for k in range(1, opts.max_iters + 1):
+        if not opts.record_diagnostics:
+            # only contraction_report reads spent sweeps; `state` holds the
+            # last reference, so the gain table is freed before the next one
+            state = dataclasses.replace(state, K=None, s=None, q=None)
         feed = state if theta == 1.0 else dataclasses.replace(
             state, x=GriddedTrajectory(grid, frozen_x))
         try:
-            nxt = iterate_once(prob, factors, feed, grid)
+            prev, state = state, iterate_once(prob, factors, feed, grid)
         except (RiccatiEscapeError, BoundarySolveError, BlowupError) as exc:
             exc.args = (f"iteration {k}: {exc.args[0]}",) + exc.args[1:]
             raise
         if opts.record_diagnostics:
             reports.append(
                 _diag.contraction_report(
-                    prob, factors, state, nxt, grid,
+                    prob, factors, prev, state, grid,
                     alpha=opts.alpha, subsample=opts.diag_subsample,
                     strengths=strengths,
                 )
             )
-        history.append((k, nxt.diff_x, nxt.cost))
-        frozen_x = nxt.x.values if theta == 1.0 else (
-            (1.0 - theta) * frozen_x + theta * nxt.x.values)
-        state = nxt
+        history.append((k, state.diff_x, state.cost))
+        frozen_x = state.x.values if theta == 1.0 else (
+            (1.0 - theta) * frozen_x + theta * state.x.values)
         iterations = k
         if _stop_satisfied(prob, state, opts):
             converged = True

@@ -47,6 +47,8 @@ class NoiseSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         G = np.atleast_2d(np.asarray(self.G, dtype=float))
+        if not np.all(np.isfinite(G)):
+            raise ValueError("G must be finite")
         object.__setattr__(self, "G", G)
         if self.kind == "poisson":
             if self.lam is None:
@@ -184,6 +186,7 @@ def simulate_poisson_paths(
     n = prob.n
     rng = np.random.Generator(np.random.Philox(seed))
     jt, jc, offsets, counts = _draw_jump_times(rng, noise.lam, M, grid.tf)
+    jt = np.append(jt, np.inf)  # a path past its last jump reads this sentinel
 
     rhs = _batch_field(prob, utraj)
     G_cols = noise.G.T  # (k, n)
@@ -198,8 +201,7 @@ def simulate_poisson_paths(
         t_right = nodes[i + 1]
         tcur = np.full(M, nodes[i])
         while True:
-            has_event = ptr < ends
-            next_t = np.where(has_event, jt[np.minimum(ptr, len(jt) - 1)], np.inf)
+            next_t = np.where(ptr < ends, jt[ptr], np.inf)
             active = next_t <= t_right
             if not np.any(active):
                 break

@@ -250,3 +250,16 @@ def test_validate_monte_carlo_blowup_exit_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "simulate_poisson_paths", blow_up)
     assert main(["validate", "--run", str(out), "--mc-paths", "10"]) == 1
     assert "path 3 blew up" in one_error_line(capsys)
+
+
+def test_validate_monte_carlo_without_jumps_exit_zero(tmp_path, capsys):
+    # at a negligible Poisson rate no path jumps in the batch
+    noise = {"kind": "poisson", "G": [[0.15]], "lambda": [1e-9]}
+    prob = write_problem(tmp_path, dict(SCALAR_BILINEAR, noise=noise))
+    out = tmp_path / "run"
+    assert main(solve_args(prob, out)) == 0
+    capsys.readouterr()
+    assert main(["validate", "--run", str(out), "--mc-paths", "5"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert len(captured.out.strip().splitlines()) == 1

@@ -121,3 +121,19 @@ def test_poisson_noise_rejects_nonzero_g(tmp_path):
                 "samples": [sample, dict(sample, g=[0.0])]}
     with pytest.raises(ProblemFileError, match="'g'"):
         load_problem_file(write(tmp_path, ensemble, name="ens.json"))
+
+
+def test_non_finite_noise_gain_named(tmp_path):
+    # both noise kinds, single and ensemble files: the message names the noise block
+    for kind, extra in (("poisson", {"lambda": [2.0]}), ("wiener", {})):
+        noise = {"kind": kind, "G": [[float("nan")], [0.0]], **extra}
+        payload = dict(single_payload(), g=[0.0, 0.0], noise=noise)
+        with pytest.raises(ProblemFileError, match=r"problem file\.noise: G must be finite"):
+            load_problem_file(write(tmp_path, payload))
+        sample = {"A": [[-1.0]], "B": [[1.0]], "Blist": [[[-0.5]]], "g": [0.0], "x0": [0.0],
+                  "xd": [0.3], "noise": dict(noise, G=[[float("inf")]])}
+        ensemble = {"kind": "ensemble", "n": 1, "m": 1, "tf": 2.0, "R": [[2.0]],
+                    "samples": [sample, sample]}
+        with pytest.raises(ProblemFileError,
+                           match=r"samples\[0\]\.noise: G must be finite"):
+            load_problem_file(write(tmp_path, ensemble, name="ens.json"))

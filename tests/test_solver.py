@@ -1,5 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bilqr.model import BilinearProblem, bilinear_factors
@@ -506,3 +511,53 @@ def test_simulate_bilinear_finer_grid_matches_per_stage_interpolation():
     resim = simulate_bilinear(prob, utraj, fine)
     assert resim.grid == fine
     assert np.max(np.abs(resim.values - np.array(ref))) < 1e-12
+
+
+def test_solve_keeps_one_gain_table_per_iteration():
+    # the spent iterate's K, s, q are released before the next sweeps, and
+    # the sweeps form K midpoints a block of steps at a time: one
+    # (T + 1, n, n) table is alive at a time
+    from bilqr.scenarios import build
+
+    setup = build("bloch_broadband", {"q": 21})
+    prob = setup.problem
+    opts = dataclasses.replace(setup.options, steps=200, max_iters=3)
+    table = 201 * prob.n * prob.n * 8
+    tracemalloc.start()
+    try:
+        res = solve(prob, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations_used == 3 and res.final.K.values.shape == (201, 63, 63)
+    assert peak < 1.6 * table
+
+
+def test_diagnostics_keep_the_previous_sweeps():
+    # contraction_report reads prev.K and prev.s; a released pair would
+    # report an infinite criterion sum
+    from bilqr.scenarios import build
+
+    setup = build("bloch_broadband", {"q": 3})
+    opts = dataclasses.replace(setup.options, steps=200, max_iters=3,
+                               record_diagnostics=True)
+    res = solve(setup.problem, opts)
+    rows = res.diagnostics.rows
+    assert len(rows) == 3
+    assert all(np.isfinite(row.criterion_sum) for row in rows[1:])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3), b=st.integers(1, 3),
+       m=st.integers(1, 2))
+def test_final_iterate_costate_and_gain_invariants(seed, q, b, m):
+    # p = K x + s node-wise, and K is symmetric positive semidefinite: the
+    # frozen Riccati flow starts from 2 w I with a semidefinite gram
+    prob = random_bilinear_problem(np.random.default_rng(seed), q, b, m)
+    final = solve(prob, SolveOptions(steps=50, max_iters=3)).final
+    assert final.via_sweeps
+    K, x, s = final.K.values, final.x.values, final.s.values
+    recon = np.stack([K[i] @ x[i] + s[i] for i in range(len(K))])
+    assert np.max(np.abs(final.p.values - recon)) <= 1e-12 * max(1.0, np.max(np.abs(recon)))
+    assert np.array_equal(K, np.transpose(K, (0, 2, 1)))
+    assert np.min(np.linalg.eigvalsh(K)) >= -1e-9 * np.max(np.abs(K))

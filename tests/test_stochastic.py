@@ -3,6 +3,7 @@ import pytest
 
 from bilqr.model import BilinearProblem
 from bilqr.numkit import GriddedTrajectory, TimeGrid, integrate_forward
+from bilqr.solver import simulate_bilinear
 from bilqr.stochastic import (
     NoiseSpec,
     expected_reduction,
@@ -42,6 +43,14 @@ def test_noise_validation():
         NoiseSpec("wiener", [[0.1]], [1.0])
     with pytest.raises(ValueError):
         NoiseSpec("brownian", [[0.1]])
+
+
+def test_noise_rejects_non_finite_gain():
+    for kind, lam in (("poisson", [2.0]), ("wiener", None)):
+        with pytest.raises(ValueError, match="G must be finite"):
+            NoiseSpec(kind, [[float("nan")]], lam)
+        with pytest.raises(ValueError, match="G must be finite"):
+            NoiseSpec(kind, [[float("inf")]], lam)
 
 
 def test_expected_reduction_values():
@@ -87,6 +96,20 @@ def test_poisson_zero_gain_matches_deterministic():
     det = integrate_forward(lambda t, y: prob.A @ y + prob.g, prob.x0, grid)
     for j in range(5):
         assert np.max(np.abs(batch.states[j] - det.values)) < 1e-8
+
+
+def test_poisson_batch_without_jumps_follows_deterministic_flow():
+    # at a negligible rate no path jumps; every path is the jump-free RK4 of
+    # the raw dynamics under the control
+    prob = drift_problem(g=[0.3])
+    grid = TimeGrid(0.0, prob.tf, 300)
+    noise = NoiseSpec("poisson", [[0.15]], [1e-9])
+    u = GriddedTrajectory(grid, 0.2 * np.sin(grid.nodes)[:, np.newaxis])
+    batch = simulate_poisson_paths(prob, noise, u, M=5, seed=1)
+    assert np.array_equal(batch.jump_counts, np.zeros((5, 1), dtype=int))
+    det = simulate_bilinear(prob, u)
+    for j in range(5):
+        assert np.max(np.abs(batch.states[j] - det.values)) < 1e-12
 
 
 def test_poisson_jump_count_mean():
