@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import hjb_residual, necessary_condition_residual
-from .ensemble import averaged_terminal_cost
+from .ensemble import averaged_terminal_cost, sample_view, unstack
 from .model import bilinear_factors
 from .numkit import BlowupError, GriddedTrajectory, TimeGrid, TransitionInversionError
 from .probfile import ProblemFileError, load_problem_file
@@ -56,16 +56,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _load_setup(args) -> RunSetup:
-    overrides = {}
-    if args.q is not None:
-        overrides["q"] = args.q
     if args.scenario:
-        setup = build(args.scenario, overrides)
-    else:
-        setup = load_problem_file(args.problem)
-        if args.q is not None:
-            raise ProblemFileError("--q applies to scenario sources only")
-    return setup
+        return build(args.scenario, {} if args.q is None else {"q": args.q})
+    if args.q is not None:
+        raise ProblemFileError("--q applies to scenario sources only")
+    return load_problem_file(args.problem)
 
 
 def _options(setup: RunSetup, args) -> SolveOptions:
@@ -119,7 +114,7 @@ def _write_outputs(out: Path, setup: RunSetup, opts: SolveOptions,
     grid = final.x.grid
     nodes = grid.nodes
     m = setup.problem.m
-    base_n = setup.base_n or setup.problem.n
+    states = sample_view(final.x.values, setup.q)
 
     _write_csv(
         out / "control.csv",
@@ -127,11 +122,10 @@ def _write_outputs(out: Path, setup: RunSetup, opts: SolveOptions,
         ([float(t)] + [float(v) for v in final.u.values[i]] for i, t in enumerate(nodes)),
     )
     for j in range(setup.q):
-        block = final.x.values[:, j * base_n:(j + 1) * base_n]
         _write_csv(
             out / f"state_{j + 1}.csv",
-            ["t"] + [f"x{i + 1}" for i in range(base_n)],
-            ([float(t)] + [float(v) for v in block[i]] for i, t in enumerate(nodes)),
+            ["t"] + [f"x{i + 1}" for i in range(states.shape[-1])],
+            ([float(t)] + [float(v) for v in states[i, j]] for i, t in enumerate(nodes)),
         )
 
     diag_rows = {r.iteration: r for r in (result.diagnostics.rows if result.diagnostics else ())}
@@ -151,13 +145,9 @@ def _write_outputs(out: Path, setup: RunSetup, opts: SolveOptions,
         "final_cost": final.cost,
         "notes": list(setup.notes),
         "history": [[int(k), _json_safe(float(d)), float(c)] for k, d, c in result.history],
+        "terminal_cost_averaged": averaged_terminal_cost(
+            setup.problem, setup.q, final.x.values[-1]),
     }
-    if setup.spec is not None:
-        summary["terminal_cost_averaged"] = averaged_terminal_cost(
-            setup.spec, list(setup.samples), final.x.values[-1])
-    else:
-        miss = final.x.values[-1] - setup.problem.xd
-        summary["terminal_cost_averaged"] = float(np.dot(miss, miss))
 
     if final.K is not None:
         hjb = hjb_residual(setup.problem, factors, final, grid)
@@ -241,7 +231,6 @@ def cmd_validate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    base_n = setup.base_n or setup.problem.n
     try:
         resim = simulate_bilinear(setup.problem, utraj)
     except BlowupError as exc:
@@ -250,17 +239,14 @@ def cmd_validate(args) -> int:
     state_files = sorted(run_dir.glob("state_*.csv"),
                          key=lambda p: int(p.stem.split("_")[1]))
     fixed_point_error = None
-    per_sample_terminal = []
     if state_files:
         stored = np.hstack([
             np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)[:, 1:] for f in state_files
         ])
         if stored.shape == resim.values.shape:
             fixed_point_error = float(np.max(np.abs(stored - resim.values)))
-    for j in range(setup.q):
-        block_final = resim.values[-1, j * base_n:(j + 1) * base_n]
-        xd = setup.problem.xd[j * base_n:(j + 1) * base_n]
-        per_sample_terminal.append(float(np.linalg.norm(block_final - xd)))
+    misses = sample_view(resim.values[-1] - setup.problem.xd, setup.q)
+    per_sample_terminal = [float(np.linalg.norm(miss)) for miss in misses]
 
     report = {
         "fixed_point_sup_error": fixed_point_error,
@@ -298,33 +284,15 @@ def _ensemble_mc_statistic(setup: RunSetup, utraj, resim, M: int, seed: int) -> 
     system: the Poisson part of the reduced translation is subtracted and
     re-enters through the jumps.
     """
-    from .model import BilinearProblem
-    from .stochastic import NoiseSpec
-
-    base_n = setup.base_n or setup.problem.n
     worst = 0.0
-    if setup.spec is not None:
-        sub_problems = []
-        for j, beta in enumerate(setup.samples):
-            c = setup.spec.coefficients(beta)
-            sub_problems.append((j, BilinearProblem(
-                A=c.A, B=c.B, Blist=c.Blist,
-                g=setup.problem.g[j * base_n:(j + 1) * base_n],
-                x0=c.x0, xd=c.xd, tf=setup.problem.tf, R=setup.problem.R,
-            )))
-    else:
-        sub_problems = [(0, setup.problem)]
-    k_per = setup.noise.k // max(1, setup.q)
-    for j, sub in sub_problems:
-        G = setup.noise.G[j * base_n:(j + 1) * base_n, j * k_per:(j + 1) * k_per]
-        lam = None if setup.noise.lam is None else setup.noise.lam[j * k_per:(j + 1) * k_per]
-        sub_noise = NoiseSpec(setup.noise.kind, G, lam)
-        ref = GriddedTrajectory(resim.grid, resim.values[:, j * base_n:(j + 1) * base_n])
-        if setup.noise.kind == "poisson":
-            raw = sub.with_g(sub.g - G @ lam)
-            batch = simulate_poisson_paths(raw, sub_noise, utraj, M, seed + j)
+    refs = sample_view(resim.values, setup.q)
+    for j, (sub, noise) in enumerate(unstack(setup.problem, setup.noise, setup.q)):
+        ref = GriddedTrajectory(resim.grid, refs[:, j])
+        if noise.kind == "poisson":
+            raw = sub.with_g(sub.g - noise.G @ noise.lam)
+            batch = simulate_poisson_paths(raw, noise, utraj, M, seed + j)
         else:
-            batch = simulate_wiener_paths(sub, sub_noise, utraj, M, seed + j)
+            batch = simulate_wiener_paths(sub, noise, utraj, M, seed + j)
         report = mean_consistency(batch, ref)
         stat = report.max_standardized_deviation
         if np.isnan(stat):
@@ -357,18 +325,13 @@ def cmd_sweep_r(args) -> int:
             result = solve(setup.problem, opts)
             crossover = (result.diagnostics.crossover_iteration
                          if result.diagnostics else None)
-            if setup.spec is not None:
-                terminal = averaged_terminal_cost(
-                    setup.spec, list(setup.samples), result.final.x.values[-1])
-            else:
-                miss = result.final.x.values[-1] - setup.problem.xd
-                terminal = float(np.dot(miss, miss))
+            terminal = averaged_terminal_cost(setup.problem, setup.q, result.final.x.values[-1])
             rows.append([scale, result.converged, result.iterations_used,
                          crossover if crossover is not None else "",
                          result.final.cost, terminal, ""])
         except SOLVER_ERRORS as exc:
             rows.append([scale, False, "", "", "", "", str(exc)])
-    out = _out_dir(args, build(args.scenario, {"q": args.q} if args.q else None))
+    out = _out_dir(args, setup)
     path = out / "sweep_r.csv"
     with path.open("w") as fh:
         fh.write("scale,converged,iterations,criterion_crossover,final_cost,terminal_error,error\n")

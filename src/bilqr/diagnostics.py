@@ -60,12 +60,9 @@ class ContractionReport:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Contraction rows plus (optionally attached) optimality residuals."""
+    """Per-iteration contraction rows of a solve."""
 
     rows: tuple
-    hjb: "HJBReport | None" = None
-    nc_state: float | None = None
-    nc_costate: float | None = None
 
     @property
     def crossover_iteration(self) -> int | None:

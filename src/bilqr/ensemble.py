@@ -5,12 +5,17 @@ stacked into a single problem: block-diagonal drift and bilinear maps,
 vertically stacked input map (the control is broadcast, so the stacked
 quadratic weight couples all samples), and a terminal penalty that is the
 Riemann-sum average of the per-sample errors.
+
+This module owns the stacked layout: sample j owns state rows j b:(j + 1) b
+and noise columns j k:(j + 1) k, with b = n / q and k = (noise channels) / q.
+`stack_coefficients` and `stack_noise` build it; `unstack` and `sample_view`
+read it back.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,6 +23,7 @@ from scipy.linalg import block_diag
 
 from .model import BilinearProblem
 from .solver import SolveOptions, solve
+from .stochastic import NoiseSpec
 
 __all__ = [
     "SampleCoefficients",
@@ -25,6 +31,9 @@ __all__ = [
     "sample_uniform",
     "stack_problem",
     "stack_coefficients",
+    "stack_noise",
+    "unstack",
+    "sample_view",
     "averaged_terminal_cost",
     "refinement_study",
     "STACKING_NOTE",
@@ -148,23 +157,56 @@ def stack_problem(spec: EnsembleSpec, samples: Sequence) -> BilinearProblem:
     return stack_coefficients(coeffs, spec.tf, spec.R, spec.terminal_weighting)
 
 
-def averaged_terminal_cost(spec: EnsembleSpec, samples: Sequence, X_tf: np.ndarray) -> float:
-    """Riemann-sum mean of the per-sample squared terminal errors.
+def stack_noise(specs: Sequence[NoiseSpec]) -> NoiseSpec:
+    """Independent per-sample copies: block-diagonal G, concatenated rates.
+
+    Every sample must carry the same kind and the same channel count k.
+    """
+    kinds = sorted({(s.kind, s.k) for s in specs})
+    if len(kinds) != 1:
+        raise ValueError(f"every sample needs the same noise kind and number of noise "
+                         f"channels, got {kinds}")
+    G = block_diag(*[s.G for s in specs])
+    if specs[0].kind == "poisson":
+        return NoiseSpec("poisson", G, np.concatenate([s.lam for s in specs]))
+    return NoiseSpec("wiener", G)
+
+
+def sample_view(values: np.ndarray, q: int) -> np.ndarray:
+    """A stacked last axis of length n read as (q, n // q): sample j at [..., j, :]."""
+    return values.reshape(values.shape[:-1] + (q, values.shape[-1] // q))
+
+
+def unstack(prob: BilinearProblem, noise: NoiseSpec | None, q: int) -> list:
+    """Each sample's (BilinearProblem, NoiseSpec | None), sliced from the stack.
+
+    A sample problem is a single system: its terminal weight is 1.
+    """
+    if prob.n % q or (noise is not None and noise.k % q):
+        raise ValueError(f"a stack of {q} samples needs n and k divisible by {q}")
+    b, k = prob.n // q, 0 if noise is None else noise.k // q
+    samples = []
+    for j in range(q):
+        r, c = slice(j * b, (j + 1) * b), slice(j * k, (j + 1) * k)
+        sub = BilinearProblem(A=prob.A[r, r], B=prob.B[r],
+                              Blist=tuple(Bi[r, r] for Bi in prob.Blist), g=prob.g[r],
+                              x0=prob.x0[r], xd=prob.xd[r], tf=prob.tf, R=prob.R)
+        samples.append((sub, None if noise is None else NoiseSpec(
+            noise.kind, noise.G[r, c], None if noise.lam is None else noise.lam[c])))
+    return samples
+
+
+def averaged_terminal_cost(prob: BilinearProblem, q: int, X_tf: np.ndarray) -> float:
+    """Riemann-sum mean 1/q sum_j ||x_j(tf) - xd_j||^2 over the q samples of a stack.
 
     Always 1/q-normalized, independent of the stacking weight, so values
     are comparable across refinement levels.
     """
     X_tf = np.asarray(X_tf, dtype=float)
-    q = len(samples)
-    n = spec.base_n
-    if X_tf.shape != (q * n,):
-        raise ValueError(f"expected stacked terminal state of length {q * n}")
-    total = 0.0
-    for j, beta in enumerate(samples):
-        xd = np.atleast_1d(spec.coefficients(beta).xd)
-        miss = X_tf[j * n : (j + 1) * n] - xd
-        total += float(np.dot(miss, miss))
-    return total / q
+    if X_tf.shape != prob.xd.shape:
+        raise ValueError(f"expected stacked terminal state of length {prob.n}")
+    miss = X_tf - prob.xd
+    return float(np.dot(miss, miss)) / q
 
 
 @dataclass(frozen=True)
@@ -188,23 +230,14 @@ def refinement_study(
     """
     rows = []
     for q in q_sequence:
-        level = EnsembleSpec(
-            box=spec.box,
-            q=int(q),
-            coefficients=spec.coefficients,
-            base_n=spec.base_n,
-            base_m=spec.base_m,
-            tf=spec.tf,
-            R=spec.R,
-            terminal_weighting=spec.terminal_weighting,
-        )
+        level = replace(spec, q=int(q))
         samples = sample_uniform(level)
         prob = stack_problem(level, samples)
         result = solve(prob, opts)
         rows.append(
             RefinementRow(
                 q=len(samples),
-                terminal_cost=averaged_terminal_cost(level, samples, result.final.x.values[-1]),
+                terminal_cost=averaged_terminal_cost(prob, len(samples), result.final.x.values[-1]),
                 cost=result.final.cost,
                 iterations=result.iterations_used,
                 converged=result.converged,

@@ -110,9 +110,9 @@ def rk4_step(rhs, y, h, start: tuple, mid: tuple, end: tuple):
 
 
 # Steps between a sweep's checks of its current value.  A non-finite entry
-# stays non-finite in every later RK4 step, so a sweep stops at the first
-# check that sees one; the nodes it leaves unset lie past the first
-# non-finite node and do not change which node the final check names.
+# never becomes finite in an RK4 update y + h/6 (...), so a sweep stops at
+# the first check that sees one and scans its table for the first non-finite
+# node only when its last value is non-finite; unset nodes lie past that one.
 _CHECK_EVERY = 32
 
 # Bytes of the block of midpoints a sweep forms at a time for a `mids` entry
@@ -170,11 +170,11 @@ def rk4_sweep(
             out[b] = y
             if i % _CHECK_EVERY == 0 and not np.isfinite(y).all():
                 break
+    if np.isfinite(y).all():
+        return GriddedTrajectory(grid, out)
     bad = np.flatnonzero(~np.isfinite(out.reshape(T + 1, -1)).all(axis=1))
-    if len(bad):
-        node = int(bad[-1] if backward else bad[0])
-        raise error(node, float(grid.nodes[node]))
-    return GriddedTrajectory(grid, out)
+    node = int(bad[-1] if backward else bad[0])
+    raise error(node, float(grid.nodes[node]))
 
 
 def integrate_forward(field: Callable[[float, np.ndarray], np.ndarray], y0, grid: TimeGrid):

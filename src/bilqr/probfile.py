@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import STACKING_NOTE, SampleCoefficients, stack_coefficients
+from .ensemble import STACKING_NOTE, SampleCoefficients, stack_coefficients, stack_noise
 from .model import BilinearProblem
 from .scenarios import RunSetup, build
 from .solver import SolveOptions
-from .stochastic import NoiseSpec, expected_reduction, stack_noise
+from .stochastic import NoiseSpec, expected_reduction
 
 __all__ = ["ProblemFileError", "load_problem_file"]
 
@@ -135,8 +135,6 @@ def _load_single(data: dict, label: str) -> RunSetup:
         problem=problem,
         options=SolveOptions(),
         noise=noise,
-        base_n=n,
-        q=1,
     )
 
 
@@ -170,9 +168,9 @@ def _load_ensemble(data: dict, label: str) -> RunSetup:
         raise ProblemFileError(f"{ctx}: either every sample carries noise or none does")
     try:
         problem = stack_coefficients(coeffs, tf, R, weighting)
+        noise = stack_noise(noises) if noises else None
     except ValueError as exc:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
-    noise = stack_noise(noises) if noises else None
     problem = _poisson_reduction(problem, noise, ctx)
     betas = data.get("betas", list(range(len(coeffs))))
     return RunSetup(
@@ -181,7 +179,6 @@ def _load_ensemble(data: dict, label: str) -> RunSetup:
         options=SolveOptions(),
         noise=noise,
         samples=tuple(betas),
-        base_n=n,
         q=len(coeffs),
         notes=(STACKING_NOTE,),
     )

@@ -23,11 +23,13 @@ from .ensemble import (
     EnsembleSpec,
     SampleCoefficients,
     sample_uniform,
+    sample_view,
+    stack_noise,
     stack_problem,
 )
 from .model import BilinearProblem
 from .solver import SolveOptions, SolveResult
-from .stochastic import NoiseSpec, expected_reduction, stack_noise
+from .stochastic import NoiseSpec, expected_reduction
 
 __all__ = [
     "SCENARIO_IDS",
@@ -82,13 +84,8 @@ class RunSetup:
     noise: NoiseSpec | None = None
     spec: EnsembleSpec | None = None
     samples: tuple = ()
-    base_n: int = 0
     q: int = 1
     notes: tuple = ()
-
-    @property
-    def is_ensemble(self) -> bool:
-        return self.spec is not None
 
 
 def _check_overrides(overrides: dict | None) -> dict:
@@ -164,7 +161,6 @@ def _iaf_setup(case: str, overrides: dict) -> RunSetup:
         noise=noise,
         spec=spec,
         samples=tuple(samples),
-        base_n=1,
         q=len(samples),
         notes=notes,
     )
@@ -210,7 +206,6 @@ def _bloch_setup(overrides: dict) -> RunSetup:
         options=options,
         spec=spec,
         samples=tuple(samples),
-        base_n=3,
         q=len(samples),
         notes=(NOTE_BLOCH_R, STACKING_NOTE),
     )
@@ -272,8 +267,6 @@ def _twospin_setup(overrides: dict) -> RunSetup:
         label="twospin_coherence",
         problem=problem,
         options=options,
-        base_n=6,
-        q=1,
         notes=(NOTE_TWOSPIN_R, NOTE_TWOSPIN_COORD, NOTE_TWOSPIN_DARK),
     )
 
@@ -300,7 +293,7 @@ def scenario_metrics(setup: RunSetup, result: SolveResult) -> dict:
             "terminal_values": [float(v) for v in terminal],
         }
     if setup.label == "bloch_broadband":
-        finals = X[-1].reshape(setup.q, setup.base_n)
+        finals = sample_view(X[-1], setup.q)
         return {
             "omegas": [float(b) for b in setup.samples],
             "final_x_components": [float(v) for v in finals[:, 0]],

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .model import BilinearProblem
 from .numkit import GriddedTrajectory, TimeGrid, rk4_step
@@ -26,7 +25,6 @@ __all__ = [
     "PathBatch",
     "MeanConsistencyReport",
     "expected_reduction",
-    "stack_noise",
     "simulate_poisson_paths",
     "simulate_wiener_paths",
     "mean_consistency",
@@ -95,18 +93,6 @@ def expected_reduction(prob: BilinearProblem, noise: NoiseSpec) -> BilinearProbl
     else:
         g = np.zeros(prob.n)
     return prob.with_g(g)
-
-
-def stack_noise(specs: list[NoiseSpec]) -> NoiseSpec:
-    """Independent per-sample copies: block-diagonal G, concatenated rates."""
-    kinds = {s.kind for s in specs}
-    if len(kinds) != 1:
-        raise ValueError("cannot stack mixed noise kinds")
-    kind = kinds.pop()
-    G = block_diag(*[s.G for s in specs])
-    if kind == "poisson":
-        return NoiseSpec(kind, G, np.concatenate([s.lam for s in specs]))
-    return NoiseSpec(kind, G)
 
 
 def _batch_field(prob: BilinearProblem, utraj: GriddedTrajectory):

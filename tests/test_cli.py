@@ -1,6 +1,7 @@
 import json
 
 from bilqr.cli import main
+from bilqr.scenarios import build
 
 LINEAR_PROBLEM = {
     "kind": "single",
@@ -263,3 +264,31 @@ def test_validate_monte_carlo_without_jumps_exit_zero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert len(captured.out.strip().splitlines()) == 1
+
+
+def test_problem_file_ensemble_matches_its_scenario(tmp_path):
+    # the same iaf ensemble as a problem file: same 1/q terminal cost, same
+    # per-sample Monte Carlo statistic
+    setup = build("iaf_case1", {"q": 3, "steps": 200})
+    samples = []
+    for j, beta in enumerate(setup.samples):
+        c = setup.spec.coefficients(beta)
+        samples.append({
+            "A": c.A.tolist(), "B": c.B.tolist(), "Blist": [Bi.tolist() for Bi in c.Blist],
+            "g": c.g.tolist(), "x0": c.x0.tolist(), "xd": c.xd.tolist(),
+            "noise": {"kind": "poisson", "G": [[float(setup.noise.G[j, j])]],
+                      "lambda": [float(setup.noise.lam[j])]},
+        })
+    payload = {"kind": "ensemble", "n": 1, "m": 1, "tf": setup.problem.tf,
+               "R": setup.spec.R.tolist(), "betas": list(setup.samples), "samples": samples}
+    runs = {"scenario": ["--scenario", "iaf_case1", "--q", "3"],
+            "problem": ["--problem", str(write_problem(tmp_path, payload))]}
+    reports = {}
+    for name, source in runs.items():
+        out = tmp_path / name
+        assert main(["solve", *source, "--grid", "200", "--out", str(out)]) == 0
+        assert main(["validate", "--run", str(out), "--mc-paths", "20"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        reports[name] = (summary["terminal_cost_averaged"],
+                         json.loads((out / "validate.json").read_text()))
+    assert reports["problem"] == reports["scenario"]

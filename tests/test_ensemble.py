@@ -10,10 +10,13 @@ from bilqr.ensemble import (
     refinement_study,
     sample_uniform,
     stack_coefficients,
+    stack_noise,
     stack_problem,
+    unstack,
 )
 from bilqr.model import bilinear_factors, consistency_residual
 from bilqr.solver import SolveOptions, solve
+from bilqr.stochastic import NoiseSpec
 
 
 def smooth_spec(q, weighting="averaged"):
@@ -130,14 +133,15 @@ def test_stacked_consistency_identity():
 def test_averaged_terminal_cost_cases():
     spec = smooth_spec(3)
     samples = sample_uniform(spec)
+    prob = stack_problem(spec, samples)
     xds = np.concatenate([spec.coefficients(b).xd for b in samples])
-    assert averaged_terminal_cost(spec, samples, xds) == 0.0
+    assert averaged_terminal_cost(prob, len(samples), xds) == 0.0
     shifted = xds + 0.1
-    assert averaged_terminal_cost(spec, samples, shifted) == pytest.approx(0.01)
+    assert averaged_terminal_cost(prob, len(samples), shifted) == pytest.approx(0.01)
     one = smooth_spec(1)
     s1 = sample_uniform(one)
     xd1 = one.coefficients(s1[0]).xd
-    assert averaged_terminal_cost(one, s1, xd1 + 0.2) == pytest.approx(0.04)
+    assert averaged_terminal_cost(stack_problem(one, s1), 1, xd1 + 0.2) == pytest.approx(0.04)
 
 
 def test_refinement_constant_ensemble_terminal_cost_invariant():
@@ -195,3 +199,35 @@ def test_duplicated_stack_matches_single_system(seed, q, n, m):
     assert close(stacked.u.values, single.u.values)
     assert abs(stacked.cost - single.cost) <= 1e-10 * max(1.0, abs(single.cost))
     assert close(stacked.x.values, np.tile(single.x.values, (1, q)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4), b=st.integers(1, 3),
+       m=st.integers(1, 2), k=st.integers(1, 2), kind=st.sampled_from(["poisson", "wiener"]))
+def test_unstack_returns_every_sample_exactly(seed, q, b, m, k, kind):
+    rng = np.random.default_rng(seed)
+    coeffs = [SampleCoefficients(
+        A=rng.normal(size=(b, b)), B=rng.normal(size=(b, m)),
+        Blist=tuple(rng.normal(size=(b, b)) for _ in range(m)),
+        g=rng.normal(size=b), x0=rng.normal(size=b), xd=rng.normal(size=b),
+    ) for _ in range(q)]
+    noises = [NoiseSpec(kind, rng.normal(size=(b, k)),
+                        rng.uniform(0.5, 3.0, size=k) if kind == "poisson" else None)
+              for _ in range(q)]
+    R = np.diag(rng.uniform(0.5, 2.0, size=m))
+    samples = unstack(stack_coefficients(coeffs, 1.5, R), stack_noise(noises), q)
+    assert len(samples) == q
+    for c, noise, (sub, sub_noise) in zip(coeffs, noises, samples):
+        for name in ("A", "B", "g", "x0", "xd"):
+            assert np.array_equal(getattr(sub, name), getattr(c, name))
+        assert all(np.array_equal(x, y) for x, y in zip(sub.Blist, c.Blist))
+        assert sub_noise.kind == kind
+        assert np.array_equal(sub_noise.G, noise.G)
+        assert (sub_noise.lam is None if kind == "wiener"
+                else np.array_equal(sub_noise.lam, noise.lam))
+        assert sub.tf == 1.5 and np.array_equal(sub.R, R)
+
+
+def test_stack_noise_rejects_unequal_channel_counts():
+    with pytest.raises(ValueError, match="number of noise channels"):
+        stack_noise([NoiseSpec("wiener", [[0.1]]), NoiseSpec("wiener", [[0.1, 0.2]])])

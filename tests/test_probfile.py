@@ -1,9 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bilqr.cli import main
 from bilqr.probfile import ProblemFileError, load_problem_file
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, payload, name="prob.json"):
@@ -137,3 +142,29 @@ def test_non_finite_noise_gain_named(tmp_path):
         with pytest.raises(ProblemFileError,
                            match=r"samples\[0\]\.noise: G must be finite"):
             load_problem_file(write(tmp_path, ensemble, name="ens.json"))
+
+
+def test_ensemble_unequal_noise_channels_exit_one(tmp_path, capsys):
+    # the stacked layout gives every sample the same number of noise columns
+    sample = {"A": [[-1.0]], "B": [[1.0]], "Blist": [[[-0.5]]], "g": [0.0], "x0": [0.0],
+              "xd": [0.3], "noise": {"kind": "poisson", "G": [[0.15]], "lambda": [2.0]}}
+    wide = dict(sample, noise={"kind": "poisson", "G": [[0.15, 0.1]], "lambda": [2.0, 1.0]})
+    samples = [sample, sample, wide, sample, sample]
+    path = write(tmp_path, {"kind": "ensemble", "n": 1, "m": 1, "tf": 2.0, "R": [[2.0]],
+                            "samples": samples})
+    with pytest.raises(ProblemFileError, match="number of noise channels"):
+        load_problem_file(path)
+    assert main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem file: ") and err.count("\n") == 1
+
+
+def test_readme_problem_files_solve(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.json"
+        path.write_text(block)
+        load_problem_file(path)
+        assert main(["solve", "--problem", str(path), "--grid", "50",
+                     "--out", str(tmp_path / f"run_{i}")]) == 0, block

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bilqr.ensemble import stack_noise
 from bilqr.model import BilinearProblem
 from bilqr.numkit import GriddedTrajectory, TimeGrid, integrate_forward
 from bilqr.solver import simulate_bilinear
@@ -10,7 +11,6 @@ from bilqr.stochastic import (
     mean_consistency,
     simulate_poisson_paths,
     simulate_wiener_paths,
-    stack_noise,
 )
 
 
