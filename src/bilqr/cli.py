@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,8 +199,17 @@ def cmd_solve(args) -> int:
     return 0 if result.converged else 2
 
 
+def _read_table(path: Path) -> np.ndarray:
+    """Rows below the header of an output CSV; a header-only file has none."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's empty-input note
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def _read_control(path: Path, tf: float) -> GriddedTrajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_table(path)
+    if data.shape[0] < 2:
+        raise ProblemFileError(f"{path} holds fewer than two control samples")
     nodes = data[:, 0]
     grid = TimeGrid(float(nodes[0]), float(nodes[-1]), len(nodes) - 1)
     if abs(grid.tf - tf) > 1e-9 * max(1.0, tf):
@@ -217,16 +227,18 @@ def cmd_validate(args) -> int:
     if not summary_path.exists():
         print(f"error: {summary_path} not found", file=sys.stderr)
         return 1
-    with summary_path.open() as fh:
-        summary = json.load(fh)
-    source = summary["config"]["source"]
     try:
+        with summary_path.open() as fh:
+            config = json.load(fh)["config"]
+        source = config["source"]
         if source["kind"] == "scenario":
-            setup = build(source["name"], {"q": summary["config"]["q"]}
-                          if summary["config"].get("q") else None)
+            setup = build(source["name"], {"q": config["q"]} if config.get("q") else None)
         else:
             setup = load_problem_file(source["path"])
         utraj = _read_control(control_path, setup.problem.tf)
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        print(f"error: {summary_path} is not a run summary: {exc!r}", file=sys.stderr)
+        return 1
     except (ProblemFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -240,9 +252,11 @@ def cmd_validate(args) -> int:
                          key=lambda p: int(p.stem.split("_")[1]))
     fixed_point_error = None
     if state_files:
-        stored = np.hstack([
-            np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)[:, 1:] for f in state_files
-        ])
+        try:
+            stored = np.hstack([_read_table(f)[:, 1:] for f in state_files])
+        except ValueError as exc:
+            print(f"error: unreadable state file: {exc}", file=sys.stderr)
+            return 1
         if stored.shape == resim.values.shape:
             fixed_point_error = float(np.max(np.abs(stored - resim.values)))
     misses = sample_view(resim.values[-1] - setup.problem.xd, setup.q)

@@ -25,7 +25,7 @@ from .numkit import (
     mat_norm,
     node_norms,
     spectral_radius,
-    transition_table,
+    transition_norms,
     vec_norm,
 )
 from .solver import IterationState, freeze_iteration_fields
@@ -125,9 +125,8 @@ def bound_coefficients(
     W, _ = freeze_iteration_fields(prob, factors, prev.x.values)
     O_nodes = np.matmul(W, np.transpose(W, (0, 2, 1)))
     closed_loop = prob.A - np.matmul(O_nodes, cur.K.values)
-    table = transition_table(-np.transpose(closed_loop, (0, 2, 1)), grid)
     idx = _sub_indices(grid.steps, subsample)
-    phi = table.norm_table(idx)  # phi[a, b] = ||Phi(t_a, t_b)||
+    phi = transition_norms(-np.transpose(closed_loop, (0, 2, 1)), grid, idx)  # ||Phi(t_a, t_b)||
 
     s_prev = node_norms(prev.s.values)[idx]
     s_cur = node_norms(cur.s.values)[idx]
@@ -227,7 +226,7 @@ def contraction_report(
     certainly not certified there.
     """
     delta, zeta = strengths if strengths is not None else coupling_strengths(prob, factors)
-    if cur.K is None or prev.K is None or cur.s is None or prev.s is None:
+    if cur.K is None or prev.K is None:
         return ContractionReport(
             iteration=cur.k,
             bounds=np.full(9, np.nan),
@@ -282,15 +281,16 @@ def hjb_residual(
     """Dynamic-programming residual of the converged value function.
 
     The time derivative of V = x'Kx/2 + x's + q/2 is assembled from the
-    stored trajectories and the defining right-hand sides of the K, s, q
-    sweeps (no numerical differentiation), contracted with x as V needs
-    them, so no (T, n, n) derivative is formed; it is then added to the
-    Hamiltonian of the original bilinear problem along the stored (x, u)
-    pair.  This is not an optimality certificate: with p = K x + s and
-    u = -R^-1 L' p the terms cancel identically for any K and s, so the
-    residual sits at round-off level at every iterate, converged or not.
+    stored trajectories and the defining right-hand sides of K, s and the
+    offset q (no numerical differentiation; q itself is never needed),
+    contracted with x as V needs them, so no (T, n, n) derivative is
+    formed; it is then added to the Hamiltonian of the original bilinear
+    problem along the stored (x, u) pair.  This is not an optimality
+    certificate: with p = K x + s and u = -R^-1 L' p the terms cancel
+    identically for any K and s, so the residual sits at round-off level at
+    every iterate, converged or not.
     """
-    if final.K is None or final.s is None or final.q is None:
+    if final.K is None:
         raise ValueError("iterate carries no gain/affine sweeps (Riccati escape)")
     X = final.x.values
     P = final.p.values
@@ -307,7 +307,7 @@ def hjb_residual(
 
     # x'K'x with K' = -KA - A'K + K W W' K
     xKdx = -2.0 * np.einsum("ti,ti->t", KX, AX) + np.einsum("ti,ti->t", WtKX, WtKX)
-    # x's' with s' = -A's + K W W' s - K g
+    # x's' with s' = K (W W' s - g) - A's
     xsd = -np.einsum("ti,ti->t", AX, S) + np.einsum("ti,ti->t", WtKX, WtS) - KX @ g
     qdot = np.einsum("ti,ti->t", WtS, WtS) - 2.0 * (S @ g)
     v_t = 0.5 * xKdx + xsd + 0.5 * qdot

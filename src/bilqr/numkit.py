@@ -1,6 +1,6 @@
 """Shared numerical substrate: time grids, the one RK4 stepper, the
-l1/max-column-sum norm pair, weighted sup-norms, transition-matrix tables,
-and spectral radius.
+l1/max-column-sum norm pair, weighted sup-norms, norm tables of transition
+matrices, and spectral radius.
 
 Every integration in the package is `rk4_sweep`: fixed-step classical RK4,
 forward or backward over a uniform grid, of y' = rhs(y, *args) whose
@@ -117,13 +117,13 @@ _CHECK_EVERY = 32
 
 # Bytes of the block of midpoints a sweep forms at a time for a `mids` entry
 # None: a row or two of a large gain table, all of a small one.
-MID_BLOCK_BYTES = 1 << 18
+_MID_BLOCK_BYTES = 1 << 18
 
 
 def _mid_rows(nodes: tuple, mids: tuple, T: int, backward: bool):
     """Midpoint argument rows in sweep order, None entries formed a block at a time."""
     row = max((n[0].nbytes for n, m in zip(nodes, mids) if m is None), default=1)
-    starts = range(0, T, max(1, MID_BLOCK_BYTES // row))
+    starts = range(0, T, max(1, _MID_BLOCK_BYTES // row))
     for lo in (reversed(starts) if backward else starts):
         hi = min(lo + starts.step, T)
         rows = list(zip(*(midpoints(n[lo:hi + 1]) if m is None else m[lo:hi]
@@ -221,55 +221,31 @@ def alpha_norm(traj: GriddedTrajectory, alpha: float, direction: str) -> float:
     return float(np.max(node_norms(traj.values) * weights))
 
 
-class TransitionTable:
-    """Indexed family of transition matrices Phi(t_i, t_j) for a linear system.
-
-    Phi(., t0) is integrated once with RK4; general pairs use
-    Phi(t_i, t_j) = Phi(t_i, t0) Phi(t_j, t0)^{-1}.
-    """
-
-    _COND_LIMIT = 1e13
-
-    def __init__(self, grid: TimeGrid, base: np.ndarray):
-        self.grid = grid
-        self._base = base  # (steps+1, n, n), Phi(t_i, t0)
-        self._inv_cache: dict[int, np.ndarray] = {}
-
-    def _inverse(self, j: int) -> np.ndarray:
-        if j not in self._inv_cache:
-            phi_j = self._base[j]
-            if np.linalg.cond(phi_j) > self._COND_LIMIT:
-                raise TransitionInversionError(
-                    f"transition inversion failure at node {j} "
-                    f"(t={self.grid.nodes[j]:.6g})"
-                )
-            self._inv_cache[j] = np.linalg.inv(phi_j)
-        return self._inv_cache[j]
-
-    def phi(self, i: int, j: int) -> np.ndarray:
-        """Phi(t_i, t_j): maps data at node j to node i."""
-        return self._base[i] @ self._inverse(j)
-
-    def norm_table(self, indices: np.ndarray) -> np.ndarray:
-        """Matrix of mat_norm(Phi(t_a, t_b)) over the given node indices."""
-        indices = np.asarray(indices, dtype=int)
-        inv = np.stack([self._inverse(j) for j in indices])
-        table = np.empty((len(indices), len(indices)))
-        for row, a in enumerate(indices):
-            prods = self._base[a] @ inv  # (S, n, n)
-            table[row] = np.max(np.sum(np.abs(prods), axis=1), axis=1)
-        return table
+_COND_LIMIT = 1e13
 
 
-def transition_table(A_nodes: np.ndarray, grid: TimeGrid) -> TransitionTable:
-    """Transition matrices of dPhi/dt = A(t) Phi with Phi(t0, t0) = I.
+def transition_norms(A_nodes: np.ndarray, grid: TimeGrid, indices) -> np.ndarray:
+    """Table of mat_norm(Phi(t_a, t_b)) over the given node indices.
 
-    A is given at the grid nodes, (steps + 1, n, n), and blended linearly
-    between them.
+    Phi solves dPhi/dt = A(t) Phi, with A given at the grid nodes,
+    (steps + 1, n, n), and blended linearly between them.  Phi(., t0) is
+    integrated once with RK4 and Phi(t_a, t_b) = Phi(t_a, t0) Phi(t_b, t0)^-1;
+    only the indexed nodes are inverted, and the products are formed one
+    row of the table at a time.  A numerically singular Phi(t_b, t0) raises
+    TransitionInversionError naming the node.
     """
     base = rk4_sweep(lambda Phi, A: A @ Phi, np.eye(A_nodes.shape[1]), grid,
-                     (A_nodes,), (None,))
-    return TransitionTable(grid, base.values)
+                     (A_nodes,), (None,)).values
+    indices = np.asarray(indices, dtype=int)
+    for j in indices:
+        if np.linalg.cond(base[j]) > _COND_LIMIT:
+            raise TransitionInversionError(
+                f"transition inversion failure at node {j} (t={grid.nodes[j]:.6g})")
+    inv = np.linalg.inv(base[indices])
+    table = np.empty((len(indices), len(indices)))
+    for row, a in enumerate(indices):
+        table[row] = node_norms(base[a] @ inv)
+    return table
 
 
 def spectral_radius(M: np.ndarray) -> float:

@@ -7,10 +7,11 @@ linear-quadratic subproblem
     min (1/2) int u' R u dt + w ||x(tf) - xd||^2
     s.t. dx/dt = A x + L_prev(t) u + g
 
-by one backward Riccati sweep, one backward affine sweep, one backward
-scalar sweep, and one forward closed-loop propagation, then reconstructs
-the costate p = K x + s and the control u = -R^-1 L(x)' p.  The loop stops
-on an iterate-difference or target-distance rule.
+by one backward Riccati sweep, one backward affine sweep and one forward
+closed-loop propagation, then reconstructs the costate p = K x + s and the
+control u = -R^-1 L(x)' p.  The offset q of the value function
+V = x'Kx/2 + x's + q/2 enters neither, so it is not integrated.  The loop
+stops on an iterate-difference or target-distance rule.
 
 At a fixed point the state satisfies the original bilinear dynamics under
 the reconstructed control exactly, which the resimulation check measures
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BilinearFactors, BilinearProblem, bilinear_factors
-from .numkit import MID_BLOCK_BYTES, BlowupError, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
+from .numkit import BlowupError, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
 
 __all__ = [
     "IterationState",
@@ -53,7 +54,6 @@ __all__ = [
     "BoundarySolveError",
     "riccati_sweep",
     "affine_sweep",
-    "value_offset_sweep",
     "closed_loop_forward",
     "solve_frozen_boundary_value",
     "reconstruct_control",
@@ -61,7 +61,6 @@ __all__ = [
     "solve",
     "evaluate_cost",
     "simulate_bilinear",
-    "value_function_initial",
 ]
 
 STOP_RULES = ("diff", "target", "both")
@@ -88,12 +87,12 @@ class BoundarySolveError(RuntimeError):
 class IterationState:
     """One iterate: trajectories, cost, and the difference to its predecessor.
 
-    K, s, q hold the gain/affine/offset sweeps of the frozen subproblem and
-    satisfy p = K x + s node-wise.  The frozen quadratic weight is positive
+    K, s hold the gain/affine sweeps of the frozen subproblem and satisfy
+    p = K x + s node-wise.  The frozen quadratic weight is positive
     semidefinite, so the backward Riccati flow should not escape; if it does
     on pathological data, the linear boundary-value route computes the
-    iterate and K, s, q are None (`via_sweeps` False).  Without recorded
-    diagnostics only `SolveResult.final` carries K, s, q: `solve` drops them
+    iterate and K, s are None: K None marks that route.  Without recorded
+    diagnostics only `SolveResult.final` carries K, s: `solve` drops them
     from spent iterates.  x, p, u, cost are always present.
     """
 
@@ -103,10 +102,8 @@ class IterationState:
     u: GriddedTrajectory
     K: GriddedTrajectory | None
     s: GriddedTrajectory | None
-    q: GriddedTrajectory | None
     cost: float
     diff_x: float
-    via_sweeps: bool = True
 
 
 @dataclass(frozen=True)
@@ -132,6 +129,10 @@ class SolveOptions:
     init_control: float = 0.0
 
     def __post_init__(self):
+        if self.steps < 2:
+            raise ValueError("steps must be >= 2")
+        if not self.alpha >= 0:
+            raise ValueError("alpha must be >= 0")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
@@ -246,53 +247,26 @@ def affine_sweep(
     s_T: np.ndarray,
     grid: TimeGrid,
 ) -> GriddedTrajectory:
-    """Backward sweep of ds/dt = -[A' - K W W'] s - K g from s(tf) = s_T.
+    """Backward sweep of ds/dt = K (W W' s - g) - A' s from s(tf) = s_T.
 
-    K is interpolated linearly at the RK4 stage times; its midpoints, and
-    K g at them, are formed in small blocks.
+    K is interpolated linearly at the RK4 stage times; its midpoints are
+    formed in small blocks, and K g is not tabulated.
     """
     g = np.asarray(g, dtype=float)
     At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
-    K_n = Ktraj.values
-    size = max(1, MID_BLOCK_BYTES // K_n[0].nbytes)
-    Kg_m = np.concatenate([midpoints(K_n[i:i + size + 1]) @ g for i in range(0, grid.steps, size)])
 
-    def rhs(s, W, K, Kg):
-        out = np.dot(K, np.dot(W, np.dot(W.T, s)))
+    def rhs(s, W, K):
+        out = np.dot(K, np.dot(W, np.dot(W.T, s)) - g)
         out -= At(s)
-        out -= Kg
         return out
 
-    return rk4_sweep(rhs, s_T, grid, (W_nodes, K_n, K_n @ g), (W_mids, None, Kg_m),
-                     backward=True)
+    return rk4_sweep(rhs, s_T, grid, (W_nodes, Ktraj.values), (W_mids, None), backward=True)
 
 
 def _gram_times(W: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Node-wise W W' v for W of shape (T, n, r) and v of shape (T, n)."""
     Wtv = np.matmul(v[:, np.newaxis, :], W)  # (T, 1, r)
     return np.matmul(W, np.transpose(Wtv, (0, 2, 1)))[:, :, 0]
-
-
-def value_offset_sweep(
-    W_nodes: np.ndarray,
-    W_mids: np.ndarray,
-    straj: GriddedTrajectory,
-    g: np.ndarray,
-    grid: TimeGrid,
-) -> GriddedTrajectory:
-    """Backward quadrature of dq/dt = |W' s|^2 - 2 s' g from q(tf) = 0.
-
-    The integrand depends on time only, so RK4 reduces to a Simpson rule
-    over each interval; the sweep is one reversed cumulative sum.
-    """
-    g = np.asarray(g, dtype=float)
-    s_n = straj.values
-    s_m = midpoints(s_n)
-    f_n = np.sum((s_n[:, np.newaxis, :] @ W_nodes) ** 2, axis=(1, 2)) - 2.0 * (s_n @ g)
-    f_m = np.sum((s_m[:, np.newaxis, :] @ W_mids) ** 2, axis=(1, 2)) - 2.0 * (s_m @ g)
-    increments = (grid.h / 6.0) * (f_n[:-1] + 4.0 * f_m + f_n[1:])
-    q = np.concatenate([-np.cumsum(increments[::-1])[::-1], [0.0]])
-    return GriddedTrajectory(grid, q)
 
 
 def closed_loop_forward(
@@ -344,21 +318,6 @@ def evaluate_cost(prob: BilinearProblem, utraj: GriddedTrajectory, x_tf: np.ndar
     energy = 0.5 * h * (np.sum(e) - 0.5 * (e[0] + e[-1]))
     miss = np.asarray(x_tf, dtype=float) - prob.xd
     return float(energy + prob.terminal_weight * np.dot(miss, miss))
-
-
-def value_function_initial(prob: BilinearProblem, state: IterationState) -> float:
-    """Cost-to-go V(0, x0) implied by the iterate's (K, s, q) trajectories.
-
-    The quadratic/affine/offset parts alone evaluate the terminal penalty
-    only up to the constant w ||xd||^2 (the offset sweep starts from zero),
-    so that constant is added to complete the square.
-    """
-    x0 = prob.x0
-    K0 = state.K.values[0]
-    s0 = state.s.values[0]
-    q0 = float(state.q.values[0])
-    const = prob.terminal_weight * float(np.dot(prob.xd, prob.xd))
-    return float(0.5 * x0 @ (K0 @ x0) + x0 @ s0 + 0.5 * q0 + const)
 
 
 def solve_frozen_boundary_value(
@@ -435,22 +394,16 @@ def iterate_once(
     try:
         K = riccati_sweep(Ab, Wn, Wm, 2.0 * w * np.eye(prob.n), grid)
         s = affine_sweep(Ab, Wn, Wm, K, prob.g, -2.0 * w * prob.xd, grid)
-        q = value_offset_sweep(Wn, Wm, s, prob.g, grid)
         x = closed_loop_forward(Ab, Wn, Wm, K, s, prob.g, prob.x0, grid)
         P = np.einsum("tij,tj->ti", K.values, x.values) + s.values
         p = GriddedTrajectory(grid, P)
-        via_sweeps = True
     except RiccatiEscapeError:
         x, p = solve_frozen_boundary_value(prob, Ab, Wn, Wm, grid)
-        K = s = q = None
-        via_sweeps = False
+        K = s = None
     u = reconstruct_control(prob, factors, x, p)
     cost = evaluate_cost(prob, u, x.values[-1])
     diff = float(np.max(np.sum(np.abs(x.values - prev.x.values), axis=1)))
-    return IterationState(
-        k=prev.k + 1, x=x, p=p, u=u, K=K, s=s, q=q,
-        cost=cost, diff_x=diff, via_sweeps=via_sweeps,
-    )
+    return IterationState(k=prev.k + 1, x=x, p=p, u=u, K=K, s=s, cost=cost, diff_x=diff)
 
 
 def _initial_state(prob: BilinearProblem, grid: TimeGrid, probe: float = 0.0) -> IterationState:
@@ -467,10 +420,9 @@ def _initial_state(prob: BilinearProblem, grid: TimeGrid, probe: float = 0.0) ->
     u_traj = GriddedTrajectory(grid, np.tile(u0, (T, 1)))
     zeros_n = GriddedTrajectory(grid, np.zeros((T, prob.n)))
     zeros_nn = GriddedTrajectory(grid, np.zeros((T, prob.n, prob.n)))
-    zeros_scalar = GriddedTrajectory(grid, np.zeros(T))
     cost = evaluate_cost(prob, u_traj, x.values[-1])
     return IterationState(
-        k=0, x=x, p=zeros_n, u=u_traj, K=zeros_nn, s=zeros_n, q=zeros_scalar,
+        k=0, x=x, p=zeros_n, u=u_traj, K=zeros_nn, s=zeros_n,
         cost=cost, diff_x=float("inf"),
     )
 
@@ -489,7 +441,8 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
     """Run the fixed-point loop until the stop rule fires or iterations run out.
 
     With relaxation < 1 the trajectory fed to the freeze is a running blend
-    of past iterates (the fixed points are unchanged).  Non-convergence is
+    of past iterates (the fixed points are unchanged), and the contraction
+    diagnostics pair each iterate with that blend.  Non-convergence is
     a result (converged=False), not an error; sweep blow-ups raise with the
     iteration index attached.
     """
@@ -514,18 +467,18 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
         if not opts.record_diagnostics:
             # only contraction_report reads spent sweeps; `state` holds the
             # last reference, so the gain table is freed before the next one
-            state = dataclasses.replace(state, K=None, s=None, q=None)
+            state = dataclasses.replace(state, K=None, s=None)
         feed = state if theta == 1.0 else dataclasses.replace(
             state, x=GriddedTrajectory(grid, frozen_x))
         try:
-            prev, state = state, iterate_once(prob, factors, feed, grid)
+            state = iterate_once(prob, factors, feed, grid)
         except (RiccatiEscapeError, BoundarySolveError, BlowupError) as exc:
             exc.args = (f"iteration {k}: {exc.args[0]}",) + exc.args[1:]
             raise
         if opts.record_diagnostics:
             reports.append(
                 _diag.contraction_report(
-                    prob, factors, prev, state, grid,
+                    prob, factors, feed, state, grid,
                     alpha=opts.alpha, subsample=opts.diag_subsample,
                     strengths=strengths,
                 )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bilqr.cli import main
 from bilqr.scenarios import build
 
@@ -212,6 +214,31 @@ def test_solve_non_finite_problem_data_exit_one(tmp_path, capsys):
         prob = write_problem(tmp_path, dict(LINEAR_PROBLEM, **{field: value}))
         assert main(solve_args(prob, tmp_path / "run")) == 1
         assert f"{field} must be finite" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("extra, word", [(("--grid", "1"), "steps"),
+                                         (("--alpha", "-1", "--diagnostics"), "alpha")])
+def test_solve_rejects_bad_grid_and_alpha(tmp_path, capsys, extra, word):
+    prob = write_problem(tmp_path, LINEAR_PROBLEM)
+    assert main(solve_args(prob, tmp_path / "run", extra)) == 1
+    assert word in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("control.csv", "t,u1\n"),
+    ("state_1.csv", "t,x1,x2\nzero,one,two\n"),
+    ("summary.json", "{not json"),
+    ("summary.json", '{"config": {"q": 1}}'),
+], ids=["header-only-control", "non-numeric-state", "summary-not-json", "summary-without-source"])
+@pytest.mark.filterwarnings("error")
+def test_validate_malformed_run_exit_one(tmp_path, capsys, name, text):
+    prob = write_problem(tmp_path, LINEAR_PROBLEM)
+    out = tmp_path / "run"
+    assert main(solve_args(prob, out)) == 0
+    capsys.readouterr()
+    (out / name).write_text(text)
+    assert main(["validate", "--run", str(out)]) == 1
+    one_error_line(capsys)
 
 
 def test_solver_errors_exit_one_without_traceback(tmp_path, capsys, monkeypatch):

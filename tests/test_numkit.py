@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bilqr.numkit import (
     BlowupError,
@@ -12,7 +13,7 @@ from bilqr.numkit import (
     midpoints,
     rk4_sweep,
     spectral_radius,
-    transition_table,
+    transition_norms,
     vec_norm,
 )
 
@@ -167,44 +168,29 @@ def test_alpha_norm_exponential_weights_cancel():
 
 def test_transition_identity_for_zero_field():
     g = TimeGrid(0.0, 1.0, 50)
-    table = transition_table(np.zeros((51, 2, 2)), g)
-    np.testing.assert_allclose(table.phi(30, 10), np.eye(2), atol=1e-12)
+    norms = transition_norms(np.zeros((51, 2, 2)), g, [0, 10, 30, 50])
+    np.testing.assert_allclose(norms, np.ones((4, 4)), atol=1e-12)
 
 
 def test_transition_constant_scalar_exponential():
     a = -0.7
     g = TimeGrid(0.0, 2.0, 400)
-    table = transition_table(np.full((401, 1, 1), a), g)
-    for i, j in ((100, 0), (350, 200), (0, 399)):
-        expected = np.exp(a * (g.nodes[i] - g.nodes[j]))
-        assert abs(table.phi(i, j)[0, 0] - expected) < 1e-8
-
-
-def test_transition_semigroup_property():
-    def A(t):
-        return np.array([[0.0, 1.0], [-2.0 - 0.2 * t, -0.3]])
-
-    g = TimeGrid(0.0, 1.5, 600)
-    table = transition_table(np.stack([A(t) for t in g.nodes]), g)
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        i, j, k = sorted(rng.integers(0, 601, size=3))
-        lhs = table.phi(k, j) @ table.phi(j, i)
-        rhs = table.phi(k, i)
-        assert np.max(np.abs(lhs - rhs)) < 1e-6
+    idx = np.array([0, 100, 200, 350, 399])
+    norms = transition_norms(np.full((401, 1, 1), a), g, idx)
+    expected = np.exp(a * (g.nodes[idx][:, None] - g.nodes[idx][None, :]))
+    assert np.max(np.abs(norms - expected)) < 1e-8
 
 
 def test_transition_norm_table_matches_pairs():
-    def A(t):
-        return np.array([[0.0, 1.0], [-1.0, -0.2]])
-
+    # a constant A gives Phi(t_a, t_b) = expm(A (t_a - t_b)) in both directions
+    A = np.array([[0.0, 1.0], [-1.0, -0.2]])
     g = TimeGrid(0.0, 1.0, 100)
-    table = transition_table(np.stack([A(t) for t in g.nodes]), g)
     idx = np.array([0, 25, 50, 75, 100])
-    norms = table.norm_table(idx)
+    norms = transition_norms(np.tile(A, (101, 1, 1)), g, idx)
     for a, ia in enumerate(idx):
         for b, ib in enumerate(idx):
-            assert abs(norms[a, b] - mat_norm(table.phi(ia, ib))) < 1e-12
+            expected = mat_norm(expm(A * (g.nodes[ia] - g.nodes[ib])))
+            assert abs(norms[a, b] - expected) < 1e-8
 
 
 def test_spectral_radius_values():
@@ -216,6 +202,5 @@ def test_spectral_radius_values():
 def test_transition_inversion_failure_detected():
     # strongly separated scales make the base transition numerically singular
     g = TimeGrid(0.0, 1.0, 200)
-    table = transition_table(np.tile(np.diag([40.0, -40.0]), (201, 1, 1)), g)
-    with pytest.raises(TransitionInversionError):
-        table.phi(0, 200)
+    with pytest.raises(TransitionInversionError, match="node 200"):
+        transition_norms(np.tile(np.diag([40.0, -40.0]), (201, 1, 1)), g, [0, 200])

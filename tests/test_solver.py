@@ -11,6 +11,7 @@ from bilqr.model import BilinearProblem, bilinear_factors
 from bilqr.numkit import GriddedTrajectory, TimeGrid
 from bilqr.solver import (
     SolveOptions,
+    _initial_state,
     affine_sweep,
     closed_loop_forward,
     drift_blocks,
@@ -21,8 +22,6 @@ from bilqr.solver import (
     riccati_sweep,
     simulate_bilinear,
     solve,
-    value_function_initial,
-    value_offset_sweep,
 )
 
 
@@ -152,32 +151,6 @@ def test_affine_sweep_constant_coefficient_quadrature():
     assert np.max(np.abs(s.values - expected)) < 1e-12
 
 
-def test_value_offset_trivial_cases():
-    grid = TimeGrid(0.0, 1.0, 100)
-    zero_s = GriddedTrajectory(grid, np.zeros((101, 2)))
-    _, Wn, Wm = const_fields(np.zeros((2, 2)), np.eye(2), grid)
-    q = value_offset_sweep(Wn, Wm, zero_s, np.ones(2), grid)
-    assert np.all(q.values == 0.0)
-    s_const = GriddedTrajectory(grid, np.tile([1.0, -1.0], (101, 1)))
-    _, Wn, Wm = const_fields(np.zeros((2, 2)), np.zeros((2, 1)), grid)
-    q = value_offset_sweep(Wn, Wm, s_const, np.zeros(2), grid)
-    assert np.max(np.abs(q.values)) < 1e-14
-
-
-def test_value_offset_constant_integrand():
-    # dq/dt = rate with q(tf) = 0 integrates to q(t) = -rate (tf - t)
-    grid = TimeGrid(0.0, 3.0, 300)
-    s_c = np.array([1.0, 2.0])
-    O = np.array([[0.5, 0.0], [0.0, 0.25]])
-    g = np.array([0.1, -0.2])
-    straj = GriddedTrajectory(grid, np.tile(s_c, (301, 1)))
-    _, Wn, Wm = const_fields(np.zeros((2, 2)), np.sqrt(O), grid)  # O diagonal
-    q = value_offset_sweep(Wn, Wm, straj, g, grid)
-    rate = s_c @ O @ s_c - 2.0 * s_c @ g
-    expected = -(3.0 - grid.nodes) * rate
-    assert np.max(np.abs(q.values - expected)) < 1e-10
-
-
 def test_forward_trivial_cases():
     grid = TimeGrid(0.0, 1.0, 100)
     zero = const_fields(np.zeros((2, 2)), np.zeros((2, 1)), grid)
@@ -275,15 +248,6 @@ def test_fixed_point_consistency_scalar_iaf():
     assert np.max(np.abs(resim.values - res.final.x.values)) < 1e-5
 
 
-def test_value_function_matches_cost_at_convergence():
-    # terminal weight 1/20 matches the averaged 20-sample ensemble scaling
-    for prob in (make_linear_problem(), scalar_iaf_problem(weight=0.05)):
-        res = solve(prob, SolveOptions(steps=2000, tol=1e-12))
-        assert res.converged
-        v0 = value_function_initial(prob, res.final)
-        assert abs(res.final.cost - v0) < 1e-4 * (1.0 + abs(res.final.cost))
-
-
 def test_resimulate_zero_control_matches_uncontrolled_flow():
     prob = scalar_iaf_problem()
     grid = TimeGrid(0.0, prob.tf, 500)
@@ -302,6 +266,10 @@ def test_solve_options_validation():
         SolveOptions(max_iters=0)
     with pytest.raises(ValueError):
         SolveOptions(stop_rule="whenever")
+    with pytest.raises(ValueError, match="steps"):
+        SolveOptions(steps=1)
+    with pytest.raises(ValueError, match="alpha"):
+        SolveOptions(alpha=-1.0)
 
 
 def test_not_converged_result():
@@ -413,7 +381,6 @@ def test_factored_sweeps_match_dense_gram_reference(q, b):
     w = prob.terminal_weight
     K = riccati_sweep(*arrays, 2 * w * np.eye(prob.n), grid)
     s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
-    qv = value_offset_sweep(W_nodes, W_mids, s, prob.g, grid)
     x = closed_loop_forward(*arrays, K, s, prob.g, prob.x0, grid)
 
     # dense reference: the gram tabulated at the nodes, averaged at midpoints
@@ -435,10 +402,6 @@ def test_factored_sweeps_match_dense_gram_reference(q, b):
         lambda sv, kind, i: Kt[kind][i] @ (O[kind][i] @ sv) - A.T @ sv - Kt[kind][i] @ g,
         -2 * w * prob.xd, grid, backward=True)
     assert close(s.values, s_ref)
-    q_ref = rk4_reference(
-        lambda qv, kind, i: st[kind][i] @ O[kind][i] @ st[kind][i] - 2 * st[kind][i] @ g,
-        0.0, grid, backward=True)
-    assert close(qv.values, q_ref)
     x_ref = rk4_reference(
         lambda xv, kind, i: (A @ xv - O[kind][i] @ (Kt[kind][i] @ xv)
                              - O[kind][i] @ st[kind][i] + g),
@@ -547,6 +510,31 @@ def test_diagnostics_keep_the_previous_sweeps():
     assert all(np.isfinite(row.criterion_sum) for row in rows[1:])
 
 
+def test_relaxed_diagnostics_describe_the_fed_iterate():
+    # under relaxation the map is applied to the blend of past iterates, so
+    # the contraction row must pair the new iterate with that blend
+    from bilqr.diagnostics import contraction_report
+    from bilqr.scenarios import build
+
+    setup = build("bloch_broadband", {"q": 3})
+    prob = setup.problem
+    opts = dataclasses.replace(setup.options, steps=60, max_iters=2, record_diagnostics=True)
+    assert opts.relaxation < 1.0
+    res = solve(prob, opts)
+
+    factors = bilinear_factors(prob.Blist)
+    grid = TimeGrid(0.0, prob.tf, opts.steps)
+    state0 = _initial_state(prob, grid, probe=opts.init_control)
+    state1 = iterate_once(prob, factors, state0, grid)
+    theta = opts.relaxation
+    blend = (1.0 - theta) * state0.x.values + theta * state1.x.values
+    feed1 = dataclasses.replace(state1, x=GriddedTrajectory(grid, blend))
+    state2 = iterate_once(prob, factors, feed1, grid)
+    expected = contraction_report(prob, factors, feed1, state2, grid, alpha=opts.alpha,
+                                  subsample=opts.diag_subsample)
+    assert np.array_equal(res.diagnostics.rows[1].bounds, expected.bounds)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3), b=st.integers(1, 3),
        m=st.integers(1, 2))
@@ -555,7 +543,7 @@ def test_final_iterate_costate_and_gain_invariants(seed, q, b, m):
     # frozen Riccati flow starts from 2 w I with a semidefinite gram
     prob = random_bilinear_problem(np.random.default_rng(seed), q, b, m)
     final = solve(prob, SolveOptions(steps=50, max_iters=3)).final
-    assert final.via_sweeps
+    assert final.K is not None
     K, x, s = final.K.values, final.x.values, final.s.values
     recon = np.stack([K[i] @ x[i] + s[i] for i in range(len(K))])
     assert np.max(np.abs(final.p.values - recon)) <= 1e-12 * max(1.0, np.max(np.abs(recon)))
