@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import hjb_residual, necessary_condition_residual
-from .ensemble import averaged_terminal_cost, sample_view, unstack
+from .ensemble import averaged_terminal_cost, sample_view
 from .model import bilinear_factors
 from .numkit import BlowupError, GriddedTrajectory, TimeGrid, TransitionInversionError
 from .probfile import ProblemFileError, load_problem_file
@@ -33,6 +33,11 @@ from .solver import (
 from .stochastic import mean_consistency, simulate_poisson_paths, simulate_wiener_paths
 
 OUT_ROOT_ENV = "BILQR_OUT"
+
+# Bytes of the path table of one group of samples in the Monte Carlo check:
+# larger groups run fewer step loops, but the table and the statistic's
+# temporaries of a whole group are alive at once.
+_MC_GROUP_BYTES = 1 << 24
 
 # Errors a solve (with or without its diagnostics) reports as exit 1.
 SOLVER_ERRORS = (RiccatiEscapeError, BoundarySolveError, BlowupError,
@@ -252,13 +257,24 @@ def cmd_validate(args) -> int:
                          key=lambda p: int(p.stem.split("_")[1]))
     fixed_point_error = None
     if state_files:
-        try:
-            stored = np.hstack([_read_table(f)[:, 1:] for f in state_files])
-        except ValueError as exc:
-            print(f"error: unreadable state file: {exc}", file=sys.stderr)
+        stored = []
+        for f in state_files:
+            try:
+                table = _read_table(f)
+            except ValueError as exc:
+                print(f"error: unreadable state file {f}: {exc}", file=sys.stderr)
+                return 1
+            if table.shape[0] != len(resim.values):
+                print(f"error: {f} holds {table.shape[0]} rows, expected one per control "
+                      f"node ({len(resim.values)})", file=sys.stderr)
+                return 1
+            stored.append(table[:, 1:])
+        stored = np.hstack(stored)
+        if stored.shape != resim.values.shape:
+            print(f"error: the state files of {run_dir} hold {stored.shape[1]} state columns, "
+                  f"the problem has {resim.values.shape[1]}", file=sys.stderr)
             return 1
-        if stored.shape == resim.values.shape:
-            fixed_point_error = float(np.max(np.abs(stored - resim.values)))
+        fixed_point_error = float(np.max(np.abs(stored - resim.values)))
     misses = sample_view(resim.values[-1] - setup.problem.xd, setup.q)
     per_sample_terminal = [float(np.linalg.norm(miss)) for miss in misses]
 
@@ -290,25 +306,32 @@ def cmd_validate(args) -> int:
 
 
 def _ensemble_mc_statistic(setup: RunSetup, utraj, resim, M: int, seed: int) -> float:
-    """Monte Carlo mean-consistency, sample by sample.
+    """Monte Carlo mean-consistency of every sample in batched passes.
 
-    Given the shared control, the per-sample subsystems are independent, so
-    simulating them separately is statistically identical to the stacked
-    simulation while bounding memory.  The paths evolve the raw stochastic
+    Given the shared control the samples are independent; sample j draws
+    its paths from seed + j.  The samples run together, one batched path
+    loop per group, with as many samples per group as fit a path table of
+    _MC_GROUP_BYTES (at least one), which bounds memory.  Each group is
+    compared with its block of the resimulated state, and the statistic is
+    the largest over the groups.  The paths evolve the raw stochastic
     system: the Poisson part of the reduced translation is subtracted and
     re-enters through the jumps.
     """
+    prob, noise, q = setup.problem, setup.noise, setup.q
+    if noise.kind == "poisson":
+        prob = prob.with_g(prob.g - noise.G @ noise.lam)
+        simulate = simulate_poisson_paths
+    else:
+        simulate = simulate_wiener_paths
+    refs = sample_view(resim.values, q)
+    nodes, b = refs.shape[0], refs.shape[2]
+    size = max(1, _MC_GROUP_BYTES // (8 * M * nodes * b))
     worst = 0.0
-    refs = sample_view(resim.values, setup.q)
-    for j, (sub, noise) in enumerate(unstack(setup.problem, setup.noise, setup.q)):
-        ref = GriddedTrajectory(resim.grid, refs[:, j])
-        if noise.kind == "poisson":
-            raw = sub.with_g(sub.g - noise.G @ noise.lam)
-            batch = simulate_poisson_paths(raw, noise, utraj, M, seed + j)
-        else:
-            batch = simulate_wiener_paths(sub, noise, utraj, M, seed + j)
-        report = mean_consistency(batch, ref)
-        stat = report.max_standardized_deviation
+    for lo in range(0, q, size):
+        hi = min(lo + size, q)
+        batch = simulate(prob, noise, utraj, M, seed, q, range(lo, hi))
+        ref = GriddedTrajectory(resim.grid, refs[:, lo:hi].reshape(nodes, -1))
+        stat = mean_consistency(batch, ref).max_standardized_deviation
         if np.isnan(stat):
             return float("nan")
         worst = max(worst, stat)

@@ -21,9 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import block_diag
 
-from .model import BilinearProblem
+from .model import BilinearProblem, NoiseSpec
 from .solver import SolveOptions, solve
-from .stochastic import NoiseSpec
 
 __all__ = [
     "SampleCoefficients",

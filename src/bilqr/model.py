@@ -19,6 +19,9 @@ with L = B + sum_j x_j N_j and C = L - B.  They satisfy the identity
 
 for all finite (x, p), which is what makes a fixed point of the iteration
 solve the original necessary conditions.
+
+`NoiseSpec` is the additive noise of the stochastic variants; its
+simulators and the mean reduction live in `bilqr.stochastic`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .numkit import vec_norm
 
 __all__ = [
     "BilinearProblem",
+    "NoiseSpec",
     "BilinearFactors",
     "bilinear_factors",
     "input_gain",
@@ -123,6 +127,41 @@ class BilinearProblem:
 
     def with_g(self, g: np.ndarray) -> "BilinearProblem":
         return replace(self, g=np.asarray(g, dtype=float))
+
+
+KINDS = ("poisson", "wiener")
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Additive noise channel: kind, input matrix G (n x k), Poisson rates."""
+
+    kind: str
+    G: np.ndarray
+    lam: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}")
+        G = np.atleast_2d(np.asarray(self.G, dtype=float))
+        if not np.all(np.isfinite(G)):
+            raise ValueError("G must be finite")
+        object.__setattr__(self, "G", G)
+        if self.kind == "poisson":
+            if self.lam is None:
+                raise ValueError("poisson noise requires rates lam")
+            lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
+            if lam.shape != (G.shape[1],):
+                raise ValueError(f"lam must have length {G.shape[1]}, got {lam.shape}")
+            if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
+                raise ValueError("poisson rates must be finite and positive")
+            object.__setattr__(self, "lam", lam)
+        elif self.lam is not None:
+            raise ValueError("wiener noise takes no rates")
+
+    @property
+    def k(self) -> int:
+        return self.G.shape[1]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,20 @@ deterministic control and purely additive noise the reduction is exact, so
 the Monte Carlo comparison here is a correctness test of the simulators,
 not an approximation study.
 
-All sampling uses the counter-based Philox generator keyed by the given
-seed; identical (seed, M, grid) inputs reproduce batches bitwise.
+The simulators take a stack of q samples in the layout of `bilqr.ensemble`
+(q = 1: a single system) and run the paths of the chosen samples in one
+batched pass: each (sample, path) pair is one row of a single state array,
+every row reads its own sample's drift, input, bilinear and noise blocks,
+and one time-stepping loop advances all rows.  The control is interpolated
+once per step at each row's step start, midpoint and end.  A batch's
+`states` has shape (paths, nodes, chosen samples * b), the stacked layout
+of the chosen samples; memory grows with that table, so a caller bounds it
+by choosing fewer samples per call.
+
+All sampling uses the counter-based Philox generator: sample j draws from
+the stream keyed by seed + j, so identical (seed, M, grid) inputs reproduce
+batches bitwise, and a sample's random stream does not depend on which
+other samples run beside it.
 """
 
 from __future__ import annotations
@@ -17,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BilinearProblem
+from .ensemble import unstack
+from .model import BilinearProblem, NoiseSpec
 from .numkit import GriddedTrajectory, TimeGrid, rk4_step
 
 __all__ = [
@@ -29,40 +42,6 @@ __all__ = [
     "simulate_wiener_paths",
     "mean_consistency",
 ]
-
-KINDS = ("poisson", "wiener")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive noise channel: kind, input matrix G (n x k), Poisson rates."""
-
-    kind: str
-    G: np.ndarray
-    lam: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-        G = np.atleast_2d(np.asarray(self.G, dtype=float))
-        if not np.all(np.isfinite(G)):
-            raise ValueError("G must be finite")
-        object.__setattr__(self, "G", G)
-        if self.kind == "poisson":
-            if self.lam is None:
-                raise ValueError("poisson noise requires rates lam")
-            lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-            if lam.shape != (G.shape[1],):
-                raise ValueError(f"lam must have length {G.shape[1]}, got {lam.shape}")
-            if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
-                raise ValueError("poisson rates must be finite and positive")
-            object.__setattr__(self, "lam", lam)
-        elif self.lam is not None:
-            raise ValueError("wiener noise takes no rates")
-
-    @property
-    def k(self) -> int:
-        return self.G.shape[1]
 
 
 @dataclass(frozen=True)
@@ -95,23 +74,69 @@ def expected_reduction(prob: BilinearProblem, noise: NoiseSpec) -> BilinearProbl
     return prob.with_g(g)
 
 
-def _batch_field(prob: BilinearProblem, utraj: GriddedTrajectory):
-    """Bilinear right-hand side vectorized over paths with per-path times."""
-    Bs = np.stack(prob.Blist)  # (m, n, n)
+class _PathRows:
+    """The (sample, path) rows of one batch and the table they are written to.
 
-    def rhs(Y, t):
-        # Y: (M, n); t: (M,) or scalar
-        u = np.atleast_2d(utraj.at(t))  # (M, m) or (1, m)
-        drift = Y @ prob.A.T + u @ prob.B.T + prob.g
-        coupling = np.einsum("pm,mnk,pk->pn", u, Bs, Y)
-        return drift + coupling
+    Rows are sample-major: row r is path r % M of sample samples[r // M].
+    `coeffs` holds each row's drift, input, bilinear and translation blocks,
+    `noises` each chosen sample's NoiseSpec.
+    """
 
-    return rhs
+    def __init__(self, prob, noise, q, samples, M, grid):
+        if M < 1:
+            raise ValueError("M must be >= 1")
+        self.samples = range(q) if samples is None else samples
+        if len(self.samples) == 0 or any(not 0 <= j < q for j in self.samples):
+            raise ValueError(f"samples must be indices of the {q} stacked samples")
+        pairs = unstack(prob, noise, q)
+        subs = [pairs[j][0] for j in self.samples]
+        self.noises = [pairs[j][1] for j in self.samples]
+
+        def rows(values):
+            return np.repeat(np.stack(values), M, axis=0)
+
+        self.coeffs = (rows([s.A for s in subs]), rows([s.B for s in subs]),
+                       rows([np.stack(s.Blist) for s in subs]), rows([s.g for s in subs]))
+        self.x0 = rows([s.x0 for s in subs])
+        self.q, self.M, self.grid = q, M, grid
+
+    def start(self):
+        """Allocate the (M, nodes, samples, b) table, store node 0, return the rows' x0."""
+        self.states = np.empty((self.M, self.grid.steps + 1, len(self.samples), self.x0.shape[1]))
+        self.store(0, self.x0)
+        return self.x0.copy()
+
+    def field(self, rows=slice(None)):
+        """Bilinear right-hand side rhs(Y, u) of the given rows, Y (rows, b),
+        under the controls u (rows or 1, m) at the rows' times."""
+        A, B, Bs, g = (c[rows] for c in self.coeffs)
+
+        def rhs(Y, u):
+            drift = np.einsum("rnk,rk->rn", A, Y) + np.einsum("rnm,rm->rn", B, u) + g
+            return drift + np.einsum("rm,rmnk,rk->rn", u, Bs, Y)
+
+        return rhs
+
+    def store(self, i, Y):
+        """Write node i of every row; a non-finite row raises naming its path."""
+        M = self.M
+        self.states[:, i] = Y.reshape(len(self.samples), M, -1).swapaxes(0, 1)
+        if not np.all(np.isfinite(Y)):
+            r = int(np.flatnonzero(~np.all(np.isfinite(Y), axis=1))[0])
+            path = f"path {r % M}" if self.q == 1 else f"sample {self.samples[r // M]} path {r % M}"
+            raise RuntimeError(f"{path} blew up at node {i} (t={self.grid.nodes[i]:.6g})")
+
+    def batch(self, seed, jump_counts=None):
+        states = self.states.reshape(self.M, self.grid.steps + 1, -1)
+        return PathBatch(paths=self.M, grid=self.grid, states=states, rng_seed=seed,
+                         jump_counts=jump_counts)
 
 
-def _rk4_path_step(rhs, Y, t, h):
-    """One RK4 step of every path in Y from its own time t over its own step h."""
-    return rk4_step(rhs, Y, h[:, np.newaxis], (t,), (t + 0.5 * h,), (t + h,))
+def _rk4_path_step(rhs, utraj, Y, t, h):
+    """One RK4 step of every row from its own time t over its own step h,
+    with the control interpolated once at the step's start, midpoint and end."""
+    return rk4_step(rhs, Y, h[:, np.newaxis], (utraj.at(t),), (utraj.at(t + 0.5 * h),),
+                    (utraj.at(t + h),))
 
 
 def _draw_jump_times(rng, lam: np.ndarray, M: int, tf: float):
@@ -156,54 +181,55 @@ def simulate_poisson_paths(
     utraj: GriddedTrajectory,
     M: int,
     seed: int,
+    q: int = 1,
+    samples: range | None = None,
 ) -> PathBatch:
     """Jump-diffusion paths: RK4 drift between jumps, jumps at exact times.
 
     Jump times come from exponential inter-arrivals per counter; at a jump
-    of counter j the state gains column j of G.  The RK4 step is split at
-    each jump instant, which removes the O(h) placement bias of node-aligned
-    jump handling.
+    of counter c the state gains column c of its sample's G.  The RK4 step
+    of a row is split at each of its jump instants, which removes the O(h)
+    placement bias of node-aligned jump handling.  `prob` and `noise` stack
+    q samples, of which the samples in `samples` (all by default) run; see
+    the module docstring for the rows, streams and the `states` layout.
+    `jump_counts` has shape (paths, chosen samples * k).
     """
     if noise.kind != "poisson":
         raise ValueError("simulate_poisson_paths requires poisson noise")
-    if M < 1:
-        raise ValueError("M must be >= 1")
     grid = utraj.grid
-    n = prob.n
-    rng = np.random.Generator(np.random.Philox(seed))
-    jt, jc, offsets, counts = _draw_jump_times(rng, noise.lam, M, grid.tf)
-    jt = np.append(jt, np.inf)  # a path past its last jump reads this sentinel
+    paths = _PathRows(prob, noise, q, samples, M, grid)
+    draws = [_draw_jump_times(np.random.Generator(np.random.Philox(seed + j)), nz.lam, M, grid.tf)
+             for j, nz in zip(paths.samples, paths.noises)]
+    # One jump list in row order; a row past its last jump reads the sentinel.
+    times, counters, offsets, counts = zip(*draws)
+    base = np.cumsum([0] + [len(t) for t in times])
+    jt = np.concatenate(times + ([np.inf],))
+    jc = np.concatenate(counters)
+    offsets = np.concatenate([o[:-1] + b for o, b in zip(offsets, base)] + [base[-1:]])
+    G_cols = np.stack([nz.G.T for nz in paths.noises])  # (chosen samples, k, b)
 
-    rhs = _batch_field(prob, utraj)
-    G_cols = noise.G.T  # (k, n)
+    rhs = paths.field()
     nodes = grid.nodes
-    states = np.empty((M, grid.steps + 1, n))
-    Y = np.tile(prob.x0, (M, 1))
-    states[:, 0] = Y
+    Y = paths.start()  # after the draws, whose temporaries are gone by then
     ptr = offsets[:-1].copy()
     ends = offsets[1:]
-
-    for i in range(grid.steps):
-        t_right = nodes[i + 1]
-        tcur = np.full(M, nodes[i])
-        while True:
-            next_t = np.where(ptr < ends, jt[ptr], np.inf)
-            active = next_t <= t_right
-            if not np.any(active):
-                break
-            ya = Y[active]
-            ya = _rk4_path_step(rhs, ya, tcur[active], next_t[active] - tcur[active])
-            ya += G_cols[jc[ptr[active]]]
-            Y[active] = ya
-            tcur[active] = next_t[active]
-            ptr[active] += 1
-        Y = _rk4_path_step(rhs, Y, tcur, t_right - tcur)
-        if not np.all(np.isfinite(Y)):
-            bad = int(np.where(~np.all(np.isfinite(Y), axis=1))[0][0])
-            raise RuntimeError(f"path {bad} blew up at node {i + 1} (t={t_right:.6g})")
-        states[:, i + 1] = Y
-
-    return PathBatch(paths=M, grid=grid, states=states, rng_seed=seed, jump_counts=counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.steps):
+            t_right = nodes[i + 1]
+            tcur = np.full(len(Y), nodes[i])
+            while True:
+                next_t = np.where(ptr < ends, jt[ptr], np.inf)
+                rows = np.flatnonzero(next_t <= t_right)
+                if rows.size == 0:
+                    break
+                t = tcur[rows]
+                Y[rows] = (_rk4_path_step(paths.field(rows), utraj, Y[rows], t, next_t[rows] - t)
+                           + G_cols[rows // M, jc[ptr[rows]]])
+                tcur[rows] = next_t[rows]
+                ptr[rows] += 1
+            Y = _rk4_path_step(rhs, utraj, Y, tcur, t_right - tcur)
+            paths.store(i + 1, Y)
+    return paths.batch(seed, np.hstack(counts))
 
 
 def simulate_wiener_paths(
@@ -212,29 +238,32 @@ def simulate_wiener_paths(
     utraj: GriddedTrajectory,
     M: int,
     seed: int,
+    q: int = 1,
+    samples: range | None = None,
 ) -> PathBatch:
-    """Euler-Maruyama on the grid: drift step plus G (sqrt(h) N(0, I))."""
+    """Euler-Maruyama on the grid: drift step plus G (sqrt(h) N(0, I)).
+
+    `prob`, `noise`, `q` and `samples` as in `simulate_poisson_paths`.
+    """
     if noise.kind != "wiener":
         raise ValueError("simulate_wiener_paths requires wiener noise")
-    if M < 1:
-        raise ValueError("M must be >= 1")
     grid = utraj.grid
-    rng = np.random.Generator(np.random.Philox(seed))
-    rhs = _batch_field(prob, utraj)
+    paths = _PathRows(prob, noise, q, samples, M, grid)
+    rngs = [np.random.Generator(np.random.Philox(seed + j)) for j in paths.samples]
+    G = np.repeat(np.stack([nz.G for nz in paths.noises]), M, axis=0)  # (rows, b, k)
+    k = G.shape[2]
+    rhs = paths.field()
     nodes = grid.nodes
     h = grid.h
     sqrt_h = np.sqrt(h)
-    states = np.empty((M, grid.steps + 1, prob.n))
-    Y = np.tile(prob.x0, (M, 1))
-    states[:, 0] = Y
-    for i in range(grid.steps):
-        xi = rng.standard_normal((M, noise.k))
-        Y = Y + h * rhs(Y, nodes[i]) + sqrt_h * (xi @ noise.G.T)
-        if not np.all(np.isfinite(Y)):
-            bad = int(np.where(~np.all(np.isfinite(Y), axis=1))[0][0])
-            raise RuntimeError(f"path {bad} blew up at node {i + 1} (t={nodes[i + 1]:.6g})")
-        states[:, i + 1] = Y
-    return PathBatch(paths=M, grid=grid, states=states, rng_seed=seed)
+    Y = paths.start()
+    U = utraj.at(nodes)[:, np.newaxis]  # (nodes, 1, m): every row's control at a node
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.steps):
+            xi = np.concatenate([rng.standard_normal((M, k)) for rng in rngs])
+            Y = Y + h * rhs(Y, U[i]) + sqrt_h * np.einsum("rnk,rk->rn", G, xi)
+            paths.store(i + 1, Y)
+    return paths.batch(seed)
 
 
 @dataclass(frozen=True)

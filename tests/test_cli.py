@@ -4,6 +4,7 @@ import pytest
 
 from bilqr.cli import main
 from bilqr.scenarios import build
+from bilqr.stochastic import simulate_poisson_paths
 
 LINEAR_PROBLEM = {
     "kind": "single",
@@ -319,3 +320,48 @@ def test_problem_file_ensemble_matches_its_scenario(tmp_path):
         reports[name] = (summary["terminal_cost_averaged"],
                          json.loads((out / "validate.json").read_text()))
     assert reports["problem"] == reports["scenario"]
+
+
+def test_validate_monte_carlo_groups_do_not_change_the_report(tmp_path, monkeypatch):
+    # one sample per group and all samples in one group write the same bytes
+    import bilqr.cli as cli
+
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", "iaf_case1", "--q", "3", "--grid", "200",
+                 "--out", str(out)]) == 0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return simulate_poisson_paths(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_poisson_paths", counted)
+    reports = {}
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(cli, "_MC_GROUP_BYTES", budget)
+        assert main(["validate", "--run", str(out), "--mc-paths", "40", "--seed", "1185"]) == 0
+        reports[budget] = (out / "validate.json").read_bytes()
+    assert calls == [range(0, 1), range(1, 2), range(2, 3), range(0, 3)]
+    assert reports[1] == reports[1 << 40]
+    assert json.loads(reports[1])["mc"]["max_standardized_deviation"] is not None
+
+
+def test_validate_truncated_state_file_exit_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", "iaf_case1", "--q", "1", "--grid", "50",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    state = out / "state_1.csv"
+    state.write_text("".join(state.read_text().splitlines(keepends=True)[:3]))
+    assert main(["validate", "--run", str(out)]) == 1
+    assert "state_1.csv" in one_error_line(capsys)
+
+
+def test_validate_missing_sample_state_file_exit_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", "iaf_case1", "--q", "2", "--grid", "50",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / "state_2.csv").unlink()
+    assert main(["validate", "--run", str(out)]) == 1
+    assert "1 state columns" in one_error_line(capsys)

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bilqr.ensemble import stack_noise
+from bilqr.ensemble import SampleCoefficients, sample_view, stack_coefficients, stack_noise, unstack
 from bilqr.model import BilinearProblem
 from bilqr.numkit import GriddedTrajectory, TimeGrid, integrate_forward
 from bilqr.solver import simulate_bilinear
@@ -207,3 +209,72 @@ def test_poisson_mean_tracks_expected_reduction():
     det = integrate_forward(lambda t, y: reduced.A @ y + reduced.g, reduced.x0, grid)
     report = mean_consistency(batch, det)
     assert report.max_standardized_deviation < 4.0
+
+
+def sample_stack(b, m, k, kind, q=3, seed=0):
+    """q random b-state samples, stacked in the ensemble layout, and each sample alone."""
+    rng = np.random.default_rng(seed)
+    coeffs, noises = [], []
+    for _ in range(q):
+        coeffs.append(SampleCoefficients(
+            A=-np.eye(b) + 0.3 * rng.normal(size=(b, b)), B=rng.normal(size=(b, m)),
+            Blist=tuple(0.2 * rng.normal(size=(b, b)) for _ in range(m)),
+            g=0.1 * rng.normal(size=b), x0=rng.normal(size=b), xd=np.zeros(b)))
+        G = 0.2 * rng.normal(size=(b, k))
+        lam = rng.uniform(1.0, 3.0, size=k) if kind == "poisson" else None
+        noises.append(NoiseSpec(kind, G, lam))
+    stack, noise = stack_coefficients(coeffs, 3.0, np.eye(m)), stack_noise(noises)
+    return stack, noise, unstack(stack, noise, q)
+
+
+SIMULATORS = {"poisson": simulate_poisson_paths, "wiener": simulate_wiener_paths}
+
+
+@pytest.mark.parametrize("kind", ["poisson", "wiener"])
+def test_stacked_samples_match_single_system_calls(kind):
+    simulate = SIMULATORS[kind]
+    stack, noise, singles = sample_stack(1, 1, 1, kind)
+    grid = TimeGrid(0.0, stack.tf, 150)
+    u = GriddedTrajectory(grid, 0.3 * np.sin(grid.nodes)[:, np.newaxis])
+    batch = simulate(stack, noise, u, M=25, seed=40, q=3)
+    states = sample_view(batch.states, 3)
+    for j, (sub, sub_noise) in enumerate(singles):
+        single = simulate(sub, sub_noise, u, M=25, seed=40 + j)
+        np.testing.assert_array_equal(states[:, :, j], single.states)
+        if kind == "poisson":
+            np.testing.assert_array_equal(batch.jump_counts[:, j:j + 1], single.jump_counts)
+    # a group of later samples draws the same streams as the whole stack
+    tail = simulate(stack, noise, u, M=25, seed=40, q=3, samples=range(1, 3))
+    np.testing.assert_array_equal(tail.states, batch.states[:, :, 1:])
+    with pytest.raises(ValueError, match="indices of the 3 stacked samples"):
+        simulate(stack, noise, u, M=25, seed=40, q=3, samples=range(2, 4))
+
+
+@pytest.mark.parametrize("kind", ["poisson", "wiener"])
+def test_stacked_multistate_samples_match_single_system_calls(kind):
+    simulate = SIMULATORS[kind]
+    stack, noise, singles = sample_stack(2, 2, 2, kind, seed=1)
+    grid = TimeGrid(0.0, stack.tf, 150)
+    u = GriddedTrajectory(grid, 0.3 * np.sin(np.outer(grid.nodes, [1.0, 2.0])))
+    states = sample_view(simulate(stack, noise, u, M=25, seed=40, q=3).states, 3)
+    for j, (sub, sub_noise) in enumerate(singles):
+        single = simulate(sub, sub_noise, u, M=25, seed=40 + j)
+        np.testing.assert_allclose(states[:, :, j], single.states, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["poisson", "wiener"])
+def test_blowup_names_the_sample_and_path(kind):
+    simulate = SIMULATORS[kind]
+    stack, noise, _ = sample_stack(1, 1, 1, kind, q=2)
+    A = stack.A.copy()
+    A[1, 1] = 1e5  # sample 1 overflows within the grid; sample 0 decays
+    stack = dataclasses.replace(stack, A=A)
+    grid = TimeGrid(0.0, stack.tf, 100)
+    u = zero_control(grid)
+    for samples in (None, range(1, 2)):  # the stack's own sample index, also in a group
+        with pytest.raises(RuntimeError, match=r"^sample 1 path 0 blew up at node \d+ \(t="):
+            simulate(stack, noise, u, M=10, seed=2, q=2, samples=samples)
+    sub, sub_noise = unstack(stack, noise, 2)[1]
+    with pytest.raises(RuntimeError, match=r"^path 0 blew up at node \d+ \(t="):
+        simulate(sub, sub_noise, u, M=10, seed=3)
+    simulate(stack, noise, u, M=10, seed=2, q=2, samples=range(1))  # sample 0 alone is finite
