@@ -311,7 +311,9 @@ def _ensemble_mc_statistic(setup: RunSetup, utraj, resim, M: int, seed: int) -> 
     Given the shared control the samples are independent; sample j draws
     its paths from seed + j.  The samples run together, one batched path
     loop per group, with as many samples per group as fit a path table of
-    _MC_GROUP_BYTES (at least one), which bounds memory.  Each group is
+    _MC_GROUP_BYTES (at least one), which bounds memory: the simulators hold
+    each sample's coefficients once, so a group's table is its largest
+    array (the statistic adds its temporaries).  Each group is
     compared with its block of the resimulated state, and the statistic is
     the largest over the groups.  The paths evolve the raw stochastic
     system: the Poisson part of the reduced translation is subtracted and

@@ -9,13 +9,14 @@ not an approximation study.
 
 The simulators take a stack of q samples in the layout of `bilqr.ensemble`
 (q = 1: a single system) and run the paths of the chosen samples in one
-batched pass: each (sample, path) pair is one row of a single state array,
-every row reads its own sample's drift, input, bilinear and noise blocks,
-and one time-stepping loop advances all rows.  The control is interpolated
-once per step at each row's step start, midpoint and end.  A batch's
-`states` has shape (paths, nodes, chosen samples * b), the stacked layout
-of the chosen samples; memory grows with that table, so a caller bounds it
-by choosing fewer samples per call.
+batched pass.  The state has shape (samples, paths, b): each sample keeps
+its own drift, input, bilinear and noise blocks once, and every step is a
+matrix product per sample over all its paths (for one sample, the plain
+`Y @ A.T` of a single system).  The control is interpolated once per step
+at each path's step start, midpoint and end.  A batch's `states` has shape
+(paths, nodes, chosen samples * b), the stacked layout of the chosen
+samples.  Memory is that table plus a few of its rows and the jump lists,
+so a caller bounds it by choosing fewer samples per call.
 
 All sampling uses the counter-based Philox generator: sample j draws from
 the stream keyed by seed + j, so identical (seed, M, grid) inputs reproduce
@@ -74,69 +75,47 @@ def expected_reduction(prob: BilinearProblem, noise: NoiseSpec) -> BilinearProbl
     return prob.with_g(g)
 
 
-class _PathRows:
-    """The (sample, path) rows of one batch and the table they are written to.
+def _sample_blocks(prob, noise, q, samples, M):
+    """The chosen samples, their coefficient stacks (A, B, Bs, g) with a
+    leading sample axis, their initial states (S, b) and their NoiseSpecs."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    if noise.G.shape[0] != prob.n:
+        raise ValueError(f"G must have {prob.n} rows, got {noise.G.shape[0]}")
+    samples = range(q) if samples is None else samples
+    if len(samples) == 0 or any(not 0 <= j < q for j in samples):
+        raise ValueError(f"samples must be indices of the {q} stacked samples")
+    pairs = unstack(prob, noise, q)
+    subs = [pairs[j][0] for j in samples]
+    coeffs = (np.stack([s.A for s in subs]), np.stack([s.B for s in subs]),
+              np.stack([np.stack(s.Blist) for s in subs]), np.stack([s.g for s in subs]))
+    return samples, coeffs, np.stack([s.x0 for s in subs]), [pairs[j][1] for j in samples]
 
-    Rows are sample-major: row r is path r % M of sample samples[r // M].
-    `coeffs` holds each row's drift, input, bilinear and translation blocks,
-    `noises` each chosen sample's NoiseSpec.
-    """
 
-    def __init__(self, prob, noise, q, samples, M, grid):
-        if M < 1:
-            raise ValueError("M must be >= 1")
-        self.samples = range(q) if samples is None else samples
-        if len(self.samples) == 0 or any(not 0 <= j < q for j in self.samples):
-            raise ValueError(f"samples must be indices of the {q} stacked samples")
-        pairs = unstack(prob, noise, q)
-        subs = [pairs[j][0] for j in self.samples]
-        self.noises = [pairs[j][1] for j in self.samples]
+def _batch_field(A, B, Bs, g):
+    """Bilinear right-hand side rhs(Y, u) of states Y (S, rows, b) under
+    controls u (S or 1, rows or 1, m), sample s under its own blocks."""
+    At, Bt, g = A.swapaxes(1, 2), B.swapaxes(1, 2), g[:, np.newaxis]
 
-        def rows(values):
-            return np.repeat(np.stack(values), M, axis=0)
+    def rhs(Y, u):
+        drift = Y @ At + u @ Bt + g
+        return drift + np.einsum("spm,smnk,spk->spn", u, Bs, Y)
 
-        self.coeffs = (rows([s.A for s in subs]), rows([s.B for s in subs]),
-                       rows([np.stack(s.Blist) for s in subs]), rows([s.g for s in subs]))
-        self.x0 = rows([s.x0 for s in subs])
-        self.q, self.M, self.grid = q, M, grid
-
-    def start(self):
-        """Allocate the (M, nodes, samples, b) table, store node 0, return the rows' x0."""
-        self.states = np.empty((self.M, self.grid.steps + 1, len(self.samples), self.x0.shape[1]))
-        self.store(0, self.x0)
-        return self.x0.copy()
-
-    def field(self, rows=slice(None)):
-        """Bilinear right-hand side rhs(Y, u) of the given rows, Y (rows, b),
-        under the controls u (rows or 1, m) at the rows' times."""
-        A, B, Bs, g = (c[rows] for c in self.coeffs)
-
-        def rhs(Y, u):
-            drift = np.einsum("rnk,rk->rn", A, Y) + np.einsum("rnm,rm->rn", B, u) + g
-            return drift + np.einsum("rm,rmnk,rk->rn", u, Bs, Y)
-
-        return rhs
-
-    def store(self, i, Y):
-        """Write node i of every row; a non-finite row raises naming its path."""
-        M = self.M
-        self.states[:, i] = Y.reshape(len(self.samples), M, -1).swapaxes(0, 1)
-        if not np.all(np.isfinite(Y)):
-            r = int(np.flatnonzero(~np.all(np.isfinite(Y), axis=1))[0])
-            path = f"path {r % M}" if self.q == 1 else f"sample {self.samples[r // M]} path {r % M}"
-            raise RuntimeError(f"{path} blew up at node {i} (t={self.grid.nodes[i]:.6g})")
-
-    def batch(self, seed, jump_counts=None):
-        states = self.states.reshape(self.M, self.grid.steps + 1, -1)
-        return PathBatch(paths=self.M, grid=self.grid, states=states, rng_seed=seed,
-                         jump_counts=jump_counts)
+    return rhs
 
 
 def _rk4_path_step(rhs, utraj, Y, t, h):
-    """One RK4 step of every row from its own time t over its own step h,
+    """One RK4 step of every path from its own time t over its own step h,
     with the control interpolated once at the step's start, midpoint and end."""
-    return rk4_step(rhs, Y, h[:, np.newaxis], (utraj.at(t),), (utraj.at(t + 0.5 * h),),
+    return rk4_step(rhs, Y, h[..., np.newaxis], (utraj.at(t),), (utraj.at(t + 0.5 * h),),
                     (utraj.at(t + h),))
+
+
+def _raise_blowup(Y, samples, q, i, t):
+    """Name the first non-finite (sample, path) row of Y (S, M, b)."""
+    s, p = np.argwhere(~np.all(np.isfinite(Y), axis=2))[0]
+    path = f"path {p}" if q == 1 else f"sample {samples[s]} path {p}"
+    raise RuntimeError(f"{path} blew up at node {i} (t={t:.6g})")
 
 
 def _draw_jump_times(rng, lam: np.ndarray, M: int, tf: float):
@@ -188,48 +167,66 @@ def simulate_poisson_paths(
 
     Jump times come from exponential inter-arrivals per counter; at a jump
     of counter c the state gains column c of its sample's G.  The RK4 step
-    of a row is split at each of its jump instants, which removes the O(h)
+    of a path is split at each of its jump instants, which removes the O(h)
     placement bias of node-aligned jump handling.  `prob` and `noise` stack
     q samples, of which the samples in `samples` (all by default) run; see
-    the module docstring for the rows, streams and the `states` layout.
-    `jump_counts` has shape (paths, chosen samples * k).
+    the module docstring for the layout and the streams.  `jump_counts` has
+    shape (paths, chosen samples * k).
     """
     if noise.kind != "poisson":
         raise ValueError("simulate_poisson_paths requires poisson noise")
     grid = utraj.grid
-    paths = _PathRows(prob, noise, q, samples, M, grid)
+    samples, coeffs, x0, noises = _sample_blocks(prob, noise, q, samples, M)
+    S, b = x0.shape
     draws = [_draw_jump_times(np.random.Generator(np.random.Philox(seed + j)), nz.lam, M, grid.tf)
-             for j, nz in zip(paths.samples, paths.noises)]
-    # One jump list in row order; a row past its last jump reads the sentinel.
+             for j, nz in zip(samples, noises)]
+    # One jump list over the rows r = s M + p of Y.reshape(S M, b); a row
+    # past its last jump reads the sentinel.
     times, counters, offsets, counts = zip(*draws)
     base = np.cumsum([0] + [len(t) for t in times])
     jt = np.concatenate(times + ([np.inf],))
     jc = np.concatenate(counters)
-    offsets = np.concatenate([o[:-1] + b for o, b in zip(offsets, base)] + [base[-1:]])
-    G_cols = np.stack([nz.G.T for nz in paths.noises])  # (chosen samples, k, b)
+    offsets = np.concatenate([o[:-1] + o0 for o, o0 in zip(offsets, base)] + [base[-1:]])
+    G_cols = np.stack([nz.G.T for nz in noises])  # (S, k, b)
 
-    rhs = paths.field()
+    rhs = _batch_field(*coeffs)
     nodes = grid.nodes
-    Y = paths.start()  # after the draws, whose temporaries are gone by then
+    states = np.empty((M, grid.steps + 1, S, b))  # after the draws' temporaries are gone
+    Y = np.repeat(x0[:, np.newaxis], M, axis=1)
+    states[:, 0] = Y.swapaxes(0, 1)
     ptr = offsets[:-1].copy()
     ends = offsets[1:]
+    first = np.arange(S) * M
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.steps):
             t_right = nodes[i + 1]
-            tcur = np.full(len(Y), nodes[i])
+            tcur = np.full(S * M, nodes[i])
             while True:
                 next_t = np.where(ptr < ends, jt[ptr], np.inf)
                 rows = np.flatnonzero(next_t <= t_right)
                 if rows.size == 0:
                     break
-                t = tcur[rows]
-                Y[rows] = (_rk4_path_step(paths.field(rows), utraj, Y[rows], t, next_t[rows] - t)
-                           + G_cols[rows // M, jc[ptr[rows]]])
+                # Each sample's jumping rows, padded to the largest count
+                # with its row 0 over a zero step, which is discarded.
+                s = rows // M
+                jumping = np.bincount(s, minlength=S)
+                slot = np.arange(rows.size) - (np.cumsum(jumping) - jumping)[s]
+                pad = np.repeat(first, jumping.max()).reshape(S, -1)
+                pad[s, slot] = rows
+                h = np.zeros(pad.shape)
+                h[s, slot] = next_t[rows] - tcur[rows]
+                Yr = Y.reshape(S * M, b)
+                step = _rk4_path_step(rhs, utraj, Yr[pad], tcur[pad], h)
+                Yr[rows] = step[s, slot] + G_cols[s, jc[ptr[rows]]]
                 tcur[rows] = next_t[rows]
                 ptr[rows] += 1
+            tcur = tcur.reshape(S, M)
             Y = _rk4_path_step(rhs, utraj, Y, tcur, t_right - tcur)
-            paths.store(i + 1, Y)
-    return paths.batch(seed, np.hstack(counts))
+            if not np.all(np.isfinite(Y)):
+                _raise_blowup(Y, samples, q, i + 1, t_right)
+            states[:, i + 1] = Y.swapaxes(0, 1)
+    return PathBatch(paths=M, grid=grid, states=states.reshape(M, grid.steps + 1, S * b),
+                     rng_seed=seed, jump_counts=np.hstack(counts))
 
 
 def simulate_wiener_paths(
@@ -248,22 +245,28 @@ def simulate_wiener_paths(
     if noise.kind != "wiener":
         raise ValueError("simulate_wiener_paths requires wiener noise")
     grid = utraj.grid
-    paths = _PathRows(prob, noise, q, samples, M, grid)
-    rngs = [np.random.Generator(np.random.Philox(seed + j)) for j in paths.samples]
-    G = np.repeat(np.stack([nz.G for nz in paths.noises]), M, axis=0)  # (rows, b, k)
-    k = G.shape[2]
-    rhs = paths.field()
+    samples, coeffs, x0, noises = _sample_blocks(prob, noise, q, samples, M)
+    S, b = x0.shape
+    rngs = [np.random.Generator(np.random.Philox(seed + j)) for j in samples]
+    Gt = np.stack([nz.G.T for nz in noises])  # (S, k, b)
+    k = Gt.shape[1]
+    rhs = _batch_field(*coeffs)
     nodes = grid.nodes
     h = grid.h
     sqrt_h = np.sqrt(h)
-    Y = paths.start()
-    U = utraj.at(nodes)[:, np.newaxis]  # (nodes, 1, m): every row's control at a node
+    states = np.empty((M, grid.steps + 1, S, b))
+    Y = np.repeat(x0[:, np.newaxis], M, axis=1)
+    states[:, 0] = Y.swapaxes(0, 1)
+    U = utraj.at(nodes)[:, np.newaxis, np.newaxis]  # (nodes, 1, 1, m): every path's control
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.steps):
-            xi = np.concatenate([rng.standard_normal((M, k)) for rng in rngs])
-            Y = Y + h * rhs(Y, U[i]) + sqrt_h * np.einsum("rnk,rk->rn", G, xi)
-            paths.store(i + 1, Y)
-    return paths.batch(seed)
+            xi = np.stack([rng.standard_normal((M, k)) for rng in rngs])
+            Y = Y + h * rhs(Y, U[i]) + sqrt_h * (xi @ Gt)
+            if not np.all(np.isfinite(Y)):
+                _raise_blowup(Y, samples, q, i + 1, nodes[i + 1])
+            states[:, i + 1] = Y.swapaxes(0, 1)
+    return PathBatch(paths=M, grid=grid, states=states.reshape(M, grid.steps + 1, S * b),
+                     rng_seed=seed)
 
 
 @dataclass(frozen=True)

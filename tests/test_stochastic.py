@@ -278,3 +278,11 @@ def test_blowup_names_the_sample_and_path(kind):
     with pytest.raises(RuntimeError, match=r"^path 0 blew up at node \d+ \(t="):
         simulate(sub, sub_noise, u, M=10, seed=3)
     simulate(stack, noise, u, M=10, seed=2, q=2, samples=range(1))  # sample 0 alone is finite
+
+
+@pytest.mark.parametrize("kind", ["poisson", "wiener"])
+def test_noise_with_more_rows_than_states_is_rejected(kind):
+    stack, noise, singles = sample_stack(1, 1, 1, kind, q=2)
+    grid = TimeGrid(0.0, stack.tf, 20)
+    with pytest.raises(ValueError, match="G must have 1 rows, got 2"):
+        SIMULATORS[kind](singles[0][0], noise, zero_control(grid), M=5, seed=0)
