@@ -196,7 +196,6 @@ def simulate_poisson_paths(
     states[:, 0] = Y.swapaxes(0, 1)
     ptr = offsets[:-1].copy()
     ends = offsets[1:]
-    first = np.arange(S) * M
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.steps):
             t_right = nodes[i + 1]
@@ -207,11 +206,11 @@ def simulate_poisson_paths(
                 if rows.size == 0:
                     break
                 # Each sample's jumping rows, padded to the largest count
-                # with its row 0 over a zero step, which is discarded.
+                # with row 0 over a zero step, which is discarded.
                 s = rows // M
                 jumping = np.bincount(s, minlength=S)
                 slot = np.arange(rows.size) - (np.cumsum(jumping) - jumping)[s]
-                pad = np.repeat(first, jumping.max()).reshape(S, -1)
+                pad = np.zeros((S, jumping.max()), dtype=int)
                 pad[s, slot] = rows
                 h = np.zeros(pad.shape)
                 h[s, slot] = next_t[rows] - tcur[rows]
