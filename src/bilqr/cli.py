@@ -219,10 +219,19 @@ def _read_control(path: Path, tf: float) -> GriddedTrajectory:
     grid = TimeGrid(float(nodes[0]), float(nodes[-1]), len(nodes) - 1)
     if abs(grid.tf - tf) > 1e-9 * max(1.0, tf):
         raise ProblemFileError(f"control horizon {grid.tf} does not match problem tf {tf}")
+    off = np.flatnonzero(~(np.abs(nodes - grid.nodes) <= 1e-9 * (grid.tf - grid.t0)))
+    if off.size:
+        i = off[0]
+        raise ProblemFileError(f"{path}: row {i + 1} has t = {float(nodes[i])}, off the "
+                               f"uniform grid's node {float(grid.nodes[i])}")
     return GriddedTrajectory(grid, data[:, 1:])
 
 
 def cmd_validate(args) -> int:
+    for flag, value in (("--mc-paths", args.mc_paths), ("--seed", args.seed)):
+        if value is not None and value < 0:
+            print(f"error: {flag} must be >= 0", file=sys.stderr)
+            return 1
     run_dir = Path(args.run)
     summary_path = run_dir / "summary.json"
     control_path = run_dir / "control.csv"

@@ -8,8 +8,9 @@ Riemann-sum average of the per-sample errors.
 
 This module owns the stacked layout: sample j owns state rows j b:(j + 1) b
 and noise columns j k:(j + 1) k, with b = n / q and k = (noise channels) / q.
-`stack_coefficients` and `stack_noise` build it; `unstack` and `sample_view`
-read it back.
+`stack_coefficients` and `stack_noise` build it, placing the per-sample
+drift, bilinear maps and noise matrices with the numpy helper `_block_diag`;
+`unstack` and `sample_view` read it back.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .model import BilinearProblem, NoiseSpec
 from .solver import SolveOptions, solve
@@ -119,6 +119,22 @@ def sample_uniform(spec: EnsembleSpec) -> list:
     return [tuple(float(v) for v in combo) for combo in itertools.product(*axes)]
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """Dense matrix with the blocks on its diagonal in order, zeros elsewhere.
+
+    A 1-D block is one row and a 0-d block is 1 x 1; blocks need not be
+    square.  The dtype is the blocks' result type.
+    """
+    blocks = [np.atleast_2d(blk) for blk in blocks]
+    rows, cols = np.sum([blk.shape for blk in blocks], axis=0)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for blk in blocks:
+        out[r:r + blk.shape[0], c:c + blk.shape[1]] = blk
+        r, c = r + blk.shape[0], c + blk.shape[1]
+    return out
+
+
 def stack_coefficients(
     coeffs: Sequence[SampleCoefficients],
     tf: float,
@@ -130,11 +146,9 @@ def stack_coefficients(
     if q < 1:
         raise ValueError("need at least one sample")
     m = np.atleast_2d(np.asarray(coeffs[0].B, dtype=float).reshape(len(coeffs[0].x0), -1)).shape[1]
-    A = block_diag(*[c.A for c in coeffs])
+    A = _block_diag([c.A for c in coeffs])
     B = np.vstack([np.asarray(c.B, dtype=float).reshape(-1, m) for c in coeffs])
-    Blist = tuple(
-        block_diag(*[np.atleast_2d(c.Blist[i]) for c in coeffs]) for i in range(m)
-    )
+    Blist = tuple(_block_diag([c.Blist[i] for c in coeffs]) for i in range(m))
     g = np.concatenate([np.atleast_1d(c.g) for c in coeffs])
     x0 = np.concatenate([np.atleast_1d(c.x0) for c in coeffs])
     xd = np.concatenate([np.atleast_1d(c.xd) for c in coeffs])
@@ -165,7 +179,7 @@ def stack_noise(specs: Sequence[NoiseSpec]) -> NoiseSpec:
     if len(kinds) != 1:
         raise ValueError(f"every sample needs the same noise kind and number of noise "
                          f"channels, got {kinds}")
-    G = block_diag(*[s.G for s in specs])
+    G = _block_diag([s.G for s in specs])
     if specs[0].kind == "poisson":
         return NoiseSpec("poisson", G, np.concatenate([s.lam for s in specs]))
     return NoiseSpec("wiener", G)

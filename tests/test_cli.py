@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -365,3 +369,50 @@ def test_validate_missing_sample_state_file_exit_one(tmp_path, capsys):
     (out / "state_2.csv").unlink()
     assert main(["validate", "--run", str(out)]) == 1
     assert "1 state columns" in one_error_line(capsys)
+
+
+def solve_iaf(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", "iaf_case1", "--q", "1", "--grid", "20",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out
+
+
+@pytest.mark.parametrize("extra, flag", [(("--mc-paths", "-3"), "--mc-paths"),
+                                         (("--mc-paths", "2", "--seed", "-1"), "--seed")])
+def test_validate_rejects_negative_paths_and_seed(tmp_path, capsys, extra, flag):
+    out = solve_iaf(tmp_path, capsys)
+    assert main(["validate", "--run", str(out), *extra]) == 1
+    assert flag in one_error_line(capsys)
+    assert not (out / "validate.json").exists()
+
+
+def test_validate_off_grid_control_time_exit_one(tmp_path, capsys):
+    out = solve_iaf(tmp_path, capsys)
+    control = out / "control.csv"
+    lines = control.read_text().splitlines(keepends=True)
+    lines[3] = "0.9," + lines[3].split(",", 1)[1]  # row 3 lies at t = 1
+    control.write_text("".join(lines))
+    assert main(["validate", "--run", str(out)]) == 1
+    line = one_error_line(capsys)
+    assert "control.csv" in line and "row 3" in line
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # the runtime needs numpy only; a fresh interpreter is needed because
+    # reference tests load scipy into this one
+    out = str(tmp_path / "run")
+    script = "\n".join([
+        "import sys",
+        "from bilqr.cli import main",
+        f"assert main(['solve', '--scenario', 'iaf_case1', '--q', '2', '--grid', '20', "
+        f"'--out', {out!r}]) == 0",
+        f"assert main(['validate', '--run', {out!r}, '--mc-paths', '4']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

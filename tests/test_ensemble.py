@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bilqr.ensemble import (
     EnsembleSpec,
     SampleCoefficients,
+    _block_diag,
     averaged_terminal_cost,
     refinement_study,
     sample_uniform,
@@ -231,3 +232,20 @@ def test_unstack_returns_every_sample_exactly(seed, q, b, m, k, kind):
 def test_stack_noise_rejects_unequal_channel_counts():
     with pytest.raises(ValueError, match="number of noise channels"):
         stack_noise([NoiseSpec("wiener", [[0.1]]), NoiseSpec("wiener", [[0.1, 0.2]])])
+
+
+# 0-d, 1-D and 2-D blocks, square or not
+_BLOCK_SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 3)),
+                          st.tuples(st.integers(1, 3), st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shapes=st.lists(_BLOCK_SHAPES, min_size=1, max_size=4))
+def test_block_diag_matches_scipy(seed, shapes):
+    from scipy.linalg import block_diag
+
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=shape) for shape in shapes]
+    got, want = _block_diag(blocks), block_diag(*blocks)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
