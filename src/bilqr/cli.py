@@ -2,7 +2,9 @@
 runs by resimulation and Monte Carlo, and sweep the control weight.
 
 Exit codes: 0 converged, 2 stopped at the iteration limit without meeting
-the stop rule, 1 input or solver error.
+the stop rule, 1 input, file or solver error.  The commands raise; `main`
+is the one boundary that turns an error into one `error:` line on stderr
+and exit 1.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ OUT_ROOT_ENV = "BILQR_OUT"
 # temporaries of a whole group are alive at once.
 _MC_GROUP_BYTES = 1 << 24
 
-# Errors a solve (with or without its diagnostics) reports as exit 1.
+# Errors of a solve (with or without its diagnostics) that sweep-r records
+# as the failed scale's table row.
 SOLVER_ERRORS = (RiccatiEscapeError, BoundarySolveError, BlowupError,
                  TransitionInversionError, np.linalg.LinAlgError)
 
@@ -70,21 +73,13 @@ def _load_setup(args) -> RunSetup:
 
 
 def _options(setup: RunSetup, args) -> SolveOptions:
-    opts = setup.options
-    updates = {}
-    if args.grid is not None:
-        updates["steps"] = args.grid
-    if args.max_iters is not None:
-        updates["max_iters"] = args.max_iters
-    if args.tol is not None:
-        updates["tol"] = args.tol
-    if args.stop_rule is not None:
-        updates["stop_rule"] = args.stop_rule
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
+    """The setup's options, with each solve flag given on the command line in
+    place of the field of the same name."""
+    flags = ("steps", "max_iters", "tol", "stop_rule", "alpha")
+    updates = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     if args.diagnostics:
         updates["record_diagnostics"] = True
-    return dataclasses.replace(opts, **updates) if updates else opts
+    return dataclasses.replace(setup.options, **updates)
 
 
 def _out_dir(args, setup: RunSetup) -> Path:
@@ -114,8 +109,7 @@ def _config_dict(args, setup: RunSetup, opts: SolveOptions) -> dict:
     }
 
 
-def _write_outputs(out: Path, setup: RunSetup, opts: SolveOptions,
-                   result, config: dict) -> None:
+def _write_outputs(out: Path, setup: RunSetup, result, config: dict) -> None:
     final = result.final
     grid = final.x.grid
     nodes = grid.nodes
@@ -184,20 +178,12 @@ def _write_outputs(out: Path, setup: RunSetup, opts: SolveOptions,
 
 
 def cmd_solve(args) -> int:
-    try:
-        setup = _load_setup(args)
-        opts = _options(setup, args)
-    except (ProblemFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    setup = _load_setup(args)
+    opts = _options(setup, args)
     out = _out_dir(args, setup)
     config = _config_dict(args, setup, opts)
-    try:
-        result = solve(setup.problem, opts)
-    except SOLVER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_outputs(out, setup, opts, result, config)
+    result = solve(setup.problem, opts)
+    _write_outputs(out, setup, result, config)
     status = "converged" if result.converged else "stopped at iteration limit"
     print(f"{setup.label}: {status} after {result.iterations_used} iterations, "
           f"cost {result.final.cost:.6g}; outputs in {out}")
@@ -227,20 +213,15 @@ def _read_control(path: Path, tf: float) -> GriddedTrajectory:
     return GriddedTrajectory(grid, data[:, 1:])
 
 
-def cmd_validate(args) -> int:
-    for flag, value in (("--mc-paths", args.mc_paths), ("--seed", args.seed)):
-        if value is not None and value < 0:
-            print(f"error: {flag} must be >= 0", file=sys.stderr)
-            return 1
-    run_dir = Path(args.run)
+def _read_run(run_dir: Path) -> tuple[RunSetup, GriddedTrajectory, np.ndarray | None]:
+    """The setup, control and stored states of the solve in `run_dir`, each
+    checked; the states are the state files' columns side by side, or None."""
     summary_path = run_dir / "summary.json"
     control_path = run_dir / "control.csv"
     if not control_path.exists():
-        print(f"error: {control_path} not found (run `bilqr solve` first)", file=sys.stderr)
-        return 1
+        raise FileNotFoundError(f"{control_path} not found (run `bilqr solve` first)")
     if not summary_path.exists():
-        print(f"error: {summary_path} not found", file=sys.stderr)
-        return 1
+        raise FileNotFoundError(f"{summary_path} not found")
     try:
         with summary_path.open() as fh:
             config = json.load(fh)["config"]
@@ -249,40 +230,41 @@ def cmd_validate(args) -> int:
             setup = build(source["name"], {"q": config["q"]} if config.get("q") else None)
         else:
             setup = load_problem_file(source["path"])
-        utraj = _read_control(control_path, setup.problem.tf)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: {summary_path} is not a run summary: {exc!r}", file=sys.stderr)
-        return 1
-    except (ProblemFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{summary_path} is not a run summary: {exc!r}") from exc
+    utraj = _read_control(control_path, setup.problem.tf)
 
+    state_files = sorted(run_dir.glob("state_*.csv"),
+                         key=lambda p: int(p.stem.split("_")[1]))
+    if not state_files:
+        return setup, utraj, None
+    nodes = len(utraj.values)
+    stored = []
+    for f in state_files:
+        try:
+            table = _read_table(f)
+        except ValueError as exc:
+            raise ValueError(f"unreadable state file {f}: {exc}") from exc
+        if table.shape[0] != nodes:
+            raise ValueError(f"{f} holds {table.shape[0]} rows, expected one per "
+                             f"control node ({nodes})")
+        stored.append(table[:, 1:])
+    stored = np.hstack(stored)
+    if stored.shape[1] != setup.problem.n:
+        raise ValueError(f"the state files of {run_dir} hold {stored.shape[1]} state "
+                         f"columns, the problem has {setup.problem.n}")
+    return setup, utraj, stored
+
+
+def cmd_validate(args) -> int:
+    run_dir = Path(args.run)
+    setup, utraj, stored = _read_run(run_dir)
     try:
         resim = simulate_bilinear(setup.problem, utraj)
     except BlowupError as exc:
-        print(f"error: resimulation failed: {exc}", file=sys.stderr)
-        return 1
-    state_files = sorted(run_dir.glob("state_*.csv"),
-                         key=lambda p: int(p.stem.split("_")[1]))
+        raise RuntimeError(f"resimulation failed: {exc}") from exc
     fixed_point_error = None
-    if state_files:
-        stored = []
-        for f in state_files:
-            try:
-                table = _read_table(f)
-            except ValueError as exc:
-                print(f"error: unreadable state file {f}: {exc}", file=sys.stderr)
-                return 1
-            if table.shape[0] != len(resim.values):
-                print(f"error: {f} holds {table.shape[0]} rows, expected one per control "
-                      f"node ({len(resim.values)})", file=sys.stderr)
-                return 1
-            stored.append(table[:, 1:])
-        stored = np.hstack(stored)
-        if stored.shape != resim.values.shape:
-            print(f"error: the state files of {run_dir} hold {stored.shape[1]} state columns, "
-                  f"the problem has {resim.values.shape[1]}", file=sys.stderr)
-            return 1
+    if stored is not None:
         fixed_point_error = float(np.max(np.abs(stored - resim.values)))
     misses = sample_view(resim.values[-1] - setup.problem.xd, setup.q)
     per_sample_terminal = [float(np.linalg.norm(miss)) for miss in misses]
@@ -293,14 +275,12 @@ def cmd_validate(args) -> int:
         "mc": None,
     }
     if setup.noise is not None and args.mc_paths:
-        M = args.mc_paths
         try:
-            stat = _ensemble_mc_statistic(setup, utraj, resim, M, args.seed)
+            stat = _ensemble_mc_statistic(setup, utraj, resim, args.mc_paths, args.seed)
         except RuntimeError as exc:
-            print(f"error: Monte Carlo paths failed: {exc}", file=sys.stderr)
-            return 1
+            raise RuntimeError(f"Monte Carlo paths failed: {exc}") from exc
         report["mc"] = {
-            "paths": M,
+            "paths": args.mc_paths,
             "seed": args.seed,
             "max_standardized_deviation": _json_safe(stat),
         }
@@ -353,21 +333,15 @@ def cmd_sweep_r(args) -> int:
     try:
         scales = [float(s) for s in args.scales.split(",") if s.strip()]
     except ValueError:
-        print("error: --scales must be a comma-separated list of numbers", file=sys.stderr)
-        return 1
+        raise ValueError("--scales must be a comma-separated list of numbers") from None
     if not scales:
-        print("error: empty scale list", file=sys.stderr)
-        return 1
+        raise ValueError("empty scale list")
     rows = []
     for scale in scales:
         overrides = {"r_scale": scale}
         if args.q is not None:
             overrides["q"] = args.q
-        try:
-            setup = build(args.scenario, overrides)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        setup = build(args.scenario, overrides)
         opts = dataclasses.replace(_options(setup, args), record_diagnostics=True)
         try:
             result = solve(setup.problem, opts)
@@ -405,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group(required=require_source)
         src.add_argument("--scenario", choices=SCENARIO_IDS, help="built-in scenario")
         src.add_argument("--problem", help="path to a JSON problem file")
-        p.add_argument("--grid", type=int, help="time-grid sub-intervals")
+        p.add_argument("--grid", type=int, dest="steps", help="time-grid sub-intervals")
         p.add_argument("--max-iters", type=int, dest="max_iters")
         p.add_argument("--tol", type=float)
         p.add_argument("--stop-rule", choices=("diff", "target", "both"), dest="stop_rule")
@@ -438,10 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep-r" and not args.scenario:
-        print("error: sweep-r requires --scenario", file=sys.stderr)
+    try:
+        if args.command == "sweep-r" and not args.scenario:
+            raise ValueError("sweep-r requires --scenario")
+        for flag, value in (("--mc-paths", args.mc_paths), ("--seed", args.seed)):
+            if value is not None and value < 0:
+                raise ValueError(f"{flag} must be >= 0")
+        return args.func(args)
+    except (ValueError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args)
 
 
 if __name__ == "__main__":

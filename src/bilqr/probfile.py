@@ -32,9 +32,19 @@ class ProblemFileError(ValueError):
 
 
 def _require(data: dict, key: str, ctx: str):
+    if not isinstance(data, dict):
+        raise ProblemFileError(f"{ctx} must be an object")
     if key not in data:
         raise ProblemFileError(f"{ctx}: missing field '{key}'")
     return data[key]
+
+
+def _number(data: dict, key: str, ctx: str, kind=float):
+    raw = _require(data, key, ctx)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"{ctx}: field '{key}' must be one number, got {raw!r}") from exc
 
 
 def _matrix(data: dict, key: str, rows: int, cols: int, ctx: str) -> np.ndarray:
@@ -113,14 +123,14 @@ def _coefficients(data: dict, n: int, m: int, ctx: str) -> SampleCoefficients:
 
 def _load_single(data: dict, label: str) -> RunSetup:
     ctx = "problem file"
-    n = int(_require(data, "n", ctx))
-    m = int(_require(data, "m", ctx))
+    n = _number(data, "n", ctx, int)
+    m = _number(data, "m", ctx, int)
     if n < 1 or m < 1:
         raise ProblemFileError(f"{ctx}: dimensions must be positive, got n={n}, m={m}")
     coeffs = _coefficients(data, n, m, ctx)
-    tf = float(_require(data, "tf", ctx))
+    tf = _number(data, "tf", ctx)
     R = _matrix(data, "R", m, m, ctx)
-    weight = float(data.get("terminal_weight", 1.0))
+    weight = _number(data, "terminal_weight", ctx) if "terminal_weight" in data else 1.0
     try:
         problem = BilinearProblem(
             A=coeffs.A, B=coeffs.B, Blist=coeffs.Blist, g=coeffs.g,
@@ -144,15 +154,15 @@ def _load_ensemble(data: dict, label: str) -> RunSetup:
         name = data["scenario"]
         overrides = {}
         if "q" in data:
-            overrides["q"] = int(data["q"])
+            overrides["q"] = _number(data, "q", ctx, int)
         return build(name, overrides)
 
     samples_raw = _require(data, "samples", ctx)
     if not isinstance(samples_raw, list) or not samples_raw:
         raise ProblemFileError(f"{ctx}: field 'samples' must be a non-empty list")
-    n = int(_require(data, "n", ctx))
-    m = int(_require(data, "m", ctx))
-    tf = float(_require(data, "tf", ctx))
+    n = _number(data, "n", ctx, int)
+    m = _number(data, "m", ctx, int)
+    tf = _number(data, "tf", ctx)
     R = _matrix(data, "R", m, m, ctx)
     weighting = data.get("terminal_weighting", "averaged")
 

@@ -89,8 +89,9 @@ class IterationState:
 
     K, s hold the gain/affine sweeps of the frozen subproblem and satisfy
     p = K x + s node-wise.  The frozen quadratic weight is positive
-    semidefinite, so the backward Riccati flow should not escape; if it does
-    on pathological data, the linear boundary-value route computes the
+    semidefinite, so the exact backward Riccati flow does not escape, but its
+    RK4 sweep does on a grid too coarse for a stiff drift (and on
+    pathological data); then the linear boundary-value route computes the
     iterate and K, s are None: K None marks that route.  Without recorded
     diagnostics only `SolveResult.final` carries K, s: `solve` drops them
     from spent iterates.  x, p, u, cost are always present.
@@ -382,11 +383,12 @@ def iterate_once(
     """One pass of the frozen-coefficient map applied to `prev`.
 
     The frozen subproblem is a well-posed affine LQR (its input gram is
-    positive semidefinite), so the sweep route is expected to succeed; a
-    Riccati escape would indicate pathological data and falls back to the
-    direct boundary-value route, which computes the same iterate wherever
-    both are defined.  `diff_x` measures how far the map moved the state
-    away from its argument.
+    positive semidefinite), so its exact Riccati flow is bounded.  The RK4
+    Riccati sweep still escapes when the grid is too coarse for a stiff drift
+    (a step times the drift's rate beyond RK4's stability interval), or on
+    pathological data; the iterate then comes from the direct boundary-value
+    route, which computes the same iterate wherever both are defined.
+    `diff_x` measures how far the map moved the state away from its argument.
     """
     w = prob.terminal_weight
     Ab = drift_blocks(prob.A)

@@ -222,11 +222,36 @@ def test_solve_non_finite_problem_data_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra, word", [(("--grid", "1"), "steps"),
-                                         (("--alpha", "-1", "--diagnostics"), "alpha")])
+                                         (("--alpha", "-1", "--diagnostics"), "alpha"),
+                                         (("--tol", "0"), "tol"),
+                                         (("--max-iters", "0"), "max_iters")])
 def test_solve_rejects_bad_grid_and_alpha(tmp_path, capsys, extra, word):
     prob = write_problem(tmp_path, LINEAR_PROBLEM)
     assert main(solve_args(prob, tmp_path / "run", extra)) == 1
     assert word in one_error_line(capsys)
+    sweep = tmp_path / "sweep"
+    assert main(["sweep-r", "--scenario", "iaf_case1", "--scales", "1", "--q", "2",
+                 "--out", str(sweep), *extra]) == 1
+    assert word in one_error_line(capsys)
+    assert not sweep.exists()
+
+
+@pytest.mark.parametrize("payload, field", [
+    (dict(LINEAR_PROBLEM, n=[2]), "'n'"),
+    (dict(LINEAR_PROBLEM, terminal_weight={"a": 1}), "'terminal_weight'"),
+    ({"kind": "ensemble", "n": 2, "m": 1, "tf": 2.0, "R": [[2.0]], "samples": [3]},
+     "samples[0]"),
+], ids=["n-list", "terminal-weight-object", "sample-not-object"])
+def test_solve_wrong_json_type_exit_one(tmp_path, capsys, payload, field):
+    prob = write_problem(tmp_path, payload)
+    assert main(solve_args(prob, tmp_path / "run")) == 1
+    assert field in one_error_line(capsys)
+
+
+def test_solve_out_below_a_regular_file_exit_one(tmp_path, capsys):
+    prob = write_problem(tmp_path, LINEAR_PROBLEM)
+    assert main(solve_args(prob, prob / "run")) == 1
+    assert "prob.json" in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("name, text", [
@@ -386,6 +411,13 @@ def test_validate_rejects_negative_paths_and_seed(tmp_path, capsys, extra, flag)
     assert main(["validate", "--run", str(out), *extra]) == 1
     assert flag in one_error_line(capsys)
     assert not (out / "validate.json").exists()
+    # solve and sweep-r refuse the same values before any work
+    rejected = tmp_path / "rejected"
+    for command in (["solve"], ["sweep-r", "--scales", "1"]):
+        assert main([*command, "--scenario", "iaf_case1", "--q", "1", "--grid", "20",
+                     "--out", str(rejected), *extra]) == 1
+        assert flag in one_error_line(capsys)
+        assert not rejected.exists()  # no summary.json, no output directory
 
 
 def test_validate_off_grid_control_time_exit_one(tmp_path, capsys):

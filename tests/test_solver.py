@@ -549,3 +549,31 @@ def test_final_iterate_costate_and_gain_invariants(seed, q, b, m):
     assert np.max(np.abs(final.p.values - recon)) <= 1e-12 * max(1.0, np.max(np.abs(recon)))
     assert np.array_equal(K, np.transpose(K, (0, 2, 1)))
     assert np.min(np.linalg.eigvalsh(K)) >= -1e-9 * np.max(np.abs(K))
+
+
+def test_riccati_escape_on_a_coarse_grid_takes_the_boundary_value_route(monkeypatch):
+    # A = -200 I at 100 steps: h * 400 = 4 lies outside RK4's stability
+    # interval (2.79) for the backward Riccati flow, so every sweep escapes
+    # and the boundary-value route carries each iterate; its cost stays
+    # within 1% of a grid fine enough for the sweeps
+    import bilqr.solver as solver
+
+    prob = BilinearProblem(
+        A=-200.0 * np.eye(2), B=[[1.0], [0.5]], Blist=([[0.0, 1.0], [-1.0, 0.0]],),
+        g=[1.0, -2.0], x0=[1.0, 0.0], xd=[0.0, 1.0], tf=1.0, R=[[0.1]],
+    )
+    calls = []
+    route = solver.solve_frozen_boundary_value
+
+    def counted(*args):
+        calls.append(1)
+        return route(*args)
+
+    monkeypatch.setattr(solver, "solve_frozen_boundary_value", counted)
+    coarse = solve(prob, SolveOptions(steps=100))
+    assert coarse.converged and coarse.final.K is None
+    assert len(calls) == coarse.iterations_used
+    coarse_calls = len(calls)
+    fine = solve(prob, SolveOptions(steps=3200))
+    assert len(calls) == coarse_calls and fine.final.K is not None
+    assert abs(coarse.final.cost - fine.final.cost) <= 0.01 * fine.final.cost
