@@ -47,6 +47,12 @@ STACKING_NOTE = (
 WEIGHTINGS = ("averaged", "summed")
 
 
+def _check_weighting(terminal_weighting) -> None:
+    if terminal_weighting not in WEIGHTINGS:
+        raise ValueError(f"terminal_weighting must be one of {WEIGHTINGS}, "
+                         f"got {terminal_weighting!r}")
+
+
 @dataclass(frozen=True)
 class SampleCoefficients:
     """Matrices of one parameter sample."""
@@ -87,8 +93,7 @@ class EnsembleSpec:
                 raise ValueError(f"degenerate box axis [{a}, {b}]")
         if self.q < 1:
             raise ValueError("q must be >= 1")
-        if self.terminal_weighting not in WEIGHTINGS:
-            raise ValueError(f"terminal_weighting must be one of {WEIGHTINGS}")
+        _check_weighting(self.terminal_weighting)
         object.__setattr__(self, "box", box)
 
     @property
@@ -145,6 +150,7 @@ def stack_coefficients(
     q = len(coeffs)
     if q < 1:
         raise ValueError("need at least one sample")
+    _check_weighting(terminal_weighting)
     m = np.atleast_2d(np.asarray(coeffs[0].B, dtype=float).reshape(len(coeffs[0].x0), -1)).shape[1]
     A = _block_diag([c.A for c in coeffs])
     B = np.vstack([np.asarray(c.B, dtype=float).reshape(-1, m) for c in coeffs])

@@ -8,7 +8,10 @@ Two layouts are accepted, discriminated by "kind":
   scenario name ("scenario") or explicit per-sample coefficient tables
   ("samples").
 
-See the repository README for annotated examples.
+Parsing and the input checks live here; the parsed problem and its
+per-sample noises go to `scenarios.assemble_run`, the one place where noise
+is stacked and reduced to the mean problem.  See the repository README for
+annotated examples.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import STACKING_NOTE, SampleCoefficients, stack_coefficients, stack_noise
-from .model import BilinearProblem
-from .scenarios import RunSetup, build
+from .ensemble import STACKING_NOTE, SampleCoefficients, stack_coefficients
+from .model import BilinearProblem, NoiseSpec
+from .scenarios import RunSetup, assemble_run, build
 from .solver import SolveOptions
-from .stochastic import NoiseSpec, expected_reduction
 
 __all__ = ["ProblemFileError", "load_problem_file"]
 
@@ -47,12 +49,16 @@ def _number(data: dict, key: str, ctx: str, kind=float):
         raise ProblemFileError(f"{ctx}: field '{key}' must be one number, got {raw!r}") from exc
 
 
-def _matrix(data: dict, key: str, rows: int, cols: int, ctx: str) -> np.ndarray:
+def _array(data: dict, key: str, ctx: str) -> np.ndarray:
     raw = _require(data, key, ctx)
     try:
-        arr = np.asarray(raw, dtype=float)
+        return np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(f"{ctx}: field '{key}' is not numeric") from exc
+
+
+def _matrix(data: dict, key: str, rows: int, cols: int, ctx: str) -> np.ndarray:
+    arr = _array(data, key, ctx)
     if arr.shape != (rows, cols):
         raise ProblemFileError(
             f"{ctx}: field '{key}' must be {rows}x{cols}, got shape {arr.shape}"
@@ -61,11 +67,7 @@ def _matrix(data: dict, key: str, rows: int, cols: int, ctx: str) -> np.ndarray:
 
 
 def _vector(data: dict, key: str, length: int, ctx: str) -> np.ndarray:
-    raw = _require(data, key, ctx)
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"{ctx}: field '{key}' is not numeric") from exc
+    arr = _array(data, key, ctx)
     if arr.shape != (length,):
         raise ProblemFileError(
             f"{ctx}: field '{key}' must have length {length}, got shape {arr.shape}"
@@ -76,32 +78,29 @@ def _vector(data: dict, key: str, length: int, ctx: str) -> np.ndarray:
 def _noise(data: dict, n: int, ctx: str) -> NoiseSpec | None:
     if "noise" not in data or data["noise"] is None:
         return None
-    block = data["noise"]
-    kind = _require(block, "kind", f"{ctx}.noise")
+    block, ctx = data["noise"], f"{ctx}.noise"
+    kind = _require(block, "kind", ctx)
     if kind not in ("poisson", "wiener"):
-        raise ProblemFileError(f"{ctx}.noise: unknown kind {kind!r}")
-    G = np.asarray(_require(block, "G", f"{ctx}.noise"), dtype=float)
-    if G.ndim == 1:
+        raise ProblemFileError(f"{ctx}: unknown kind {kind!r}")
+    G = _array(block, "G", ctx)
+    if G.ndim < 2:
         G = G.reshape(-1, 1)
     if G.shape[0] != n:
-        raise ProblemFileError(f"{ctx}.noise: field 'G' must have {n} rows")
-    lam = None
-    if kind == "poisson":
-        lam = np.atleast_1d(np.asarray(_require(block, "lambda", f"{ctx}.noise"), dtype=float))
+        raise ProblemFileError(f"{ctx}: field 'G' must have {n} rows")
+    lam = np.atleast_1d(_array(block, "lambda", ctx)) if kind == "poisson" else None
     try:
         return NoiseSpec(kind, G, lam)
     except ValueError as exc:
-        raise ProblemFileError(f"{ctx}.noise: {exc}") from exc
+        raise ProblemFileError(f"{ctx}: {exc}") from exc
 
 
-def _poisson_reduction(problem: BilinearProblem, noise, ctx: str) -> BilinearProblem:
-    """The mean problem under Poisson noise, whose translation G lam replaces g."""
-    if noise is None or noise.kind != "poisson":
-        return problem
-    if np.any(problem.g != 0):
-        raise ProblemFileError(f"{ctx}: field 'g' must be zero under Poisson noise "
-                               "(the mean translation is G lambda)")
-    return expected_reduction(problem, noise)
+def _assemble(label: str, problem: BilinearProblem, noises: list, **run) -> RunSetup:
+    """The run of the file's problem and noises; under Poisson noise G lambda
+    takes the place of g, so g must be zero there."""
+    if noises and all(ns.kind == "poisson" for ns in noises) and np.any(problem.g != 0):
+        raise ValueError("field 'g' must be zero under Poisson noise "
+                         "(the mean translation is G lambda)")
+    return assemble_run(label, problem, noises, SolveOptions(), **run)
 
 
 def _coefficients(data: dict, n: int, m: int, ctx: str) -> SampleCoefficients:
@@ -131,21 +130,12 @@ def _load_single(data: dict, label: str) -> RunSetup:
     tf = _number(data, "tf", ctx)
     R = _matrix(data, "R", m, m, ctx)
     weight = _number(data, "terminal_weight", ctx) if "terminal_weight" in data else 1.0
+    noise = _noise(data, n, ctx)
     try:
-        problem = BilinearProblem(
-            A=coeffs.A, B=coeffs.B, Blist=coeffs.Blist, g=coeffs.g,
-            x0=coeffs.x0, xd=coeffs.xd, tf=tf, R=R, terminal_weight=weight,
-        )
+        problem = BilinearProblem(**vars(coeffs), tf=tf, R=R, terminal_weight=weight)
+        return _assemble(label, problem, [] if noise is None else [noise])
     except ValueError as exc:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
-    noise = _noise(data, n, ctx)
-    problem = _poisson_reduction(problem, noise, ctx)
-    return RunSetup(
-        label=label,
-        problem=problem,
-        options=SolveOptions(),
-        noise=noise,
-    )
 
 
 def _load_ensemble(data: dict, label: str) -> RunSetup:
@@ -176,22 +166,24 @@ def _load_ensemble(data: dict, label: str) -> RunSetup:
             noises.append(ns)
     if noises and len(noises) != len(coeffs):
         raise ProblemFileError(f"{ctx}: either every sample carries noise or none does")
+    betas = _betas(data, len(coeffs), ctx)
     try:
         problem = stack_coefficients(coeffs, tf, R, weighting)
-        noise = stack_noise(noises) if noises else None
+        return _assemble(label, problem, noises, samples=betas, notes=(STACKING_NOTE,))
     except ValueError as exc:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
-    problem = _poisson_reduction(problem, noise, ctx)
-    betas = data.get("betas", list(range(len(coeffs))))
-    return RunSetup(
-        label=label,
-        problem=problem,
-        options=SolveOptions(),
-        noise=noise,
-        samples=tuple(betas),
-        q=len(coeffs),
-        notes=(STACKING_NOTE,),
-    )
+
+
+def _betas(data: dict, q: int, ctx: str) -> tuple:
+    """The sample parameters: a list of q numbers, 0, ..., q - 1 if absent."""
+    if "betas" not in data:
+        return tuple(range(q))
+    betas = data["betas"]
+    if (not isinstance(betas, list) or len(betas) != q
+            or not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in betas)):
+        raise ProblemFileError(f"{ctx}: field 'betas' must be a list of {q} numbers, "
+                               f"got {betas!r}")
+    return tuple(betas)
 
 
 def load_problem_file(path: str | Path) -> RunSetup:

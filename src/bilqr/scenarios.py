@@ -10,6 +10,11 @@ Three families are provided:
   two-channel pulse.
 * ``twospin_coherence``: a single six-state two-spin system with
   relaxation, driven to maximize transfer into its last coordinate.
+
+`assemble_run` turns a (stacked) problem and its per-sample noises into a
+`RunSetup`; every run, built-in or from a problem file, is assembled there,
+and it is the one place where noise is stacked and the Poisson mean
+reduction (G lambda in place of g) is applied.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .stochastic import NoiseSpec, expected_reduction
 __all__ = [
     "SCENARIO_IDS",
     "RunSetup",
+    "assemble_run",
     "build",
     "scenario_metrics",
 ]
@@ -98,72 +104,74 @@ def _check_overrides(overrides: dict | None) -> dict:
     return overrides
 
 
+def _solve_options(overrides: dict, tol: float, **settings) -> SolveOptions:
+    """A scenario's solve options with the `steps` and `tol` overrides applied."""
+    return SolveOptions(steps=int(overrides.get("steps", 2000)),
+                        tol=float(overrides.get("tol", tol)), **settings)
+
+
+def assemble_run(label: str, problem: BilinearProblem, noises: list, options: SolveOptions,
+                 samples=(), notes=(), spec: EnsembleSpec | None = None) -> RunSetup:
+    """The run of a (stacked) problem and its per-sample noises.
+
+    The one place where noise is stacked and, under Poisson noise, reduced
+    to the mean problem (G lambda replaces g); q is the sample count.
+    """
+    noise = stack_noise(noises) if noises else None
+    if noise is not None and noise.kind == "poisson":
+        problem = expected_reduction(problem, noise)
+    return RunSetup(label=label, problem=problem, options=options, noise=noise, spec=spec,
+                    samples=tuple(samples), q=len(samples) or 1, notes=notes)
+
+
+def _ensemble_run(label: str, spec: EnsembleSpec, options: SolveOptions, notes: tuple,
+                  noise: NoiseSpec | None = None) -> RunSetup:
+    """Uniform samples of the spec, stacked, each with its own copy of `noise`."""
+    samples = sample_uniform(spec)
+    noises = [] if noise is None else [noise] * len(samples)
+    return assemble_run(label, stack_problem(spec, samples), noises, options, samples,
+                        notes + (STACKING_NOTE,), spec)
+
+
+# iaf cases: the box, the coefficient it spreads (the decay rate or the input
+# gain) and the other's value, the firing level, the Poisson noise gain and
+# rate, and the notes
+IAF_CASES = {
+    "iaf_case1": ((1.2, 1.3), "decay", 2.0, 0.5, 0.15, 2.0, (NOTE_IAF_TARGET,)),
+    "iaf_case2": ((1.8, 2.2), "gain", 2.6, 0.2, 0.1, 4.0, (NOTE_IAF2_R, NOTE_IAF_TARGET)),
+}
+
+
+def _iaf_coefficients(spread: str, fixed: float, xd: float):
+    """Leaky integrate-and-fire neuron dx = (-decay x + gain u (1 - x)) dt."""
+    def coeff(beta):
+        decay, gain = (beta, fixed) if spread == "decay" else (fixed, beta)
+        return SampleCoefficients(
+            A=np.array([[-decay]]),
+            B=np.array([[gain]]),
+            Blist=(np.array([[-gain]]),),
+            g=np.zeros(1),
+            x0=np.zeros(1),
+            xd=np.array([xd]),
+        )
+
+    return coeff
+
+
 def _iaf_setup(case: str, overrides: dict) -> RunSetup:
-    if case == "iaf_case1":
-        box = (1.2, 1.3)  # decay-rate dispersion
-        gamma = 2.0
-        xd = 0.5
-        G, lam = 0.15, 2.0
-
-        def coeff(beta):
-            return SampleCoefficients(
-                A=np.array([[-beta]]),
-                B=np.array([[gamma * 1.0]]),
-                Blist=(np.array([[-gamma]]),),
-                g=np.zeros(1),
-                x0=np.zeros(1),
-                xd=np.array([xd]),
-            )
-
-        notes = (NOTE_IAF_TARGET, STACKING_NOTE)
-    else:
-        box = (1.8, 2.2)  # responsiveness dispersion
-        alpha = 2.6
-        xd = 0.2
-        G, lam = 0.1, 4.0
-
-        def coeff(beta):
-            return SampleCoefficients(
-                A=np.array([[-alpha]]),
-                B=np.array([[beta * 1.0]]),
-                Blist=(np.array([[-beta]]),),
-                g=np.zeros(1),
-                x0=np.zeros(1),
-                xd=np.array([xd]),
-            )
-
-        notes = (NOTE_IAF2_R, NOTE_IAF_TARGET, STACKING_NOTE)
-
-    q = int(overrides.get("q", 20))
-    R = np.array([[5.0 * float(overrides.get("r_scale", 1.0))]])
+    box, spread, fixed, xd, G, lam, notes = IAF_CASES[case]
     spec = EnsembleSpec(
         box=(box,),
-        q=q,
-        coefficients=coeff,
+        q=int(overrides.get("q", 20)),
+        coefficients=_iaf_coefficients(spread, fixed, xd),
         base_n=1,
         base_m=1,
         tf=10.0,
-        R=R,
+        R=np.array([[5.0 * float(overrides.get("r_scale", 1.0))]]),
     )
-    samples = sample_uniform(spec)
-    stacked = stack_problem(spec, samples)
-    noise = stack_noise([NoiseSpec("poisson", np.array([[G]]), np.array([lam]))] * len(samples))
-    problem = expected_reduction(stacked, noise)
-    options = SolveOptions(
-        steps=int(overrides.get("steps", 2000)),
-        max_iters=100,
-        tol=float(overrides.get("tol", 1e-12)),
-    )
-    return RunSetup(
-        label=case,
-        problem=problem,
-        options=options,
-        noise=noise,
-        spec=spec,
-        samples=tuple(samples),
-        q=len(samples),
-        notes=notes,
-    )
+    options = _solve_options(overrides, 1e-12, max_iters=100)
+    return _ensemble_run(case, spec, options, notes,
+                         NoiseSpec("poisson", np.array([[G]]), np.array([lam])))
 
 
 def _bloch_setup(overrides: dict) -> RunSetup:
@@ -180,35 +188,18 @@ def _bloch_setup(overrides: dict) -> RunSetup:
             xd=np.array([1.0, 0.0, 0.0]),
         )
 
-    q = int(overrides.get("q", 81))
-    R = np.eye(2) * float(overrides.get("r_scale", 1.0))
     spec = EnsembleSpec(
         box=((-1.0, 1.0),),
-        q=q,
+        q=int(overrides.get("q", 81)),
         coefficients=coeff,
         base_n=3,
         base_m=2,
         tf=20.0,
-        R=R,
+        R=np.eye(2) * float(overrides.get("r_scale", 1.0)),
     )
-    samples = sample_uniform(spec)
-    problem = stack_problem(spec, samples)
     # the plain map oscillates on this family; a half-step relaxation damps it
-    options = SolveOptions(
-        steps=int(overrides.get("steps", 2000)),
-        max_iters=500,
-        tol=float(overrides.get("tol", 1e-4)),
-        relaxation=0.5,
-    )
-    return RunSetup(
-        label="bloch_broadband",
-        problem=problem,
-        options=options,
-        spec=spec,
-        samples=tuple(samples),
-        q=len(samples),
-        notes=(NOTE_BLOCH_R, STACKING_NOTE),
-    )
+    options = _solve_options(overrides, 1e-4, max_iters=500, relaxation=0.5)
+    return _ensemble_run("bloch_broadband", spec, options, (NOTE_BLOCH_R,))
 
 
 def twospin_drift(J: float = 0.5, xi_a: float = 1.0, xi_c: float = 0.8,
@@ -255,20 +246,10 @@ def _twospin_setup(overrides: dict) -> RunSetup:
         tf=5.0,
         R=R,
     )
-    options = SolveOptions(
-        steps=int(overrides.get("steps", 2000)),
-        max_iters=800,
-        tol=float(overrides.get("tol", 1e-6)),
-        record_diagnostics=True,
-        diag_subsample=20,
-        init_control=0.2,
-    )
-    return RunSetup(
-        label="twospin_coherence",
-        problem=problem,
-        options=options,
-        notes=(NOTE_TWOSPIN_R, NOTE_TWOSPIN_COORD, NOTE_TWOSPIN_DARK),
-    )
+    options = _solve_options(overrides, 1e-6, max_iters=800, record_diagnostics=True,
+                             diag_subsample=20, init_control=0.2)
+    return assemble_run("twospin_coherence", problem, [], options,
+                        notes=(NOTE_TWOSPIN_R, NOTE_TWOSPIN_COORD, NOTE_TWOSPIN_DARK))
 
 
 def build(scenario_id: str, overrides: dict | None = None) -> RunSetup:
@@ -286,7 +267,7 @@ def build(scenario_id: str, overrides: dict | None = None) -> RunSetup:
 def scenario_metrics(setup: RunSetup, result: SolveResult) -> dict:
     """Scenario-specific scalars for the run summary."""
     X = result.final.x.values
-    if setup.label in ("iaf_case1", "iaf_case2"):
+    if setup.label in IAF_CASES:
         terminal = X[-1]
         return {
             "terminal_mean": float(np.mean(terminal)),

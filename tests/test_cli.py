@@ -236,12 +236,25 @@ def test_solve_rejects_bad_grid_and_alpha(tmp_path, capsys, extra, word):
     assert not sweep.exists()
 
 
+TWO_SAMPLES = {
+    "kind": "ensemble", "n": 1, "m": 1, "tf": 2.0, "R": [[2.0]],
+    "samples": [{"A": [[-a]], "B": [[1.0]], "Blist": [[[-0.5]]], "g": [0.1], "x0": [0.0],
+                 "xd": [0.3]} for a in (1.0, 1.3)],
+}
+
+
 @pytest.mark.parametrize("payload, field", [
     (dict(LINEAR_PROBLEM, n=[2]), "'n'"),
     (dict(LINEAR_PROBLEM, terminal_weight={"a": 1}), "'terminal_weight'"),
     ({"kind": "ensemble", "n": 2, "m": 1, "tf": 2.0, "R": [[2.0]], "samples": [3]},
      "samples[0]"),
-], ids=["n-list", "terminal-weight-object", "sample-not-object"])
+    (dict(TWO_SAMPLES, terminal_weighting="avg"), "terminal_weighting"),
+    (dict(TWO_SAMPLES, betas=5), "'betas'"),
+    (dict(TWO_SAMPLES, betas=[1]), "'betas'"),
+    (dict(LINEAR_PROBLEM, noise={"kind": "wiener", "G": "a"}), "noise: field 'G'"),
+    (dict(LINEAR_PROBLEM, noise={"kind": "wiener", "G": 0.5}), "noise: field 'G'"),
+], ids=["n-list", "terminal-weight-object", "sample-not-object", "terminal-weighting-unknown",
+        "betas-number", "betas-too-few", "noise-gain-string", "noise-gain-scalar"])
 def test_solve_wrong_json_type_exit_one(tmp_path, capsys, payload, field):
     prob = write_problem(tmp_path, payload)
     assert main(solve_args(prob, tmp_path / "run")) == 1
