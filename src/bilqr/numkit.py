@@ -86,10 +86,8 @@ class GriddedTrajectory:
         if np.any(t_arr < g.t0 - tol) or np.any(t_arr > g.tf + tol):
             raise ValueError(f"time {t} outside [{g.t0}, {g.tf}]")
         u = (t_arr - g.t0) / g.h
-        # minimum/maximum, not np.clip: the MC path loops call this per step and
-        # np.clip's Python-level wrapper costs more than the clamp itself
-        i = np.minimum(np.maximum(np.floor(u).astype(int), 0), g.steps - 1)
-        theta = np.minimum(np.maximum(u - i, 0.0), 1.0)
+        i = np.clip(np.floor(u).astype(int), 0, g.steps - 1)
+        theta = np.clip(u - i, 0.0, 1.0)
         lo = self.values[i]
         hi = self.values[i + 1]
         th = theta.reshape(theta.shape + (1,) * len(self.value_shape))

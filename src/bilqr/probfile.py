@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensemble import STACKING_NOTE, SampleCoefficients, stack_coefficients
 from .model import BilinearProblem, NoiseSpec
-from .scenarios import RunSetup, assemble_run, build
+from .scenarios import RunSetup, assemble_run, build, integer
 from .solver import SolveOptions
 
 __all__ = ["ProblemFileError", "load_problem_file"]
@@ -41,10 +41,18 @@ def _require(data: dict, key: str, ctx: str):
     return data[key]
 
 
-def _number(data: dict, key: str, ctx: str, kind=float):
+def _integer(data: dict, key: str, ctx: str) -> int:
     raw = _require(data, key, ctx)
     try:
-        return kind(raw)
+        return integer(raw, f"field '{key}'")
+    except ValueError as exc:
+        raise ProblemFileError(f"{ctx}: {exc}") from exc
+
+
+def _number(data: dict, key: str, ctx: str) -> float:
+    raw = _require(data, key, ctx)
+    try:
+        return float(raw)
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(f"{ctx}: field '{key}' must be one number, got {raw!r}") from exc
 
@@ -122,8 +130,8 @@ def _coefficients(data: dict, n: int, m: int, ctx: str) -> SampleCoefficients:
 
 def _load_single(data: dict, label: str) -> RunSetup:
     ctx = "problem file"
-    n = _number(data, "n", ctx, int)
-    m = _number(data, "m", ctx, int)
+    n = _integer(data, "n", ctx)
+    m = _integer(data, "m", ctx)
     if n < 1 or m < 1:
         raise ProblemFileError(f"{ctx}: dimensions must be positive, got n={n}, m={m}")
     coeffs = _coefficients(data, n, m, ctx)
@@ -138,20 +146,28 @@ def _load_single(data: dict, label: str) -> RunSetup:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
 
 
+# The fields of an ensemble file that names a built-in scenario.
+SCENARIO_FIELDS = ("kind", "scenario", "q")
+
+
 def _load_ensemble(data: dict, label: str) -> RunSetup:
     ctx = "problem file"
     if "scenario" in data:
+        extra = sorted(set(data) - set(SCENARIO_FIELDS))
+        if extra:
+            raise ProblemFileError(f"{ctx}: field '{extra[0]}' does not apply to a scenario "
+                                   f"ensemble (allowed: {', '.join(SCENARIO_FIELDS)})")
         name = data["scenario"]
         overrides = {}
         if "q" in data:
-            overrides["q"] = _number(data, "q", ctx, int)
+            overrides["q"] = _integer(data, "q", ctx)
         return build(name, overrides)
 
     samples_raw = _require(data, "samples", ctx)
     if not isinstance(samples_raw, list) or not samples_raw:
         raise ProblemFileError(f"{ctx}: field 'samples' must be a non-empty list")
-    n = _number(data, "n", ctx, int)
-    m = _number(data, "m", ctx, int)
+    n = _integer(data, "n", ctx)
+    m = _integer(data, "m", ctx)
     tf = _number(data, "tf", ctx)
     R = _matrix(data, "R", m, m, ctx)
     weighting = data.get("terminal_weighting", "averaged")

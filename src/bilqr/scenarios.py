@@ -20,6 +20,7 @@ reduction (G lambda in place of g) is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "RunSetup",
     "assemble_run",
     "build",
+    "integer",
     "scenario_metrics",
 ]
 
@@ -94,6 +96,15 @@ class RunSetup:
     notes: tuple = ()
 
 
+def integer(value, name: str) -> int:
+    """`value` as an int: ints and integral floats pass; bools, non-integral
+    and non-numeric values raise a ValueError naming `name`."""
+    if isinstance(value, Real) and not isinstance(value, bool) and (
+            isinstance(value, Integral) or float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_overrides(overrides: dict | None) -> dict:
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(OVERRIDE_KEYS)
@@ -106,7 +117,7 @@ def _check_overrides(overrides: dict | None) -> dict:
 
 def _solve_options(overrides: dict, tol: float, **settings) -> SolveOptions:
     """A scenario's solve options with the `steps` and `tol` overrides applied."""
-    return SolveOptions(steps=int(overrides.get("steps", 2000)),
+    return SolveOptions(steps=integer(overrides.get("steps", 2000), "steps"),
                         tol=float(overrides.get("tol", tol)), **settings)
 
 
@@ -162,7 +173,7 @@ def _iaf_setup(case: str, overrides: dict) -> RunSetup:
     box, spread, fixed, xd, G, lam, notes = IAF_CASES[case]
     spec = EnsembleSpec(
         box=(box,),
-        q=int(overrides.get("q", 20)),
+        q=integer(overrides.get("q", 20), "q"),
         coefficients=_iaf_coefficients(spread, fixed, xd),
         base_n=1,
         base_m=1,
@@ -190,7 +201,7 @@ def _bloch_setup(overrides: dict) -> RunSetup:
 
     spec = EnsembleSpec(
         box=((-1.0, 1.0),),
-        q=int(overrides.get("q", 81)),
+        q=integer(overrides.get("q", 81), "q"),
         coefficients=coeff,
         base_n=3,
         base_m=2,

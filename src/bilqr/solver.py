@@ -519,10 +519,11 @@ def simulate_bilinear(
     interval midpoints.
     """
     grid = grid or utraj.grid
-    Bs = np.stack(prob.Blist)  # (m, n, n)
+    n = prob.n
+    Bs = np.stack(prob.Blist).reshape(-1, n * n)  # (m, n^2)
 
     def rhs(x, u):
-        coupling = np.tensordot(u, Bs, axes=(0, 0))
+        coupling = np.dot(u, Bs).reshape(n, n)
         return prob.A @ x + prob.B @ u + coupling @ x + prob.g
 
     t = grid.nodes

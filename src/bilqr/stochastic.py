@@ -12,11 +12,13 @@ The simulators take a stack of q samples in the layout of `bilqr.ensemble`
 batched pass.  The state has shape (samples, paths, b): each sample keeps
 its own drift, input, bilinear and noise blocks once, and every step is a
 matrix product per sample over all its paths (for one sample, the plain
-`Y @ A.T` of a single system).  The control is interpolated once per step
-at each path's step start, midpoint and end.  A batch's `states` has shape
-(paths, nodes, chosen samples * b), the stacked layout of the chosen
-samples.  Memory is that table plus a few of its rows and the jump lists,
-so a caller bounds it by choosing fewer samples per call.
+`Y @ A.T` of a single system).  The Poisson simulator tabulates the
+control once, as its node values and the slope of each grid step, and reads
+it at every RK4 stage time from the line of the stage's grid step.  A
+batch's `states` has shape (paths, nodes, chosen samples * b), the stacked
+layout of the chosen samples.  Memory is that table plus a few of its rows
+and the jump lists, so a caller bounds it by choosing fewer samples per
+call.
 
 All sampling uses the counter-based Philox generator: sample j draws from
 the stream keyed by seed + j, so identical (seed, M, grid) inputs reproduce
@@ -104,11 +106,13 @@ def _batch_field(A, B, Bs, g):
     return rhs
 
 
-def _rk4_path_step(rhs, utraj, Y, t, h):
-    """One RK4 step of every path from its own time t over its own step h,
-    with the control interpolated once at the step's start, midpoint and end."""
-    return rk4_step(rhs, Y, h[..., np.newaxis], (utraj.at(t),), (utraj.at(t + 0.5 * h),),
-                    (utraj.at(t + h),))
+def _rk4_path_step(rhs, u_i, d_i, Y, dt, h):
+    """One RK4 step of every path over its own step h, from its own time dt
+    past node i, within grid step i; the control at time t_i + s is the
+    line u_i + s d_i through that step's node values."""
+    h, dt = h[..., np.newaxis], dt[..., np.newaxis]
+    return rk4_step(rhs, Y, h, (u_i + dt * d_i,), (u_i + (dt + 0.5 * h) * d_i,),
+                    (u_i + (dt + h) * d_i,))
 
 
 def _raise_blowup(Y, samples, q, i, t):
@@ -191,6 +195,10 @@ def simulate_poisson_paths(
 
     rhs = _batch_field(*coeffs)
     nodes = grid.nodes
+    # Every sub-step of grid step i lies in [t_i, t_{i+1}], where the control
+    # is the line through its node values U_i, U_{i+1}, of slope D_i.
+    U = utraj.values
+    D = np.diff(U, axis=0) / grid.h
     states = np.empty((M, grid.steps + 1, S, b))  # after the draws' temporaries are gone
     Y = np.repeat(x0[:, np.newaxis], M, axis=1)
     states[:, 0] = Y.swapaxes(0, 1)
@@ -215,12 +223,12 @@ def simulate_poisson_paths(
                 h = np.zeros(pad.shape)
                 h[s, slot] = next_t[rows] - tcur[rows]
                 Yr = Y.reshape(S * M, b)
-                step = _rk4_path_step(rhs, utraj, Yr[pad], tcur[pad], h)
+                step = _rk4_path_step(rhs, U[i], D[i], Yr[pad], tcur[pad] - nodes[i], h)
                 Yr[rows] = step[s, slot] + G_cols[s, jc[ptr[rows]]]
                 tcur[rows] = next_t[rows]
                 ptr[rows] += 1
             tcur = tcur.reshape(S, M)
-            Y = _rk4_path_step(rhs, utraj, Y, tcur, t_right - tcur)
+            Y = _rk4_path_step(rhs, U[i], D[i], Y, tcur - nodes[i], t_right - tcur)
             if not np.all(np.isfinite(Y)):
                 _raise_blowup(Y, samples, q, i + 1, t_right)
             states[:, i + 1] = Y.swapaxes(0, 1)

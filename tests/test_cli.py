@@ -253,8 +253,14 @@ TWO_SAMPLES = {
     (dict(TWO_SAMPLES, betas=[1]), "'betas'"),
     (dict(LINEAR_PROBLEM, noise={"kind": "wiener", "G": "a"}), "noise: field 'G'"),
     (dict(LINEAR_PROBLEM, noise={"kind": "wiener", "G": 0.5}), "noise: field 'G'"),
+    ({"kind": "ensemble", "scenario": "iaf_case1", "q": 2.7}, "field 'q' must be an integer"),
+    ({"kind": "ensemble", "scenario": "iaf_case1", "q": True}, "field 'q' must be an integer"),
+    (dict(LINEAR_PROBLEM, n=2.5), "field 'n' must be an integer"),
+    ({"kind": "ensemble", "scenario": "iaf_case1", "q": 3, "terminal_weighting": "summed",
+      "betas": [7]}, "field 'betas' does not apply to a scenario ensemble"),
 ], ids=["n-list", "terminal-weight-object", "sample-not-object", "terminal-weighting-unknown",
-        "betas-number", "betas-too-few", "noise-gain-string", "noise-gain-scalar"])
+        "betas-number", "betas-too-few", "noise-gain-string", "noise-gain-scalar",
+        "q-fractional", "q-bool", "n-fractional", "scenario-with-sample-fields"])
 def test_solve_wrong_json_type_exit_one(tmp_path, capsys, payload, field):
     prob = write_problem(tmp_path, payload)
     assert main(solve_args(prob, tmp_path / "run")) == 1

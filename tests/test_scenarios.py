@@ -32,6 +32,19 @@ def test_override_validation():
     assert setup.problem.R[0, 0] == 10.0
 
 
+@pytest.mark.parametrize("key, value", [("steps", 300.9), ("steps", True), ("q", 2.5),
+                                        ("q", False), ("q", "3")])
+def test_integer_overrides_are_checked_not_truncated(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+        build("iaf_case1", {key: value})
+
+
+def test_integral_float_overrides_are_accepted():
+    setup = build("iaf_case1", {"q": 4.0, "steps": 300.0})
+    assert (setup.q, setup.options.steps) == (4, 300)
+    assert isinstance(setup.options.steps, int)
+
+
 def test_iaf_case1_parameters():
     setup = build("iaf_case1")
     prob = setup.problem

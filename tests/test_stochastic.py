@@ -5,10 +5,11 @@ import pytest
 
 from bilqr.ensemble import SampleCoefficients, sample_view, stack_coefficients, stack_noise, unstack
 from bilqr.model import BilinearProblem
-from bilqr.numkit import GriddedTrajectory, TimeGrid, integrate_forward
+from bilqr.numkit import GriddedTrajectory, TimeGrid, integrate_forward, rk4_step
 from bilqr.solver import simulate_bilinear
 from bilqr.stochastic import (
     NoiseSpec,
+    _draw_jump_times,
     expected_reduction,
     mean_consistency,
     simulate_poisson_paths,
@@ -209,6 +210,44 @@ def test_poisson_mean_tracks_expected_reduction():
     det = integrate_forward(lambda t, y: reduced.A @ y + reduced.g, reduced.x0, grid)
     report = mean_consistency(batch, det)
     assert report.max_standardized_deviation < 4.0
+
+
+def test_poisson_steps_split_at_jumps_read_the_control_at_every_stage():
+    # reference: each path steps node to node, split at its jumps, with the
+    # control interpolated at every RK4 stage time of every sub-step
+    prob = BilinearProblem(
+        A=[[-1.0, 0.4], [-0.3, -0.8]], B=[[1.0, 0.0], [0.5, -0.7]],
+        Blist=([[-0.6, 0.2], [0.0, 0.3]], [[0.1, -0.4], [0.25, -0.2]]),
+        g=[0.05, -0.1], x0=[0.2, -0.1], xd=[0.0, 0.0], tf=3.0, R=np.eye(2))
+    noise = NoiseSpec("poisson", [[0.3, -0.1], [0.2, 0.15]], [2.0, 1.8])
+    grid = TimeGrid(0.0, prob.tf, 40)
+    u = GriddedTrajectory(grid, np.column_stack([np.sin(2.0 * grid.nodes),
+                                                 0.5 * np.cos(grid.nodes) - 0.2]))
+    M, seed = 6, 5
+    batch = simulate_poisson_paths(prob, noise, u, M=M, seed=seed)
+
+    times, counters, offsets, _ = _draw_jump_times(
+        np.random.Generator(np.random.Philox(seed)), noise.lam, M, grid.tf)
+    assert len(times) > 2 * M  # the grid steps are split many times over
+
+    def rhs(x, t):
+        ut = u.at(t)
+        return prob.A @ x + prob.B @ ut + sum(c * Bc for c, Bc in zip(ut, prob.Blist)) @ x + prob.g
+
+    def step(x, t, h):
+        return rk4_step(rhs, x, h, (t,), (t + 0.5 * h,), (t + h,))
+
+    for p in range(M):
+        jumps = list(zip(times[offsets[p]:offsets[p + 1]], counters[offsets[p]:offsets[p + 1]]))
+        x = prob.x0.copy()
+        for i in range(grid.steps):
+            t = grid.nodes[i]
+            while jumps and jumps[0][0] <= grid.nodes[i + 1]:
+                tj, c = jumps.pop(0)
+                x = step(x, t, tj - t) + noise.G[:, c]
+                t = tj
+            x = step(x, t, grid.nodes[i + 1] - t)
+            np.testing.assert_allclose(batch.states[p, i + 1], x, rtol=0, atol=1e-12)
 
 
 def sample_stack(b, m, k, kind, q=3, seed=0):
