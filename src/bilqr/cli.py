@@ -202,9 +202,10 @@ def _read_control(path: Path, tf: float) -> GriddedTrajectory:
     if data.shape[0] < 2:
         raise ProblemFileError(f"{path} holds fewer than two control samples")
     nodes = data[:, 0]
-    grid = TimeGrid(float(nodes[0]), float(nodes[-1]), len(nodes) - 1)
-    if abs(grid.tf - tf) > 1e-9 * max(1.0, tf):
-        raise ProblemFileError(f"control horizon {grid.tf} does not match problem tf {tf}")
+    if not abs(nodes[-1] - tf) <= 1e-9 * max(1.0, tf):
+        raise ProblemFileError(f"{path}: control horizon {float(nodes[-1])} does not match "
+                               f"problem tf {tf}")
+    grid = TimeGrid(0.0, float(nodes[-1]), len(nodes) - 1)
     off = np.flatnonzero(~(np.abs(nodes - grid.nodes) <= 1e-9 * (grid.tf - grid.t0)))
     if off.size:
         i = off[0]

@@ -10,7 +10,7 @@ This module owns the stacked layout: sample j owns state rows j b:(j + 1) b
 and noise columns j k:(j + 1) k, with b = n / q and k = (noise channels) / q.
 `stack_coefficients` and `stack_noise` build it, placing the per-sample
 drift, bilinear maps and noise matrices with the numpy helper `_block_diag`;
-`unstack` and `sample_view` read it back.
+`model.sample_blocks` reads the blocks back and `sample_view` the states.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "stack_problem",
     "stack_coefficients",
     "stack_noise",
-    "unstack",
     "sample_view",
     "averaged_terminal_cost",
     "refinement_study",
@@ -194,25 +193,6 @@ def stack_noise(specs: Sequence[NoiseSpec]) -> NoiseSpec:
 def sample_view(values: np.ndarray, q: int) -> np.ndarray:
     """A stacked last axis of length n read as (q, n // q): sample j at [..., j, :]."""
     return values.reshape(values.shape[:-1] + (q, values.shape[-1] // q))
-
-
-def unstack(prob: BilinearProblem, noise: NoiseSpec | None, q: int) -> list:
-    """Each sample's (BilinearProblem, NoiseSpec | None), sliced from the stack.
-
-    A sample problem is a single system: its terminal weight is 1.
-    """
-    if prob.n % q or (noise is not None and noise.k % q):
-        raise ValueError(f"a stack of {q} samples needs n and k divisible by {q}")
-    b, k = prob.n // q, 0 if noise is None else noise.k // q
-    samples = []
-    for j in range(q):
-        r, c = slice(j * b, (j + 1) * b), slice(j * k, (j + 1) * k)
-        sub = BilinearProblem(A=prob.A[r, r], B=prob.B[r],
-                              Blist=tuple(Bi[r, r] for Bi in prob.Blist), g=prob.g[r],
-                              x0=prob.x0[r], xd=prob.xd[r], tf=prob.tf, R=prob.R)
-        samples.append((sub, None if noise is None else NoiseSpec(
-            noise.kind, noise.G[r, c], None if noise.lam is None else noise.lam[c])))
-    return samples
 
 
 def averaged_terminal_cost(prob: BilinearProblem, q: int, X_tf: np.ndarray) -> float:

@@ -20,6 +20,11 @@ with L = B + sum_j x_j N_j and C = L - B.  They satisfy the identity
 for all finite (x, p), which is what makes a fixed point of the iteration
 solve the original necessary conditions.
 
+`finest_split`, `diagonal_blocks` and `sample_blocks` read the per-sample
+blocks of a stacked ensemble, and `bilinear_field` is the one right-hand
+side of the dynamics over them, for the resimulation and the Monte Carlo
+paths.
+
 `NoiseSpec` is the additive noise of the stochastic variants; its
 simulators and the mean reduction live in `bilqr.stochastic`.
 """
@@ -41,6 +46,10 @@ __all__ = [
     "frozen_drift",
     "frozen_gram",
     "consistency_residual",
+    "diagonal_blocks",
+    "finest_split",
+    "sample_blocks",
+    "bilinear_field",
 ]
 
 
@@ -246,3 +255,40 @@ def consistency_residual(
     lhs = frozen_drift(prob, factors, x, p) @ x - frozen_gram(prob, factors, x) @ p
     rhs = prob.A @ x - lam @ (prob.Rinv @ (lam.T @ p))
     return vec_norm(lhs - rhs)
+
+
+def diagonal_blocks(M: np.ndarray, q: int) -> np.ndarray:
+    """The q diagonal blocks (q, rows / q, cols / q) of M, in order."""
+    M = np.asarray(M, dtype=float)
+    r, c = M.shape[0] // q, M.shape[1] // q
+    return np.ascontiguousarray(M.reshape(q, r, q, c)[np.arange(q), :, np.arange(q), :])
+
+
+def finest_split(*mats) -> int:
+    """The largest q dividing n such that every given n x n matrix vanishes
+    outside its q equal diagonal blocks: n for diagonal (or zero) matrices,
+    the sample count for a stacked ensemble, 1 for a dense system."""
+    n = np.shape(mats[0])[0]
+    return next(q for q in range(n, 0, -1) if n % q == 0 and all(
+        np.count_nonzero(diagonal_blocks(M, q)) == np.count_nonzero(M) for M in mats))
+
+
+def sample_blocks(prob: BilinearProblem, q: int):
+    """Per-block stacks A (q, b, b), B (q, b, m), Bs (q, m, b, b), g (q, b)
+    and x0 (q, b) of a problem whose drift and bilinear maps are
+    block-diagonal in q equal blocks."""
+    Bs = np.stack([diagonal_blocks(Bi, q) for Bi in prob.Blist], axis=1)
+    return (diagonal_blocks(prob.A, q), prob.B.reshape(q, -1, prob.m), Bs,
+            prob.g.reshape(q, -1), prob.x0.reshape(q, -1))
+
+
+def bilinear_field(A, B, Bs, g):
+    """Bilinear right-hand side rhs(Y, u) of states Y (S, rows, b) under
+    controls u (S or 1, rows or 1, m), block s under its own A, B, Bs, g."""
+    At, Bt, g = A.swapaxes(1, 2), B.swapaxes(1, 2), g[:, np.newaxis]
+
+    def rhs(Y, u):
+        drift = Y @ At + u @ Bt + g
+        return drift + np.einsum("spm,smnk,spk->spn", u, Bs, Y)
+
+    return rhs

@@ -49,19 +49,30 @@ def _integer(data: dict, key: str, ctx: str) -> int:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
 
 
+def _real(raw) -> bool:
+    """A JSON number: an int or a float, not a bool (nor a string)."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _reals(raw) -> bool:
+    """A JSON number or a nested list of them."""
+    return _real(raw) or isinstance(raw, list) and all(map(_reals, raw))
+
+
 def _number(data: dict, key: str, ctx: str) -> float:
     raw = _require(data, key, ctx)
-    try:
-        return float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"{ctx}: field '{key}' must be one number, got {raw!r}") from exc
+    if not _real(raw):
+        raise ProblemFileError(f"{ctx}: field '{key}' must be one number, got {raw!r}")
+    return float(raw)
 
 
 def _array(data: dict, key: str, ctx: str) -> np.ndarray:
     raw = _require(data, key, ctx)
     try:
+        if not _reals(raw):
+            raise ValueError(raw)
         return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # a non-number or ragged nesting
         raise ProblemFileError(f"{ctx}: field '{key}' is not numeric") from exc
 
 

@@ -27,13 +27,15 @@ Every sweep, both passes of the boundary-value route, the initial flow and
 the bilinear resimulation are one call of numkit.rk4_sweep, whose
 right-hand side takes the coefficients as stage tables: arrays at the grid
 nodes and interval midpoints, in the structure the problem has.  The
-drift A comes as its diagonal blocks (q, b, b), one per sample, and the
-input gram L R^-1 L', whose rank is at most m, as its factor
+drift A comes as the diagonal blocks (q, b, b) of its `model.finest_split`,
+and the input gram L R^-1 L', whose rank is at most m, as its factor
 W = L C with R^-1 = C C'.  Every product with the gram is taken through W,
 so an RK4 stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense
 n x n products, and no (T, n, n) gram table is formed.  One (T + 1, n, n)
 gain table is alive per iteration: K midpoints are formed in small blocks,
-and spent sweeps are released unless the diagnostics need them.
+and spent sweeps are released unless the diagnostics need them.  The
+resimulation steps the blocks of `finest_split(A, *Blist)` through
+`model.bilinear_field`, the field of the Monte Carlo paths.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BilinearFactors, BilinearProblem, bilinear_factors
+from .model import (BilinearFactors, BilinearProblem, bilinear_factors, bilinear_field,
+                    diagonal_blocks, finest_split, sample_blocks)
 from .numkit import BlowupError, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
 
 __all__ = [
@@ -153,23 +156,6 @@ class SolveResult:
     iterations_used: int
     history: tuple  # (k, diff_x, cost) rows
     diagnostics: object = None
-
-
-def drift_blocks(A: np.ndarray) -> np.ndarray:
-    """Diagonal blocks (q, b, b) of the finest equal block split of A.
-
-    b is the smallest divisor of n such that A vanishes outside its b x b
-    diagonal blocks: 1 for a diagonal (or zero) drift, the sample size for
-    a stacked ensemble, n for a dense single system.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    nonzero = np.count_nonzero(A)
-    for b in (b for b in range(1, n + 1) if n % b == 0):
-        q = n // b
-        blocks = A.reshape(q, b, q, b)[np.arange(q), :, np.arange(q), :]
-        if np.count_nonzero(blocks) == nonzero:
-            return np.ascontiguousarray(blocks)
 
 
 def _block_product(blocks: np.ndarray):
@@ -391,7 +377,7 @@ def iterate_once(
     `diff_x` measures how far the map moved the state away from its argument.
     """
     w = prob.terminal_weight
-    Ab = drift_blocks(prob.A)
+    Ab = diagonal_blocks(prob.A, finest_split(prob.A))
     Wn, Wm = freeze_iteration_fields(prob, factors, prev.x.values)
     try:
         K = riccati_sweep(Ab, Wn, Wm, 2.0 * w * np.eye(prob.n), grid)
@@ -516,15 +502,12 @@ def simulate_bilinear(
 
     `grid` defaults to the control's own grid; a finer grid may be passed
     for refinement checks.  u is tabulated once at the grid's nodes and
-    interval midpoints.
+    interval midpoints.  The state steps as blocks (q, 1, b) of its finest
+    split, so no n x n coupling is formed.
     """
     grid = grid or utraj.grid
-    n = prob.n
-    Bs = np.stack(prob.Blist).reshape(-1, n * n)  # (m, n^2)
-
-    def rhs(x, u):
-        coupling = np.dot(u, Bs).reshape(n, n)
-        return prob.A @ x + prob.B @ u + coupling @ x + prob.g
-
+    A, B, Bs, g, x0 = sample_blocks(prob, finest_split(prob.A, *prob.Blist))
     t = grid.nodes
-    return rk4_sweep(rhs, prob.x0, grid, (utraj.at(t),), (utraj.at(midpoints(t)),))
+    u_nodes, u_mids = (utraj.at(s)[:, np.newaxis, np.newaxis] for s in (t, midpoints(t)))
+    Y = rk4_sweep(bilinear_field(A, B, Bs, g), x0[:, np.newaxis], grid, (u_nodes,), (u_mids,))
+    return GriddedTrajectory(grid, Y.values.reshape(len(t), prob.n))

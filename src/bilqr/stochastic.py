@@ -10,9 +10,10 @@ not an approximation study.
 The simulators take a stack of q samples in the layout of `bilqr.ensemble`
 (q = 1: a single system) and run the paths of the chosen samples in one
 batched pass.  The state has shape (samples, paths, b): each sample keeps
-its own drift, input, bilinear and noise blocks once, and every step is a
-matrix product per sample over all its paths (for one sample, the plain
-`Y @ A.T` of a single system).  The Poisson simulator tabulates the
+its own blocks (`model.sample_blocks`) once, and every step evaluates
+`model.bilinear_field`, the resimulation's field, as a matrix product per
+sample over all its paths (for one sample, the plain `Y @ A.T` of a
+single system).  The Poisson simulator tabulates the
 control once, as its node values and the slope of each grid step, and reads
 it at every RK4 stage time from the line of the stage's grid step.  A
 batch's `states` has shape (paths, nodes, chosen samples * b), the stacked
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import unstack
-from .model import BilinearProblem, NoiseSpec
+from .model import BilinearProblem, NoiseSpec, bilinear_field, diagonal_blocks, sample_blocks
 from .numkit import GriddedTrajectory, TimeGrid, rk4_step
 
 __all__ = [
@@ -79,7 +79,8 @@ def expected_reduction(prob: BilinearProblem, noise: NoiseSpec) -> BilinearProbl
 
 def _sample_blocks(prob, noise, q, samples, M):
     """The chosen samples, their coefficient stacks (A, B, Bs, g) with a
-    leading sample axis, their initial states (S, b) and their NoiseSpecs."""
+    leading sample axis, their initial states (S, b), noise columns
+    G' (S, k, b) and rates (S, k), or None under Wiener noise."""
     if M < 1:
         raise ValueError("M must be >= 1")
     if noise.G.shape[0] != prob.n:
@@ -87,23 +88,13 @@ def _sample_blocks(prob, noise, q, samples, M):
     samples = range(q) if samples is None else samples
     if len(samples) == 0 or any(not 0 <= j < q for j in samples):
         raise ValueError(f"samples must be indices of the {q} stacked samples")
-    pairs = unstack(prob, noise, q)
-    subs = [pairs[j][0] for j in samples]
-    coeffs = (np.stack([s.A for s in subs]), np.stack([s.B for s in subs]),
-              np.stack([np.stack(s.Blist) for s in subs]), np.stack([s.g for s in subs]))
-    return samples, coeffs, np.stack([s.x0 for s in subs]), [pairs[j][1] for j in samples]
-
-
-def _batch_field(A, B, Bs, g):
-    """Bilinear right-hand side rhs(Y, u) of states Y (S, rows, b) under
-    controls u (S or 1, rows or 1, m), sample s under its own blocks."""
-    At, Bt, g = A.swapaxes(1, 2), B.swapaxes(1, 2), g[:, np.newaxis]
-
-    def rhs(Y, u):
-        drift = Y @ At + u @ Bt + g
-        return drift + np.einsum("spm,smnk,spk->spn", u, Bs, Y)
-
-    return rhs
+    if prob.n % q or noise.k % q:
+        raise ValueError(f"a stack of {q} samples needs n and k divisible by {q}")
+    chosen = list(samples)
+    *coeffs, x0 = (blocks[chosen] for blocks in sample_blocks(prob, q))
+    Gt = diagonal_blocks(noise.G, q)[chosen].swapaxes(1, 2)
+    lam = None if noise.lam is None else noise.lam.reshape(q, -1)[chosen]
+    return samples, coeffs, x0, Gt, lam
 
 
 def _rk4_path_step(rhs, u_i, d_i, Y, dt, h):
@@ -180,10 +171,10 @@ def simulate_poisson_paths(
     if noise.kind != "poisson":
         raise ValueError("simulate_poisson_paths requires poisson noise")
     grid = utraj.grid
-    samples, coeffs, x0, noises = _sample_blocks(prob, noise, q, samples, M)
+    samples, coeffs, x0, G_cols, lams = _sample_blocks(prob, noise, q, samples, M)
     S, b = x0.shape
-    draws = [_draw_jump_times(np.random.Generator(np.random.Philox(seed + j)), nz.lam, M, grid.tf)
-             for j, nz in zip(samples, noises)]
+    draws = [_draw_jump_times(np.random.Generator(np.random.Philox(seed + j)), lam, M, grid.tf)
+             for j, lam in zip(samples, lams)]
     # One jump list over the rows r = s M + p of Y.reshape(S M, b); a row
     # past its last jump reads the sentinel.
     times, counters, offsets, counts = zip(*draws)
@@ -191,9 +182,8 @@ def simulate_poisson_paths(
     jt = np.concatenate(times + ([np.inf],))
     jc = np.concatenate(counters)
     offsets = np.concatenate([o[:-1] + o0 for o, o0 in zip(offsets, base)] + [base[-1:]])
-    G_cols = np.stack([nz.G.T for nz in noises])  # (S, k, b)
 
-    rhs = _batch_field(*coeffs)
+    rhs = bilinear_field(*coeffs)
     nodes = grid.nodes
     # Every sub-step of grid step i lies in [t_i, t_{i+1}], where the control
     # is the line through its node values U_i, U_{i+1}, of slope D_i.
@@ -252,12 +242,11 @@ def simulate_wiener_paths(
     if noise.kind != "wiener":
         raise ValueError("simulate_wiener_paths requires wiener noise")
     grid = utraj.grid
-    samples, coeffs, x0, noises = _sample_blocks(prob, noise, q, samples, M)
+    samples, coeffs, x0, Gt, _ = _sample_blocks(prob, noise, q, samples, M)
     S, b = x0.shape
     rngs = [np.random.Generator(np.random.Philox(seed + j)) for j in samples]
-    Gt = np.stack([nz.G.T for nz in noises])  # (S, k, b)
     k = Gt.shape[1]
-    rhs = _batch_field(*coeffs)
+    rhs = bilinear_field(*coeffs)
     nodes = grid.nodes
     h = grid.h
     sqrt_h = np.sqrt(h)

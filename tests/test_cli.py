@@ -258,9 +258,15 @@ TWO_SAMPLES = {
     (dict(LINEAR_PROBLEM, n=2.5), "field 'n' must be an integer"),
     ({"kind": "ensemble", "scenario": "iaf_case1", "q": 3, "terminal_weighting": "summed",
       "betas": [7]}, "field 'betas' does not apply to a scenario ensemble"),
+    (dict(LINEAR_PROBLEM, tf=True), "field 'tf'"),
+    (dict(LINEAR_PROBLEM, tf="2.5"), "field 'tf'"),
+    (dict(SCALAR_BILINEAR, A=[[True]]), "field 'A'"),
+    (dict(SCALAR_BILINEAR, x0=["0.25"]), "field 'x0'"),
+    (dict(LINEAR_PROBLEM, A=[[True, 1.0], [-2.0, -3.0]]), "field 'A'"),
 ], ids=["n-list", "terminal-weight-object", "sample-not-object", "terminal-weighting-unknown",
         "betas-number", "betas-too-few", "noise-gain-string", "noise-gain-scalar",
-        "q-fractional", "q-bool", "n-fractional", "scenario-with-sample-fields"])
+        "q-fractional", "q-bool", "n-fractional", "scenario-with-sample-fields",
+        "tf-bool", "tf-string", "matrix-bool", "vector-string", "matrix-bool-among-floats"])
 def test_solve_wrong_json_type_exit_one(tmp_path, capsys, payload, field):
     prob = write_problem(tmp_path, payload)
     assert main(solve_args(prob, tmp_path / "run")) == 1
@@ -448,6 +454,25 @@ def test_validate_off_grid_control_time_exit_one(tmp_path, capsys):
     assert main(["validate", "--run", str(out)]) == 1
     line = one_error_line(capsys)
     assert "control.csv" in line and "row 3" in line
+
+
+@pytest.mark.parametrize("start, stop, words", [(0.5, 2.0, "row 1"), (0.0, 0.0, "horizon")],
+                         ids=["starts-at-half", "all-zero"])
+def test_validate_control_not_spanning_zero_to_tf_exit_one(tmp_path, capsys, start, stop, words):
+    # the time column rewritten to run uniformly over [start, stop], row count kept
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", str(write_problem(tmp_path, LINEAR_PROBLEM)),
+                 "--out", str(out), "--grid", "40"]) == 0
+    capsys.readouterr()
+    control = out / "control.csv"
+    header, *rows = control.read_text().splitlines(keepends=True)
+    times = (start + (stop - start) * i / (len(rows) - 1) for i in range(len(rows)))
+    control.write_text(header + "".join(f"{t!r}," + row.split(",", 1)[1]
+                                        for t, row in zip(times, rows)))
+    assert main(["validate", "--run", str(out)]) == 1
+    line = one_error_line(capsys)
+    assert "control.csv" in line and words in line
+    assert not (out / "validate.json").exists()
 
 
 def test_commands_load_no_scipy(tmp_path):

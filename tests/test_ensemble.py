@@ -13,9 +13,9 @@ from bilqr.ensemble import (
     stack_coefficients,
     stack_noise,
     stack_problem,
-    unstack,
 )
-from bilqr.model import bilinear_factors, consistency_residual
+from bilqr.model import (bilinear_factors, consistency_residual, diagonal_blocks, finest_split,
+                         sample_blocks)
 from bilqr.solver import SolveOptions, solve
 from bilqr.stochastic import NoiseSpec
 
@@ -205,7 +205,7 @@ def test_duplicated_stack_matches_single_system(seed, q, n, m):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4), b=st.integers(1, 3),
        m=st.integers(1, 2), k=st.integers(1, 2), kind=st.sampled_from(["poisson", "wiener"]))
-def test_unstack_returns_every_sample_exactly(seed, q, b, m, k, kind):
+def test_sample_blocks_return_every_sample_exactly(seed, q, b, m, k, kind):
     rng = np.random.default_rng(seed)
     coeffs = [SampleCoefficients(
         A=rng.normal(size=(b, b)), B=rng.normal(size=(b, m)),
@@ -216,17 +216,20 @@ def test_unstack_returns_every_sample_exactly(seed, q, b, m, k, kind):
                         rng.uniform(0.5, 3.0, size=k) if kind == "poisson" else None)
               for _ in range(q)]
     R = np.diag(rng.uniform(0.5, 2.0, size=m))
-    samples = unstack(stack_coefficients(coeffs, 1.5, R), stack_noise(noises), q)
-    assert len(samples) == q
-    for c, noise, (sub, sub_noise) in zip(coeffs, noises, samples):
-        for name in ("A", "B", "g", "x0", "xd"):
-            assert np.array_equal(getattr(sub, name), getattr(c, name))
-        assert all(np.array_equal(x, y) for x, y in zip(sub.Blist, c.Blist))
-        assert sub_noise.kind == kind
-        assert np.array_equal(sub_noise.G, noise.G)
-        assert (sub_noise.lam is None if kind == "wiener"
-                else np.array_equal(sub_noise.lam, noise.lam))
-        assert sub.tf == 1.5 and np.array_equal(sub.R, R)
+    stack = stack_coefficients(coeffs, 1.5, R)
+    A, B, Bs, g, x0 = sample_blocks(stack, q)
+    noise_stack = stack_noise(noises)
+    G = diagonal_blocks(noise_stack.G, q)
+    assert len(A) == len(B) == len(Bs) == len(g) == len(x0) == len(G) == q
+    for j, (c, noise) in enumerate(zip(coeffs, noises)):
+        for got, want in ((A, c.A), (B, c.B), (g, c.g), (x0, c.x0)):
+            assert np.array_equal(got[j], want)
+        assert all(np.array_equal(Bs[j, i], Bi) for i, Bi in enumerate(c.Blist))
+        assert np.array_equal(G[j], noise.G)
+        assert (noise_stack.lam is None if kind == "wiener"
+                else np.array_equal(noise_stack.lam.reshape(q, k)[j], noise.lam))
+    # dense sample blocks are the finest split of the stack
+    assert finest_split(stack.A, *stack.Blist) == q
 
 
 def test_stack_noise_rejects_unequal_channel_counts():

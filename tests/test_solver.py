@@ -7,14 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from bilqr.model import BilinearProblem, bilinear_factors
+from bilqr.model import BilinearProblem, bilinear_factors, diagonal_blocks, finest_split
 from bilqr.numkit import GriddedTrajectory, TimeGrid
 from bilqr.solver import (
     SolveOptions,
     _initial_state,
     affine_sweep,
     closed_loop_forward,
-    drift_blocks,
     evaluate_cost,
     freeze_iteration_fields,
     iterate_once,
@@ -29,7 +28,7 @@ def const_fields(A, W, grid):
     """Drift blocks and gram-factor stage tables of a constant A and O = W W'."""
     W = np.asarray(W, dtype=float)
     T = grid.steps
-    return (drift_blocks(A), np.broadcast_to(W, (T + 1,) + W.shape),
+    return (diagonal_blocks(A, finest_split(A)), np.broadcast_to(W, (T + 1,) + W.shape),
             np.broadcast_to(W, (T,) + W.shape))
 
 
@@ -294,7 +293,7 @@ def test_boundary_value_route_matches_sweeps():
     factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 1000)
     T = grid.steps + 1
-    arrays = (drift_blocks(prob.A),) + freeze_iteration_fields(prob, factors, np.zeros((T, 2)))
+    arrays = (diagonal_blocks(prob.A, finest_split(prob.A)),) + freeze_iteration_fields(prob, factors, np.zeros((T, 2)))
     w = prob.terminal_weight
     K = riccati_sweep(*arrays, 2 * w * np.eye(2), grid)
     s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
@@ -377,7 +376,7 @@ def test_factored_sweeps_match_dense_gram_reference(q, b):
     grid = TimeGrid(0.0, prob.tf, 40)
     X = rng.normal(size=(grid.steps + 1, prob.n))
     W_nodes, W_mids = freeze_iteration_fields(prob, factors, X)
-    arrays = (drift_blocks(prob.A), W_nodes, W_mids)
+    arrays = (diagonal_blocks(prob.A, finest_split(prob.A)), W_nodes, W_mids)
     w = prob.terminal_weight
     K = riccati_sweep(*arrays, 2 * w * np.eye(prob.n), grid)
     s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
@@ -413,6 +412,9 @@ def test_drift_blocks_detection():
     rng = np.random.default_rng(3)
     blocks = rng.normal(size=(4, 2, 2))
     from scipy.linalg import block_diag
+
+    def drift_blocks(A):
+        return diagonal_blocks(A, finest_split(A))
 
     assert np.array_equal(drift_blocks(block_diag(*blocks)), blocks)
     dense = rng.normal(size=(6, 6))
@@ -474,6 +476,41 @@ def test_simulate_bilinear_finer_grid_matches_per_stage_interpolation():
     resim = simulate_bilinear(prob, utraj, fine)
     assert resim.grid == fine
     assert np.max(np.abs(resim.values - np.array(ref))) < 1e-12
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("drift", ["dense", "diagonal"])
+def test_stacked_resimulation_matches_each_sample_alone(refine, drift):
+    # q=3 samples of b=2 states under one time-varying control: the stack
+    # steps its sample blocks, each of which runs as a single system, and
+    # both match a dense-coupling reference; with a diagonal drift the dense
+    # bilinear maps alone set the split
+    from bilqr.ensemble import SampleCoefficients, sample_view, stack_coefficients
+    from bilqr.numkit import integrate_forward
+
+    rng = np.random.default_rng(11)
+    mask = np.eye(2) if drift == "diagonal" else np.ones((2, 2))
+    coeffs = [SampleCoefficients(
+        A=mask * rng.normal(scale=0.5, size=(2, 2)), B=rng.normal(size=(2, 2)),
+        Blist=tuple(rng.normal(scale=0.3, size=(2, 2)) for _ in range(2)),
+        g=rng.normal(size=2), x0=rng.normal(size=2), xd=np.zeros(2)) for _ in range(3)]
+    R = np.eye(2)
+    stack = stack_coefficients(coeffs, 2.0, R)
+    coarse = TimeGrid(0.0, 2.0, 40)
+    utraj = GriddedTrajectory(coarse, np.column_stack(
+        [np.sin(3.0 * coarse.nodes), np.cos(coarse.nodes) ** 2]))
+    grid = TimeGrid(0.0, 2.0, 40 * refine)
+    states = sample_view(simulate_bilinear(stack, utraj, grid).values, 3)
+    for j, c in enumerate(coeffs):
+        single = simulate_bilinear(BilinearProblem(**vars(c), tf=2.0, R=R), utraj, grid)
+        assert np.max(np.abs(states[:, j] - single.values)) <= 1e-13
+
+        def field(t, x, c=c):
+            u = utraj.at(t)
+            return (c.A + np.tensordot(u, np.stack(c.Blist), axes=1)) @ x + c.B @ u + c.g
+
+        ref = integrate_forward(field, c.x0, grid)
+        assert np.max(np.abs(single.values - ref.values)) <= 1e-13
 
 
 def test_solve_keeps_one_gain_table_per_iteration():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bilqr.ensemble import SampleCoefficients, sample_view, stack_coefficients, stack_noise, unstack
+from bilqr.ensemble import SampleCoefficients, sample_view, stack_coefficients, stack_noise
 from bilqr.model import BilinearProblem
 from bilqr.numkit import GriddedTrajectory, TimeGrid, integrate_forward, rk4_step
 from bilqr.solver import simulate_bilinear
@@ -263,7 +263,8 @@ def sample_stack(b, m, k, kind, q=3, seed=0):
         lam = rng.uniform(1.0, 3.0, size=k) if kind == "poisson" else None
         noises.append(NoiseSpec(kind, G, lam))
     stack, noise = stack_coefficients(coeffs, 3.0, np.eye(m)), stack_noise(noises)
-    return stack, noise, unstack(stack, noise, q)
+    singles = [BilinearProblem(**vars(c), tf=3.0, R=np.eye(m)) for c in coeffs]
+    return stack, noise, list(zip(singles, noises))
 
 
 SIMULATORS = {"poisson": simulate_poisson_paths, "wiener": simulate_wiener_paths}
@@ -304,7 +305,7 @@ def test_stacked_multistate_samples_match_single_system_calls(kind):
 @pytest.mark.parametrize("kind", ["poisson", "wiener"])
 def test_blowup_names_the_sample_and_path(kind):
     simulate = SIMULATORS[kind]
-    stack, noise, _ = sample_stack(1, 1, 1, kind, q=2)
+    stack, noise, singles = sample_stack(1, 1, 1, kind, q=2)
     A = stack.A.copy()
     A[1, 1] = 1e5  # sample 1 overflows within the grid; sample 0 decays
     stack = dataclasses.replace(stack, A=A)
@@ -313,7 +314,8 @@ def test_blowup_names_the_sample_and_path(kind):
     for samples in (None, range(1, 2)):  # the stack's own sample index, also in a group
         with pytest.raises(RuntimeError, match=r"^sample 1 path 0 blew up at node \d+ \(t="):
             simulate(stack, noise, u, M=10, seed=2, q=2, samples=samples)
-    sub, sub_noise = unstack(stack, noise, 2)[1]
+    sub, sub_noise = singles[1]
+    sub = dataclasses.replace(sub, A=[[1e5]])
     with pytest.raises(RuntimeError, match=r"^path 0 blew up at node \d+ \(t="):
         simulate(sub, sub_noise, u, M=10, seed=3)
     simulate(stack, noise, u, M=10, seed=2, q=2, samples=range(1))  # sample 0 alone is finite
