@@ -145,8 +145,7 @@ def _write_outputs(out: Path, setup: RunSetup, result, config: dict) -> None:
         "final_cost": final.cost,
         "notes": list(setup.notes),
         "history": [[int(k), _json_safe(float(d)), float(c)] for k, d, c in result.history],
-        "terminal_cost_averaged": averaged_terminal_cost(
-            setup.problem, setup.q, final.x.values[-1]),
+        "terminal_cost_averaged": averaged_terminal_cost(setup.problem, final.x.values[-1]),
     }
 
     if final.K is not None:
@@ -197,10 +196,13 @@ def _read_table(path: Path) -> np.ndarray:
         return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def _read_control(path: Path, tf: float) -> GriddedTrajectory:
+def _read_control(path: Path, tf: float, m: int) -> GriddedTrajectory:
     data = _read_table(path)
     if data.shape[0] < 2:
         raise ProblemFileError(f"{path} holds fewer than two control samples")
+    if data.shape[1] != m + 1:
+        raise ProblemFileError(f"{path} holds {data.shape[1] - 1} control columns, the "
+                               f"problem has m = {m}")
     nodes = data[:, 0]
     if not abs(nodes[-1] - tf) <= 1e-9 * max(1.0, tf):
         raise ProblemFileError(f"{path}: control horizon {float(nodes[-1])} does not match "
@@ -233,10 +235,11 @@ def _read_run(run_dir: Path) -> tuple[RunSetup, GriddedTrajectory, np.ndarray | 
             setup = load_problem_file(source["path"])
     except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{summary_path} is not a run summary: {exc!r}") from exc
-    utraj = _read_control(control_path, setup.problem.tf)
+    utraj = _read_control(control_path, setup.problem.tf, setup.problem.m)
 
-    state_files = sorted(run_dir.glob("state_*.csv"),
-                         key=lambda p: int(p.stem.split("_")[1]))
+    # state_1 .. state_q only: a reused directory may hold those of a larger q
+    state_files = [f for f in (run_dir / f"state_{j + 1}.csv" for j in range(setup.q))
+                   if f.exists()]
     if not state_files:
         return setup, utraj, None
     nodes = len(utraj.values)
@@ -321,7 +324,7 @@ def _ensemble_mc_statistic(setup: RunSetup, utraj, resim, M: int, seed: int) -> 
     worst = 0.0
     for lo in range(0, q, size):
         hi = min(lo + size, q)
-        batch = simulate(prob, noise, utraj, M, seed, q, range(lo, hi))
+        batch = simulate(prob, noise, utraj, M, seed, range(lo, hi))
         ref = GriddedTrajectory(resim.grid, refs[:, lo:hi].reshape(nodes, -1))
         stat = mean_consistency(batch, ref).max_standardized_deviation
         if np.isnan(stat):
@@ -348,7 +351,7 @@ def cmd_sweep_r(args) -> int:
             result = solve(setup.problem, opts)
             crossover = (result.diagnostics.crossover_iteration
                          if result.diagnostics else None)
-            terminal = averaged_terminal_cost(setup.problem, setup.q, result.final.x.values[-1])
+            terminal = averaged_terminal_cost(setup.problem, result.final.x.values[-1])
             rows.append([scale, result.converged, result.iterations_used,
                          crossover if crossover is not None else "",
                          result.final.cost, terminal, ""])

@@ -8,8 +8,8 @@ Riemann-sum average of the per-sample errors.
 
 This module owns the stacked layout: sample j owns state rows j b:(j + 1) b
 and noise columns j k:(j + 1) k, with b = n / q and k = (noise channels) / q.
-`stack_coefficients` and `stack_noise` build it, placing the per-sample
-drift, bilinear maps and noise matrices with the numpy helper `_block_diag`;
+`stack_coefficients` (whose problem holds q) and `stack_noise` build it,
+placing the per-sample drift, bilinear maps and noise with `_block_diag`;
 `model.sample_blocks` reads the blocks back and `sample_view` the states.
 """
 
@@ -159,7 +159,7 @@ def stack_coefficients(
     xd = np.concatenate([np.atleast_1d(c.xd) for c in coeffs])
     weight = 1.0 / q if terminal_weighting == "averaged" else 1.0
     return BilinearProblem(
-        A=A, B=B, Blist=Blist, g=g, x0=x0, xd=xd, tf=tf, R=R, terminal_weight=weight
+        A=A, B=B, Blist=Blist, g=g, x0=x0, xd=xd, tf=tf, R=R, terminal_weight=weight, q=q
     )
 
 
@@ -195,7 +195,7 @@ def sample_view(values: np.ndarray, q: int) -> np.ndarray:
     return values.reshape(values.shape[:-1] + (q, values.shape[-1] // q))
 
 
-def averaged_terminal_cost(prob: BilinearProblem, q: int, X_tf: np.ndarray) -> float:
+def averaged_terminal_cost(prob: BilinearProblem, X_tf: np.ndarray) -> float:
     """Riemann-sum mean 1/q sum_j ||x_j(tf) - xd_j||^2 over the q samples of a stack.
 
     Always 1/q-normalized, independent of the stacking weight, so values
@@ -205,7 +205,7 @@ def averaged_terminal_cost(prob: BilinearProblem, q: int, X_tf: np.ndarray) -> f
     if X_tf.shape != prob.xd.shape:
         raise ValueError(f"expected stacked terminal state of length {prob.n}")
     miss = X_tf - prob.xd
-    return float(np.dot(miss, miss)) / q
+    return float(np.dot(miss, miss)) / prob.q
 
 
 @dataclass(frozen=True)
@@ -235,8 +235,8 @@ def refinement_study(
         result = solve(prob, opts)
         rows.append(
             RefinementRow(
-                q=len(samples),
-                terminal_cost=averaged_terminal_cost(prob, len(samples), result.final.x.values[-1]),
+                q=prob.q,
+                terminal_cost=averaged_terminal_cost(prob, result.final.x.values[-1]),
                 cost=result.final.cost,
                 iterations=result.iterations_used,
                 converged=result.converged,

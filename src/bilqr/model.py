@@ -20,10 +20,10 @@ with L = B + sum_j x_j N_j and C = L - B.  They satisfy the identity
 for all finite (x, p), which is what makes a fixed point of the iteration
 solve the original necessary conditions.
 
-`finest_split`, `diagonal_blocks` and `sample_blocks` read the per-sample
-blocks of a stacked ensemble, and `bilinear_field` is the one right-hand
-side of the dynamics over them, for the resimulation and the Monte Carlo
-paths.
+A problem holds its sample count q, one sample per equal diagonal block.
+`diagonal_blocks` and `sample_blocks` read those blocks, and
+`bilinear_field` is the one right-hand side of the dynamics over them, for
+the resimulation and the Monte Carlo paths.
 
 `NoiseSpec` is the additive noise of the stochastic variants; its
 simulators and the mean reduction live in `bilqr.stochastic`.
@@ -47,7 +47,6 @@ __all__ = [
     "frozen_gram",
     "consistency_residual",
     "diagonal_blocks",
-    "finest_split",
     "sample_blocks",
     "bilinear_field",
 ]
@@ -58,7 +57,8 @@ class BilinearProblem:
     """Immutable data of one bilinear control problem.
 
     `terminal_weight` is the coefficient w of the terminal penalty: 1 for a
-    single system, 1/q for an averaged ensemble stack.
+    single system, 1/q for an averaged stack of q samples, one per equal
+    diagonal block of A and of every B_i (q = 1: a single system).
     """
 
     A: np.ndarray
@@ -70,6 +70,7 @@ class BilinearProblem:
     tf: float
     R: np.ndarray
     terminal_weight: float = 1.0
+    q: int = 1
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -112,6 +113,11 @@ class BilinearProblem:
             np.linalg.cholesky(R)
         except np.linalg.LinAlgError as exc:
             raise ValueError("R must be positive definite") from exc
+        q = self.q
+        if not (isinstance(q, int) and q >= 1 and n % q == 0):
+            raise ValueError(f"q must be a positive integer dividing n = {n}, got {q!r}")
+        if any(np.count_nonzero(diagonal_blocks(M, q)) < np.count_nonzero(M) for M in (A, *Blist)):
+            raise ValueError(f"A or a bilinear map has entries outside its {q} diagonal blocks")
 
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -264,22 +270,12 @@ def diagonal_blocks(M: np.ndarray, q: int) -> np.ndarray:
     return np.ascontiguousarray(M.reshape(q, r, q, c)[np.arange(q), :, np.arange(q), :])
 
 
-def finest_split(*mats) -> int:
-    """The largest q dividing n such that every given n x n matrix vanishes
-    outside its q equal diagonal blocks: n for diagonal (or zero) matrices,
-    the sample count for a stacked ensemble, 1 for a dense system."""
-    n = np.shape(mats[0])[0]
-    return next(q for q in range(n, 0, -1) if n % q == 0 and all(
-        np.count_nonzero(diagonal_blocks(M, q)) == np.count_nonzero(M) for M in mats))
-
-
-def sample_blocks(prob: BilinearProblem, q: int):
-    """Per-block stacks A (q, b, b), B (q, b, m), Bs (q, m, b, b), g (q, b)
-    and x0 (q, b) of a problem whose drift and bilinear maps are
-    block-diagonal in q equal blocks."""
-    Bs = np.stack([diagonal_blocks(Bi, q) for Bi in prob.Blist], axis=1)
-    return (diagonal_blocks(prob.A, q), prob.B.reshape(q, -1, prob.m), Bs,
-            prob.g.reshape(q, -1), prob.x0.reshape(q, -1))
+def sample_blocks(prob: BilinearProblem):
+    """Per-sample stacks A (q, b, b), B (q, b, m), Bs (q, m, b, b), g (q, b)
+    and x0 (q, b) of a problem of q samples."""
+    Bs = np.stack([diagonal_blocks(Bi, prob.q) for Bi in prob.Blist], axis=1)
+    return (diagonal_blocks(prob.A, prob.q), prob.B.reshape(prob.q, -1, prob.m), Bs,
+            prob.g.reshape(prob.q, -1), prob.x0.reshape(prob.q, -1))
 
 
 def bilinear_field(A, B, Bs, g):

@@ -84,7 +84,7 @@ NOTE_TWOSPIN_DARK = (
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Everything a run needs: the solvable problem plus its provenance."""
+    """Everything a run needs: the solvable problem, which holds q, plus its provenance."""
 
     label: str
     problem: BilinearProblem
@@ -92,8 +92,11 @@ class RunSetup:
     noise: NoiseSpec | None = None
     spec: EnsembleSpec | None = None
     samples: tuple = ()
-    q: int = 1
     notes: tuple = ()
+
+    @property
+    def q(self) -> int:
+        return self.problem.q
 
 
 def integer(value, name: str) -> int:
@@ -126,13 +129,13 @@ def assemble_run(label: str, problem: BilinearProblem, noises: list, options: So
     """The run of a (stacked) problem and its per-sample noises.
 
     The one place where noise is stacked and, under Poisson noise, reduced
-    to the mean problem (G lambda replaces g); q is the sample count.
+    to the mean problem (G lambda replaces g).
     """
     noise = stack_noise(noises) if noises else None
     if noise is not None and noise.kind == "poisson":
         problem = expected_reduction(problem, noise)
     return RunSetup(label=label, problem=problem, options=options, noise=noise, spec=spec,
-                    samples=tuple(samples), q=len(samples) or 1, notes=notes)
+                    samples=tuple(samples), notes=notes)
 
 
 def _ensemble_run(label: str, spec: EnsembleSpec, options: SolveOptions, notes: tuple,

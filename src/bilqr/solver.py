@@ -27,14 +27,14 @@ Every sweep, both passes of the boundary-value route, the initial flow and
 the bilinear resimulation are one call of numkit.rk4_sweep, whose
 right-hand side takes the coefficients as stage tables: arrays at the grid
 nodes and interval midpoints, in the structure the problem has.  The
-drift A comes as the diagonal blocks (q, b, b) of its `model.finest_split`,
+drift A comes as its prob.q diagonal blocks (q, b, b), one per sample,
 and the input gram L R^-1 L', whose rank is at most m, as its factor
 W = L C with R^-1 = C C'.  Every product with the gram is taken through W,
 so an RK4 stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense
 n x n products, and no (T, n, n) gram table is formed.  One (T + 1, n, n)
 gain table is alive per iteration: K midpoints are formed in small blocks,
 and spent sweeps are released unless the diagnostics need them.  The
-resimulation steps the blocks of `finest_split(A, *Blist)` through
+resimulation steps the same sample blocks (`model.sample_blocks`) through
 `model.bilinear_field`, the field of the Monte Carlo paths.
 """
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (BilinearFactors, BilinearProblem, bilinear_factors, bilinear_field,
-                    diagonal_blocks, finest_split, sample_blocks)
+                    diagonal_blocks, sample_blocks)
 from .numkit import BlowupError, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
 
 __all__ = [
@@ -377,7 +377,7 @@ def iterate_once(
     `diff_x` measures how far the map moved the state away from its argument.
     """
     w = prob.terminal_weight
-    Ab = diagonal_blocks(prob.A, finest_split(prob.A))
+    Ab = diagonal_blocks(prob.A, prob.q)
     Wn, Wm = freeze_iteration_fields(prob, factors, prev.x.values)
     try:
         K = riccati_sweep(Ab, Wn, Wm, 2.0 * w * np.eye(prob.n), grid)
@@ -502,11 +502,11 @@ def simulate_bilinear(
 
     `grid` defaults to the control's own grid; a finer grid may be passed
     for refinement checks.  u is tabulated once at the grid's nodes and
-    interval midpoints.  The state steps as blocks (q, 1, b) of its finest
-    split, so no n x n coupling is formed.
+    interval midpoints.  The state steps as blocks (q, 1, b), one per
+    sample, so no n x n coupling is formed.
     """
     grid = grid or utraj.grid
-    A, B, Bs, g, x0 = sample_blocks(prob, finest_split(prob.A, *prob.Blist))
+    A, B, Bs, g, x0 = sample_blocks(prob)
     t = grid.nodes
     u_nodes, u_mids = (utraj.at(s)[:, np.newaxis, np.newaxis] for s in (t, midpoints(t)))
     Y = rk4_sweep(bilinear_field(A, B, Bs, g), x0[:, np.newaxis], grid, (u_nodes,), (u_mids,))

@@ -7,7 +7,7 @@ deterministic control and purely additive noise the reduction is exact, so
 the Monte Carlo comparison here is a correctness test of the simulators,
 not an approximation study.
 
-The simulators take a stack of q samples in the layout of `bilqr.ensemble`
+The simulators take the q = `prob.q` samples stacked as in `bilqr.ensemble`
 (q = 1: a single system) and run the paths of the chosen samples in one
 batched pass.  The state has shape (samples, paths, b): each sample keeps
 its own blocks (`model.sample_blocks`) once, and every step evaluates
@@ -49,7 +49,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Monte Carlo batch: states has shape (paths, nodes, n)."""
+    """Monte Carlo batch: states has shape (paths, nodes, chosen samples * b)."""
 
     paths: int
     grid: TimeGrid
@@ -77,10 +77,11 @@ def expected_reduction(prob: BilinearProblem, noise: NoiseSpec) -> BilinearProbl
     return prob.with_g(g)
 
 
-def _sample_blocks(prob, noise, q, samples, M):
+def _sample_blocks(prob, noise, samples, M):
     """The chosen samples, their coefficient stacks (A, B, Bs, g) with a
     leading sample axis, their initial states (S, b), noise columns
     G' (S, k, b) and rates (S, k), or None under Wiener noise."""
+    q = prob.q
     if M < 1:
         raise ValueError("M must be >= 1")
     if noise.G.shape[0] != prob.n:
@@ -88,10 +89,10 @@ def _sample_blocks(prob, noise, q, samples, M):
     samples = range(q) if samples is None else samples
     if len(samples) == 0 or any(not 0 <= j < q for j in samples):
         raise ValueError(f"samples must be indices of the {q} stacked samples")
-    if prob.n % q or noise.k % q:
-        raise ValueError(f"a stack of {q} samples needs n and k divisible by {q}")
+    if noise.k % q:
+        raise ValueError(f"a stack of {q} samples needs k divisible by {q}")
     chosen = list(samples)
-    *coeffs, x0 = (blocks[chosen] for blocks in sample_blocks(prob, q))
+    *coeffs, x0 = (blocks[chosen] for blocks in sample_blocks(prob))
     Gt = diagonal_blocks(noise.G, q)[chosen].swapaxes(1, 2)
     lam = None if noise.lam is None else noise.lam.reshape(q, -1)[chosen]
     return samples, coeffs, x0, Gt, lam
@@ -155,7 +156,6 @@ def simulate_poisson_paths(
     utraj: GriddedTrajectory,
     M: int,
     seed: int,
-    q: int = 1,
     samples: range | None = None,
 ) -> PathBatch:
     """Jump-diffusion paths: RK4 drift between jumps, jumps at exact times.
@@ -164,14 +164,14 @@ def simulate_poisson_paths(
     of counter c the state gains column c of its sample's G.  The RK4 step
     of a path is split at each of its jump instants, which removes the O(h)
     placement bias of node-aligned jump handling.  `prob` and `noise` stack
-    q samples, of which the samples in `samples` (all by default) run; see
-    the module docstring for the layout and the streams.  `jump_counts` has
-    shape (paths, chosen samples * k).
+    `prob.q` samples, of which the samples in `samples` (all by default) run;
+    see the module docstring for the layout and the streams.  `jump_counts`
+    has shape (paths, chosen samples * k).
     """
     if noise.kind != "poisson":
         raise ValueError("simulate_poisson_paths requires poisson noise")
     grid = utraj.grid
-    samples, coeffs, x0, G_cols, lams = _sample_blocks(prob, noise, q, samples, M)
+    samples, coeffs, x0, G_cols, lams = _sample_blocks(prob, noise, samples, M)
     S, b = x0.shape
     draws = [_draw_jump_times(np.random.Generator(np.random.Philox(seed + j)), lam, M, grid.tf)
              for j, lam in zip(samples, lams)]
@@ -220,7 +220,7 @@ def simulate_poisson_paths(
             tcur = tcur.reshape(S, M)
             Y = _rk4_path_step(rhs, U[i], D[i], Y, tcur - nodes[i], t_right - tcur)
             if not np.all(np.isfinite(Y)):
-                _raise_blowup(Y, samples, q, i + 1, t_right)
+                _raise_blowup(Y, samples, prob.q, i + 1, t_right)
             states[:, i + 1] = Y.swapaxes(0, 1)
     return PathBatch(paths=M, grid=grid, states=states.reshape(M, grid.steps + 1, S * b),
                      rng_seed=seed, jump_counts=np.hstack(counts))
@@ -232,17 +232,16 @@ def simulate_wiener_paths(
     utraj: GriddedTrajectory,
     M: int,
     seed: int,
-    q: int = 1,
     samples: range | None = None,
 ) -> PathBatch:
     """Euler-Maruyama on the grid: drift step plus G (sqrt(h) N(0, I)).
 
-    `prob`, `noise`, `q` and `samples` as in `simulate_poisson_paths`.
+    `prob`, `noise` and `samples` as in `simulate_poisson_paths`.
     """
     if noise.kind != "wiener":
         raise ValueError("simulate_wiener_paths requires wiener noise")
     grid = utraj.grid
-    samples, coeffs, x0, Gt, _ = _sample_blocks(prob, noise, q, samples, M)
+    samples, coeffs, x0, Gt, _ = _sample_blocks(prob, noise, samples, M)
     S, b = x0.shape
     rngs = [np.random.Generator(np.random.Philox(seed + j)) for j in samples]
     k = Gt.shape[1]
@@ -259,7 +258,7 @@ def simulate_wiener_paths(
             xi = np.stack([rng.standard_normal((M, k)) for rng in rngs])
             Y = Y + h * rhs(Y, U[i]) + sqrt_h * (xi @ Gt)
             if not np.all(np.isfinite(Y)):
-                _raise_blowup(Y, samples, q, i + 1, nodes[i + 1])
+                _raise_blowup(Y, samples, prob.q, i + 1, nodes[i + 1])
             states[:, i + 1] = Y.swapaxes(0, 1)
     return PathBatch(paths=M, grid=grid, states=states.reshape(M, grid.steps + 1, S * b),
                      rng_seed=seed)

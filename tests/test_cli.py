@@ -411,6 +411,39 @@ def test_validate_truncated_state_file_exit_one(tmp_path, capsys):
     assert "state_1.csv" in one_error_line(capsys)
 
 
+def test_validate_reads_only_the_state_files_of_its_samples(tmp_path, capsys):
+    # a second solve into the same directory with fewer samples leaves the
+    # first solve's state_3.csv behind; validate reads state_1 and state_2
+    out = tmp_path / "run"
+    for q in ("3", "2"):
+        assert main(["solve", "--scenario", "iaf_case1", "--q", q, "--grid", "50",
+                     "--out", str(out)]) == 0
+    assert (out / "state_3.csv").exists()
+    capsys.readouterr()
+    assert main(["validate", "--run", str(out)]) == 0
+    report = json.loads((out / "validate.json").read_text())
+    assert len(report["per_sample_terminal_errors"]) == 2
+    assert report["fixed_point_sup_error"] < 1e-3
+
+
+@pytest.mark.parametrize("scenario, q, edit, words", [
+    ("bloch_broadband", "3", lambda row: row[:-1], "1 control columns, the problem has m = 2"),
+    ("iaf_case1", "2", lambda row: row + ["0.5"], "2 control columns, the problem has m = 1"),
+], ids=["bloch-column-dropped", "iaf-column-added"])
+def test_validate_wrong_control_column_count_exit_one(tmp_path, capsys, scenario, q, edit, words):
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", scenario, "--q", q, "--grid", "20", "--max-iters", "2",
+                 "--out", str(out)]) in (0, 2)
+    capsys.readouterr()
+    control = out / "control.csv"
+    rows = [line.split(",") for line in control.read_text().splitlines()]
+    control.write_text("".join(",".join(edit(row)) + "\n" for row in rows))
+    assert main(["validate", "--run", str(out)]) == 1
+    line = one_error_line(capsys)
+    assert "control.csv" in line and words in line
+    assert not (out / "validate.json").exists()
+
+
 def test_validate_missing_sample_state_file_exit_one(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["solve", "--scenario", "iaf_case1", "--q", "2", "--grid", "50",

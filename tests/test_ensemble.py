@@ -14,10 +14,9 @@ from bilqr.ensemble import (
     stack_noise,
     stack_problem,
 )
-from bilqr.model import (bilinear_factors, consistency_residual, diagonal_blocks, finest_split,
-                         sample_blocks)
+from bilqr.model import bilinear_factors, consistency_residual, diagonal_blocks, sample_blocks
 from bilqr.solver import SolveOptions, solve
-from bilqr.stochastic import NoiseSpec
+from bilqr.stochastic import NoiseSpec, expected_reduction
 
 
 def smooth_spec(q, weighting="averaged"):
@@ -136,13 +135,13 @@ def test_averaged_terminal_cost_cases():
     samples = sample_uniform(spec)
     prob = stack_problem(spec, samples)
     xds = np.concatenate([spec.coefficients(b).xd for b in samples])
-    assert averaged_terminal_cost(prob, len(samples), xds) == 0.0
+    assert averaged_terminal_cost(prob, xds) == 0.0
     shifted = xds + 0.1
-    assert averaged_terminal_cost(prob, len(samples), shifted) == pytest.approx(0.01)
+    assert averaged_terminal_cost(prob, shifted) == pytest.approx(0.01)
     one = smooth_spec(1)
     s1 = sample_uniform(one)
     xd1 = one.coefficients(s1[0]).xd
-    assert averaged_terminal_cost(stack_problem(one, s1), 1, xd1 + 0.2) == pytest.approx(0.04)
+    assert averaged_terminal_cost(stack_problem(one, s1), xd1 + 0.2) == pytest.approx(0.04)
 
 
 def test_refinement_constant_ensemble_terminal_cost_invariant():
@@ -217,7 +216,7 @@ def test_sample_blocks_return_every_sample_exactly(seed, q, b, m, k, kind):
               for _ in range(q)]
     R = np.diag(rng.uniform(0.5, 2.0, size=m))
     stack = stack_coefficients(coeffs, 1.5, R)
-    A, B, Bs, g, x0 = sample_blocks(stack, q)
+    A, B, Bs, g, x0 = sample_blocks(stack)
     noise_stack = stack_noise(noises)
     G = diagonal_blocks(noise_stack.G, q)
     assert len(A) == len(B) == len(Bs) == len(g) == len(x0) == len(G) == q
@@ -228,8 +227,17 @@ def test_sample_blocks_return_every_sample_exactly(seed, q, b, m, k, kind):
         assert np.array_equal(G[j], noise.G)
         assert (noise_stack.lam is None if kind == "wiener"
                 else np.array_equal(noise_stack.lam.reshape(q, k)[j], noise.lam))
-    # dense sample blocks are the finest split of the stack
-    assert finest_split(stack.A, *stack.Blist) == q
+    assert stack.q == q
+
+
+def test_stack_holds_its_sample_count():
+    # q = len(coeffs), kept by the mean reduction of its stacked noise
+    coeffs = [smooth_spec(1).coefficients(beta) for beta in (0.0, 0.5, 1.0)]
+    stack = stack_coefficients(coeffs, 1.0, np.eye(1))
+    assert stack.q == len(coeffs) == 3
+    assert stack_coefficients(coeffs[:1], 1.0, np.eye(1)).q == 1
+    noise = stack_noise([NoiseSpec("poisson", [[0.2]], [2.0])] * 3)
+    assert expected_reduction(stack, noise).q == 3
 
 
 def test_stack_noise_rejects_unequal_channel_counts():

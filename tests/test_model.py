@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilqr.model import (
     BilinearProblem,
@@ -47,6 +51,44 @@ def test_problem_validation():
         BilinearProblem(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
                         Blist=(np.zeros((2, 2)),), g=np.zeros(2), x0=np.zeros(2),
                         xd=np.zeros(2), tf=1.0, R=np.array([[1.0, 0.3], [0.0, 1.0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4), b=st.integers(1, 3),
+       m=st.integers(1, 2), data=st.data())
+def test_sample_count_is_checked(seed, q, b, m, data):
+    # A and the B_i dense in q diagonal b x b blocks pass with q samples; a q
+    # that is not a positive divisor of n, or one nonzero entry of A or of a
+    # B_i outside the blocks, raises
+    rng = np.random.default_rng(seed)
+    n = q * b
+    mask = np.kron(np.eye(q), np.ones((b, b)))
+    mats = [mask * rng.normal(size=(n, n)) for _ in range(m + 1)]
+    fields = dict(B=rng.normal(size=(n, m)), g=np.zeros(n), x0=np.zeros(n), xd=np.zeros(n),
+                  tf=1.0, R=np.eye(m))
+
+    def problem(q):
+        return BilinearProblem(A=mats[0], Blist=tuple(mats[1:]), q=q, **fields)
+
+    assert problem(q).q == q
+    bad = data.draw(st.integers(-2, 2 * n + 1).filter(lambda d: d < 1 or n % d))
+    with pytest.raises(ValueError, match="q must be a positive integer dividing n"):
+        problem(bad)
+    if q > 1:
+        which = data.draw(st.integers(0, m))
+        i, j = data.draw(st.sampled_from(np.argwhere(mask == 0).tolist()))
+        mats[which][i, j] = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(
+            st.floats(1e-300, 1e300))
+        with pytest.raises(ValueError, match=f"outside its {q} diagonal blocks"):
+            problem(q)
+
+
+def test_derived_problems_keep_the_sample_count():
+    mask = np.kron(np.eye(3), np.ones((2, 2)))
+    prob = BilinearProblem(A=-mask, B=np.ones((6, 1)), Blist=(0.5 * mask,), g=np.zeros(6),
+                           x0=np.ones(6), xd=np.zeros(6), tf=1.0, R=[[1.0]], q=3)
+    assert prob.with_g(np.ones(6)).q == 3
+    assert dataclasses.replace(prob, tf=2.0).q == 3
 
 
 def test_factor_columns_from_single_map():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from bilqr.model import BilinearProblem, bilinear_factors, diagonal_blocks, finest_split
+from bilqr.model import BilinearProblem, bilinear_factors, diagonal_blocks
 from bilqr.numkit import GriddedTrajectory, TimeGrid
 from bilqr.solver import (
     SolveOptions,
@@ -24,11 +24,12 @@ from bilqr.solver import (
 )
 
 
-def const_fields(A, W, grid):
-    """Drift blocks and gram-factor stage tables of a constant A and O = W W'."""
+def const_fields(A, W, grid, q=1):
+    """Drift blocks and gram-factor stage tables of a constant A, block-diagonal
+    in q blocks, and O = W W'."""
     W = np.asarray(W, dtype=float)
     T = grid.steps
-    return (diagonal_blocks(A, finest_split(A)), np.broadcast_to(W, (T + 1,) + W.shape),
+    return (diagonal_blocks(A, q), np.broadcast_to(W, (T + 1,) + W.shape),
             np.broadcast_to(W, (T,) + W.shape))
 
 
@@ -293,7 +294,7 @@ def test_boundary_value_route_matches_sweeps():
     factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 1000)
     T = grid.steps + 1
-    arrays = (diagonal_blocks(prob.A, finest_split(prob.A)),) + freeze_iteration_fields(prob, factors, np.zeros((T, 2)))
+    arrays = (diagonal_blocks(prob.A, prob.q),) + freeze_iteration_fields(prob, factors, np.zeros((T, 2)))
     w = prob.terminal_weight
     K = riccati_sweep(*arrays, 2 * w * np.eye(2), grid)
     s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
@@ -345,7 +346,7 @@ def random_bilinear_problem(rng, q, b, m):
         A=block_diag(*rng.normal(size=(q, b, b))), B=rng.normal(size=(n, m)),
         Blist=tuple(block_diag(*rng.normal(size=(q, b, b))) for _ in range(m)),
         g=rng.normal(size=n), x0=rng.normal(size=n), xd=rng.normal(size=n),
-        tf=0.5, R=R @ R.T + m * np.eye(m),
+        tf=0.5, R=R @ R.T + m * np.eye(m), q=q,
     )
 
 
@@ -376,7 +377,8 @@ def test_factored_sweeps_match_dense_gram_reference(q, b):
     grid = TimeGrid(0.0, prob.tf, 40)
     X = rng.normal(size=(grid.steps + 1, prob.n))
     W_nodes, W_mids = freeze_iteration_fields(prob, factors, X)
-    arrays = (diagonal_blocks(prob.A, finest_split(prob.A)), W_nodes, W_mids)
+    arrays = (diagonal_blocks(prob.A, prob.q), W_nodes, W_mids)
+    assert arrays[0].shape == (q, b, b)  # the sweeps step the sample blocks
     w = prob.terminal_weight
     K = riccati_sweep(*arrays, 2 * w * np.eye(prob.n), grid)
     s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
@@ -408,22 +410,6 @@ def test_factored_sweeps_match_dense_gram_reference(q, b):
     assert close(x.values, x_ref)
 
 
-def test_drift_blocks_detection():
-    rng = np.random.default_rng(3)
-    blocks = rng.normal(size=(4, 2, 2))
-    from scipy.linalg import block_diag
-
-    def drift_blocks(A):
-        return diagonal_blocks(A, finest_split(A))
-
-    assert np.array_equal(drift_blocks(block_diag(*blocks)), blocks)
-    dense = rng.normal(size=(6, 6))
-    assert np.array_equal(drift_blocks(dense), dense[np.newaxis])
-    diag = np.diag(rng.normal(size=5))
-    assert np.array_equal(drift_blocks(diag), np.diag(diag)[:, None, None])
-    assert np.array_equal(drift_blocks(np.zeros((3, 3))), np.zeros((3, 1, 1)))
-
-
 def test_sweep_blowup_names_first_nonfinite_node():
     # dx/dt = c x overflows float64 one RK4 step per ~8-9 decades of growth;
     # each error names the first node, in sweep order, that is not finite,
@@ -432,7 +418,7 @@ def test_sweep_blowup_names_first_nonfinite_node():
     from bilqr.solver import RiccatiEscapeError
 
     grid = TimeGrid(0.0, 1.0, 100)
-    fields = const_fields(2e4 * np.eye(2), np.zeros((2, 1)), grid)
+    fields = const_fields(2e4 * np.eye(2), np.zeros((2, 1)), grid, q=2)
     K0 = GriddedTrajectory(grid, np.zeros((101, 2, 2)))
     s0 = GriddedTrajectory(grid, np.zeros((101, 2)))
     with pytest.raises(RiccatiEscapeError) as exc:

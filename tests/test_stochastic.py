@@ -276,7 +276,7 @@ def test_stacked_samples_match_single_system_calls(kind):
     stack, noise, singles = sample_stack(1, 1, 1, kind)
     grid = TimeGrid(0.0, stack.tf, 150)
     u = GriddedTrajectory(grid, 0.3 * np.sin(grid.nodes)[:, np.newaxis])
-    batch = simulate(stack, noise, u, M=25, seed=40, q=3)
+    batch = simulate(stack, noise, u, M=25, seed=40)
     states = sample_view(batch.states, 3)
     for j, (sub, sub_noise) in enumerate(singles):
         single = simulate(sub, sub_noise, u, M=25, seed=40 + j)
@@ -284,10 +284,10 @@ def test_stacked_samples_match_single_system_calls(kind):
         if kind == "poisson":
             np.testing.assert_array_equal(batch.jump_counts[:, j:j + 1], single.jump_counts)
     # a group of later samples draws the same streams as the whole stack
-    tail = simulate(stack, noise, u, M=25, seed=40, q=3, samples=range(1, 3))
+    tail = simulate(stack, noise, u, M=25, seed=40, samples=range(1, 3))
     np.testing.assert_array_equal(tail.states, batch.states[:, :, 1:])
     with pytest.raises(ValueError, match="indices of the 3 stacked samples"):
-        simulate(stack, noise, u, M=25, seed=40, q=3, samples=range(2, 4))
+        simulate(stack, noise, u, M=25, seed=40, samples=range(2, 4))
 
 
 @pytest.mark.parametrize("kind", ["poisson", "wiener"])
@@ -296,7 +296,7 @@ def test_stacked_multistate_samples_match_single_system_calls(kind):
     stack, noise, singles = sample_stack(2, 2, 2, kind, seed=1)
     grid = TimeGrid(0.0, stack.tf, 150)
     u = GriddedTrajectory(grid, 0.3 * np.sin(np.outer(grid.nodes, [1.0, 2.0])))
-    states = sample_view(simulate(stack, noise, u, M=25, seed=40, q=3).states, 3)
+    states = sample_view(simulate(stack, noise, u, M=25, seed=40).states, 3)
     for j, (sub, sub_noise) in enumerate(singles):
         single = simulate(sub, sub_noise, u, M=25, seed=40 + j)
         np.testing.assert_allclose(states[:, :, j], single.states, rtol=0, atol=1e-12)
@@ -313,12 +313,12 @@ def test_blowup_names_the_sample_and_path(kind):
     u = zero_control(grid)
     for samples in (None, range(1, 2)):  # the stack's own sample index, also in a group
         with pytest.raises(RuntimeError, match=r"^sample 1 path 0 blew up at node \d+ \(t="):
-            simulate(stack, noise, u, M=10, seed=2, q=2, samples=samples)
+            simulate(stack, noise, u, M=10, seed=2, samples=samples)
     sub, sub_noise = singles[1]
     sub = dataclasses.replace(sub, A=[[1e5]])
     with pytest.raises(RuntimeError, match=r"^path 0 blew up at node \d+ \(t="):
         simulate(sub, sub_noise, u, M=10, seed=3)
-    simulate(stack, noise, u, M=10, seed=2, q=2, samples=range(1))  # sample 0 alone is finite
+    simulate(stack, noise, u, M=10, seed=2, samples=range(1))  # sample 0 alone is finite
 
 
 @pytest.mark.parametrize("kind", ["poisson", "wiener"])
