@@ -148,14 +148,12 @@ def _write_outputs(out: Path, setup: RunSetup, result, config: dict) -> None:
         "terminal_cost_averaged": averaged_terminal_cost(setup.problem, final.x.values[-1]),
     }
 
-    if final.K is not None:
+    summary["hjb_residual"] = None
+    if final.K is not None:  # the boundary-value route leaves no K to read
         hjb = hjb_residual(setup.problem, factors, final, grid)
-        nc_x, nc_p = necessary_condition_residual(setup.problem, factors, final, grid)
         summary["hjb_residual"] = {"sup": hjb.sup, "relative": hjb.relative}
-        summary["necessary_condition_residuals"] = {"state": nc_x, "costate": nc_p}
-    else:
-        summary["hjb_residual"] = None
-        summary["necessary_condition_residuals"] = None
+    nc_x, nc_p = necessary_condition_residual(setup.problem, factors, final, grid)
+    summary["necessary_condition_residuals"] = {"state": nc_x, "costate": nc_p}
 
     if result.diagnostics is not None:
         rows = result.diagnostics.rows
@@ -308,16 +306,11 @@ def _ensemble_mc_statistic(setup: RunSetup, utraj, resim, M: int, seed: int) -> 
     each sample's coefficients once, so a group's table is its largest
     array (the statistic adds its temporaries).  Each group is
     compared with its block of the resimulated state, and the statistic is
-    the largest over the groups.  The paths evolve the raw stochastic
-    system: the Poisson part of the reduced translation is subtracted and
-    re-enters through the jumps.
+    the largest over the groups.  The paths evolve the problem as stated,
+    `setup.stated`; the resimulation is of its mean problem.
     """
-    prob, noise, q = setup.problem, setup.noise, setup.q
-    if noise.kind == "poisson":
-        prob = prob.with_g(prob.g - noise.G @ noise.lam)
-        simulate = simulate_poisson_paths
-    else:
-        simulate = simulate_wiener_paths
+    prob, noise, q = setup.stated, setup.noise, setup.q
+    simulate = simulate_poisson_paths if noise.kind == "poisson" else simulate_wiener_paths
     refs = sample_view(resim.values, q)
     nodes, b = refs.shape[0], refs.shape[2]
     size = max(1, _MC_GROUP_BYTES // (8 * M * nodes * b))

@@ -8,10 +8,10 @@ Two layouts are accepted, discriminated by "kind":
   scenario name ("scenario") or explicit per-sample coefficient tables
   ("samples").
 
-Parsing and the input checks live here; the parsed problem and its
-per-sample noises go to `scenarios.assemble_run`, the one place where noise
-is stacked and reduced to the mean problem.  See the repository README for
-annotated examples.
+Parsing and the input checks live here; the parsed problem, as stated
+with its own g, and its per-sample noises go to `scenarios.assemble_run`,
+the one place where noise is stacked; the setup adds the noise's mean to g
+(`RunSetup.problem`).  See the repository README for annotated examples.
 """
 
 from __future__ import annotations
@@ -113,15 +113,6 @@ def _noise(data: dict, n: int, ctx: str) -> NoiseSpec | None:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
 
 
-def _assemble(label: str, problem: BilinearProblem, noises: list, **run) -> RunSetup:
-    """The run of the file's problem and noises; under Poisson noise G lambda
-    takes the place of g, so g must be zero there."""
-    if noises and all(ns.kind == "poisson" for ns in noises) and np.any(problem.g != 0):
-        raise ValueError("field 'g' must be zero under Poisson noise "
-                         "(the mean translation is G lambda)")
-    return assemble_run(label, problem, noises, SolveOptions(), **run)
-
-
 def _coefficients(data: dict, n: int, m: int, ctx: str) -> SampleCoefficients:
     Blist_raw = _require(data, "Blist", ctx)
     if not isinstance(Blist_raw, (list, tuple)) or len(Blist_raw) != m:
@@ -152,7 +143,7 @@ def _load_single(data: dict, label: str) -> RunSetup:
     noise = _noise(data, n, ctx)
     try:
         problem = BilinearProblem(**vars(coeffs), tf=tf, R=R, terminal_weight=weight)
-        return _assemble(label, problem, [] if noise is None else [noise])
+        return assemble_run(label, problem, [] if noise is None else [noise], SolveOptions())
     except ValueError as exc:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
 
@@ -196,7 +187,8 @@ def _load_ensemble(data: dict, label: str) -> RunSetup:
     betas = _betas(data, len(coeffs), ctx)
     try:
         problem = stack_coefficients(coeffs, tf, R, weighting)
-        return _assemble(label, problem, noises, samples=betas, notes=(STACKING_NOTE,))
+        return assemble_run(label, problem, noises, SolveOptions(), samples=betas,
+                            notes=(STACKING_NOTE,))
     except ValueError as exc:
         raise ProblemFileError(f"{ctx}: {exc}") from exc
 

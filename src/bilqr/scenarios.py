@@ -13,13 +13,15 @@ Three families are provided:
 
 `assemble_run` turns a (stacked) problem and its per-sample noises into a
 `RunSetup`; every run, built-in or from a problem file, is assembled there,
-and it is the one place where noise is stacked and the Poisson mean
-reduction (G lambda in place of g) is applied.
+and it is the one place where noise is stacked.  The setup keeps the
+problem as stated; its `problem`, the one the solver takes, is the
+deterministic problem of the mean state (`stochastic.expected_reduction`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -84,19 +86,26 @@ NOTE_TWOSPIN_DARK = (
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Everything a run needs: the solvable problem, which holds q, plus its provenance."""
+    """Everything a run needs: the problem as stated, which holds q, its
+    noise, and their provenance.  `problem` is the one the solver and the
+    resimulation take: the deterministic problem of the mean state, which is
+    `stated` itself without noise.  The Monte Carlo paths evolve `stated`."""
 
     label: str
-    problem: BilinearProblem
+    stated: BilinearProblem
     options: SolveOptions
     noise: NoiseSpec | None = None
     spec: EnsembleSpec | None = None
     samples: tuple = ()
     notes: tuple = ()
 
+    @cached_property
+    def problem(self) -> BilinearProblem:
+        return self.stated if self.noise is None else expected_reduction(self.stated, self.noise)
+
     @property
     def q(self) -> int:
-        return self.problem.q
+        return self.stated.q
 
 
 def integer(value, name: str) -> int:
@@ -126,15 +135,10 @@ def _solve_options(overrides: dict, tol: float, **settings) -> SolveOptions:
 
 def assemble_run(label: str, problem: BilinearProblem, noises: list, options: SolveOptions,
                  samples=(), notes=(), spec: EnsembleSpec | None = None) -> RunSetup:
-    """The run of a (stacked) problem and its per-sample noises.
-
-    The one place where noise is stacked and, under Poisson noise, reduced
-    to the mean problem (G lambda replaces g).
-    """
+    """The run of a (stacked) problem and its per-sample noises, the one
+    place where noise is stacked."""
     noise = stack_noise(noises) if noises else None
-    if noise is not None and noise.kind == "poisson":
-        problem = expected_reduction(problem, noise)
-    return RunSetup(label=label, problem=problem, options=options, noise=noise, spec=spec,
+    return RunSetup(label=label, stated=problem, options=options, noise=noise, spec=spec,
                     samples=tuple(samples), notes=notes)
 
 

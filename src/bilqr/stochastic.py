@@ -2,24 +2,27 @@
 
 For dynamics driven by G dS with S a Poisson counter vector (rates lam) or
 a standard Wiener process, the mean of the state obeys the deterministic
-system with translation g = G lam (Poisson) or g = 0 (Wiener).  With a
-deterministic control and purely additive noise the reduction is exact, so
-the Monte Carlo comparison here is a correctness test of the simulators,
-not an approximation study.
+system with translation g + G lam (Poisson) or g (Wiener, whose increments
+have mean zero).  With a deterministic control and purely additive noise
+the reduction is exact, so the Monte Carlo comparison here is a
+correctness test of the simulators, not an approximation study.
 
-The simulators take the q = `prob.q` samples stacked as in `bilqr.ensemble`
-(q = 1: a single system) and run the paths of the chosen samples in one
-batched pass.  The state has shape (samples, paths, b): each sample keeps
-its own blocks (`model.sample_blocks`) once, and every step evaluates
-`model.bilinear_field`, the resimulation's field, as a matrix product per
-sample over all its paths (for one sample, the plain `Y @ A.T` of a
-single system).  The Poisson simulator tabulates the
+The simulators take the problem as stated, with its own g, and the q =
+`prob.q` samples stacked as in `bilqr.ensemble` (q = 1: a single system);
+they run the paths of the chosen samples in one batched pass.  The state
+has shape (samples, paths, b): each sample keeps its own blocks
+(`model.sample_blocks`) once, and every drift step is one
+`numkit.rk4_step` of `model.bilinear_field`, the resimulation's field, a
+matrix product per sample over all its paths (for one sample, the plain
+`Y @ A.T` of a single system).  The Poisson simulator tabulates the
 control once, as its node values and the slope of each grid step, and reads
-it at every RK4 stage time from the line of the stage's grid step.  A
-batch's `states` has shape (paths, nodes, chosen samples * b), the stacked
-layout of the chosen samples.  Memory is that table plus a few of its rows
-and the jump lists, so a caller bounds it by choosing fewer samples per
-call.
+it at every RK4 stage time from the line of the stage's grid step.  The
+Wiener simulator tabulates the control at the nodes and midpoints as the
+resimulation does and adds G sqrt(h) xi after each step; the drift is affine in the state, so
+the mean of its paths is exactly the RK4 resimulation.  A batch's `states`
+has shape (paths, nodes, chosen samples * b), the stacked layout of the
+chosen samples.  Memory is that table plus a few of its rows and the jump
+lists, so a caller bounds it by choosing fewer samples per call.
 
 All sampling uses the counter-based Philox generator: sample j draws from
 the stream keyed by seed + j, so identical (seed, M, grid) inputs reproduce
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BilinearProblem, NoiseSpec, bilinear_field, diagonal_blocks, sample_blocks
-from .numkit import GriddedTrajectory, TimeGrid, rk4_step
+from .numkit import GriddedTrajectory, midpoints, rk4_step
 
 __all__ = [
     "NoiseSpec",
@@ -51,30 +54,23 @@ __all__ = [
 class PathBatch:
     """Monte Carlo batch: states has shape (paths, nodes, chosen samples * b)."""
 
-    paths: int
-    grid: TimeGrid
     states: np.ndarray
-    rng_seed: int
     jump_counts: np.ndarray | None = None  # (paths, k) for Poisson batches
 
-    def __post_init__(self):
-        if self.paths < 1:
-            raise ValueError("need at least one path")
+    @property
+    def paths(self) -> int:
+        return self.states.shape[0]
 
 
 def expected_reduction(prob: BilinearProblem, noise: NoiseSpec) -> BilinearProblem:
-    """Deterministic problem governing the mean of the noisy state.
-
-    Any translation already present on `prob` is replaced: g = G lam for
-    Poisson counters, g = 0 for Wiener noise.
-    """
+    """Deterministic problem governing the mean of the noisy state: Poisson
+    counters add G lam to the translation g; Wiener noise has mean zero and
+    leaves `prob` as it is."""
     if noise.G.shape[0] != prob.n:
         raise ValueError(f"G must have {prob.n} rows, got {noise.G.shape[0]}")
     if noise.kind == "poisson":
-        g = noise.G @ noise.lam
-    else:
-        g = np.zeros(prob.n)
-    return prob.with_g(g)
+        return prob.with_g(prob.g + noise.G @ noise.lam)
+    return prob
 
 
 def _sample_blocks(prob, noise, samples, M):
@@ -222,8 +218,7 @@ def simulate_poisson_paths(
             if not np.all(np.isfinite(Y)):
                 _raise_blowup(Y, samples, prob.q, i + 1, t_right)
             states[:, i + 1] = Y.swapaxes(0, 1)
-    return PathBatch(paths=M, grid=grid, states=states.reshape(M, grid.steps + 1, S * b),
-                     rng_seed=seed, jump_counts=np.hstack(counts))
+    return PathBatch(states.reshape(M, grid.steps + 1, S * b), np.hstack(counts))
 
 
 def simulate_wiener_paths(
@@ -234,9 +229,12 @@ def simulate_wiener_paths(
     seed: int,
     samples: range | None = None,
 ) -> PathBatch:
-    """Euler-Maruyama on the grid: drift step plus G (sqrt(h) N(0, I)).
+    """RK4 drift step on the grid plus G (sqrt(h) N(0, I)).
 
-    `prob`, `noise` and `samples` as in `simulate_poisson_paths`.
+    The control is tabulated at the nodes and midpoints as in
+    `solver.simulate_bilinear`, so the mean of the paths is its RK4
+    resimulation.  `prob`, `noise` and `samples` as in
+    `simulate_poisson_paths`.
     """
     if noise.kind != "wiener":
         raise ValueError("simulate_wiener_paths requires wiener noise")
@@ -252,25 +250,21 @@ def simulate_wiener_paths(
     states = np.empty((M, grid.steps + 1, S, b))
     Y = np.repeat(x0[:, np.newaxis], M, axis=1)
     states[:, 0] = Y.swapaxes(0, 1)
-    U = utraj.at(nodes)[:, np.newaxis, np.newaxis]  # (nodes, 1, 1, m): every path's control
+    # (nodes or steps, 1, 1, m): every path's control at the nodes and midpoints
+    U, Um = (utraj.at(t)[:, np.newaxis, np.newaxis] for t in (nodes, midpoints(nodes)))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.steps):
             xi = np.stack([rng.standard_normal((M, k)) for rng in rngs])
-            Y = Y + h * rhs(Y, U[i]) + sqrt_h * (xi @ Gt)
+            Y = rk4_step(rhs, Y, h, (U[i],), (Um[i],), (U[i + 1],)) + sqrt_h * (xi @ Gt)
             if not np.all(np.isfinite(Y)):
                 _raise_blowup(Y, samples, prob.q, i + 1, nodes[i + 1])
             states[:, i + 1] = Y.swapaxes(0, 1)
-    return PathBatch(paths=M, grid=grid, states=states.reshape(M, grid.steps + 1, S * b),
-                     rng_seed=seed)
+    return PathBatch(states.reshape(M, grid.steps + 1, S * b))
 
 
 @dataclass(frozen=True)
 class MeanConsistencyReport:
     max_standardized_deviation: float
-    mean: np.ndarray
-    stderr: np.ndarray
-    argmax_node: int
-    argmax_component: int
 
 
 def mean_consistency(batch: PathBatch, reference: GriddedTrajectory) -> MeanConsistencyReport:
@@ -280,24 +274,13 @@ def mean_consistency(batch: PathBatch, reference: GriddedTrajectory) -> MeanCons
     count as zero deviation when the means agree exactly and as infinite
     otherwise.  With M < 2 the statistic is NaN.
     """
+    if batch.paths < 2:
+        return MeanConsistencyReport(float("nan"))
     ref = reference.values
     if ref.ndim == 1:
         ref = ref[:, np.newaxis]
-    mean = batch.states.mean(axis=0)
-    if batch.paths < 2:
-        stderr = np.full_like(mean, np.nan)
-        stat = float("nan")
-        return MeanConsistencyReport(stat, mean, stderr, 0, 0)
+    dev = np.abs(batch.states.mean(axis=0) - ref)
     stderr = batch.states.std(axis=0, ddof=1) / np.sqrt(batch.paths)
-    dev = np.abs(mean - ref)
     with np.errstate(invalid="ignore", divide="ignore"):
         z = np.where(stderr > 0, dev / stderr, np.where(dev > 1e-12, np.inf, 0.0))
-    flat = int(np.argmax(z))
-    node, comp = np.unravel_index(flat, z.shape)
-    return MeanConsistencyReport(
-        max_standardized_deviation=float(z[node, comp]),
-        mean=mean,
-        stderr=stderr,
-        argmax_node=int(node),
-        argmax_component=int(comp),
-    )
+    return MeanConsistencyReport(float(np.max(z)))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bilqr.cli import main
@@ -452,6 +453,58 @@ def test_validate_missing_sample_state_file_exit_one(tmp_path, capsys):
     (out / "state_2.csv").unlink()
     assert main(["validate", "--run", str(out)]) == 1
     assert "1 state columns" in one_error_line(capsys)
+
+
+# LINEAR_PROBLEM with a bilinear term and a nonzero g
+TWO_STATE_BILINEAR = dict(LINEAR_PROBLEM, Blist=[[[0.0, 0.0], [0.3, 0.0]]], g=[0.1, 0.0])
+NOISY_SAMPLE = {"A": [[-1.0]], "B": [[1.0]], "Blist": [[[-0.5]]], "g": [0.1], "x0": [0.0],
+                "xd": [0.3], "noise": {"kind": "poisson", "G": [[0.15]], "lambda": [2.0]}}
+
+
+@pytest.mark.parametrize("payload", [
+    dict(TWO_STATE_BILINEAR, noise={"kind": "poisson", "G": [[0.15], [0.0]], "lambda": [2.0]}),
+    dict(TWO_STATE_BILINEAR, noise={"kind": "wiener", "G": [[0.2], [0.1]]}),
+    {"kind": "ensemble", "n": 1, "m": 1, "tf": 2.0, "R": [[2.0]],
+     "samples": [NOISY_SAMPLE, dict(NOISY_SAMPLE, g=[0.0])]},
+], ids=["poisson", "wiener", "poisson-ensemble"])
+def test_validate_monte_carlo_of_a_problem_with_nonzero_g(tmp_path, payload):
+    # the paths evolve the stated g (plus the noise); their mean is the
+    # resimulation of the solved mean problem
+    out = tmp_path / "run"
+    prob = write_problem(tmp_path, payload)
+    assert main(["solve", "--problem", str(prob), "--grid", "200", "--out", str(out)]) == 0
+    assert main(["validate", "--run", str(out), "--mc-paths", "4000", "--seed", "3"]) == 0
+    report = json.loads((out / "validate.json").read_text())
+    assert report["fixed_point_sup_error"] < 1e-4
+    assert report["mc"]["max_standardized_deviation"] < 4.0
+
+
+def test_boundary_value_route_reports_the_necessary_condition_residuals(tmp_path):
+    # the stiff probe escapes every Riccati sweep at 100 steps, so no
+    # iterate carries K: the HJB residual and the contraction bounds are
+    # undefined, the NC residuals read x and p only
+    payload = {"kind": "single", "n": 2, "m": 1, "A": [[-200.0, 0.0], [0.0, -200.0]],
+               "B": [[1.0], [0.5]], "Blist": [[[0.0, 1.0], [-1.0, 0.0]]], "g": [1.0, -2.0],
+               "x0": [1.0, 0.0], "xd": [0.0, 1.0], "tf": 1.0, "R": [[0.1]]}
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", str(write_problem(tmp_path, payload)), "--grid", "100",
+                 "--diagnostics", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["hjb_residual"] is None
+    nc = summary["necessary_condition_residuals"]
+    assert np.isfinite(nc["state"]) and np.isfinite(nc["costate"])
+    sums = summary["diagnostics"]["criterion_sums"]
+    assert len(sums) == summary["iterations"]
+    assert all(value is None for _, value in sums)  # infinite, written as null
+
+
+def test_validate_without_state_files_reports_no_fixed_point_error(tmp_path, capsys):
+    out = solve_iaf(tmp_path, capsys)
+    (out / "state_1.csv").unlink()
+    assert main(["validate", "--run", str(out)]) == 0
+    report = json.loads((out / "validate.json").read_text())
+    assert report["fixed_point_sup_error"] is None
+    assert len(report["per_sample_terminal_errors"]) == 1
 
 
 def solve_iaf(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bilqr.cli import main
+from bilqr.cli import build_parser, main
 from bilqr.probfile import ProblemFileError, load_problem_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -114,18 +115,25 @@ def test_unknown_kind(tmp_path):
         load_problem_file(write(tmp_path, {"kind": "batch"}))
 
 
-def test_poisson_noise_rejects_nonzero_g(tmp_path):
-    # the mean translation G lambda would silently replace g
-    payload = single_payload()
+def test_noise_keeps_g_and_adds_its_mean(tmp_path):
+    # the setup keeps the file's g; the solver's mean problem adds G lambda
+    # under Poisson noise and is the stated problem under Wiener noise
+    payload = dict(single_payload(), g=[0.1, 0.0])
     payload["noise"] = {"kind": "poisson", "G": [[0.15], [0.0]], "lambda": [2.0]}
-    with pytest.raises(ProblemFileError, match="'g'"):
-        load_problem_file(write(tmp_path, payload))
+    setup = load_problem_file(write(tmp_path, payload))
+    np.testing.assert_array_equal(setup.stated.g, [0.1, 0.0])
+    np.testing.assert_allclose(setup.problem.g, [0.4, 0.0], rtol=0, atol=1e-15)
     sample = {"A": [[-1.0]], "B": [[1.0]], "Blist": [[[-0.5]]], "g": [0.1], "x0": [0.0],
               "xd": [0.3], "noise": {"kind": "poisson", "G": [[0.15]], "lambda": [2.0]}}
     ensemble = {"kind": "ensemble", "n": 1, "m": 1, "tf": 2.0, "R": [[2.0]],
                 "samples": [sample, dict(sample, g=[0.0])]}
-    with pytest.raises(ProblemFileError, match="'g'"):
-        load_problem_file(write(tmp_path, ensemble, name="ens.json"))
+    setup = load_problem_file(write(tmp_path, ensemble, name="ens.json"))
+    np.testing.assert_array_equal(setup.stated.g, [0.1, 0.0])
+    np.testing.assert_allclose(setup.problem.g, [0.4, 0.3], rtol=0, atol=1e-15)
+    payload = dict(single_payload(), noise={"kind": "wiener", "G": [[0.2], [0.1]]})
+    setup = load_problem_file(write(tmp_path, payload))
+    assert setup.problem is setup.stated
+    np.testing.assert_array_equal(setup.problem.g, [0.5, -0.2])
 
 
 def test_non_finite_noise_gain_named(tmp_path):
@@ -168,3 +176,13 @@ def test_readme_problem_files_solve(tmp_path):
         load_problem_file(path)
         assert main(["solve", "--problem", str(path), "--grid", "50",
                      "--out", str(tmp_path / f"run_{i}")]) == 0, block
+
+
+def test_readme_command_lines_parse():
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, flags=re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("bilqr ")]
+    assert len(lines) >= 4
+    for words in lines:
+        args = build_parser().parse_args(words[1:])
+        assert args.command == words[1]

@@ -279,9 +279,10 @@ def test_not_converged_result():
     assert res.iterations_used == 1
 
 
-def test_target_stop_rule():
+@pytest.mark.parametrize("rule", ["target", "both"])
+def test_target_stop_rule(rule):
     prob = make_linear_problem()
-    res = solve(prob, SolveOptions(steps=500, tol=2.0, stop_rule="target", max_iters=5))
+    res = solve(prob, SolveOptions(steps=500, tol=2.0, stop_rule=rule, max_iters=5))
     assert res.converged
     tgt = np.linalg.norm(res.final.x.values[-1] - prob.xd)
     assert tgt <= 2.0

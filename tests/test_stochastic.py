@@ -17,11 +17,11 @@ from bilqr.stochastic import (
 )
 
 
-def drift_problem(n=1, g=None):
+def drift_problem(n=1, g=None, x0=0.0):
     if n == 1:
         return BilinearProblem(
             A=[[-1.25]], B=[[2.0]], Blist=([[-2.0]],), g=g if g is not None else [0.0],
-            x0=[0.0], xd=[0.5], tf=10.0, R=[[5.0]],
+            x0=[x0], xd=[0.5], tf=10.0, R=[[5.0]],
         )
     raise NotImplementedError
 
@@ -152,8 +152,7 @@ def test_wiener_zero_gain_matches_deterministic():
     noise = NoiseSpec("wiener", [[0.0]])
     batch = simulate_wiener_paths(prob, noise, zero_control(grid), M=3, seed=5)
     det = integrate_forward(lambda t, y: prob.A @ y + prob.g, prob.x0, grid)
-    # Euler drift vs RK4: agreement at the Euler accuracy level, O(h)
-    assert np.max(np.abs(batch.states[0] - det.values)) < 1e-3
+    assert np.max(np.abs(batch.states[0] - det.values)) < 1e-12
 
 
 def test_wiener_mean_tracks_deterministic():
@@ -166,13 +165,25 @@ def test_wiener_mean_tracks_deterministic():
     assert report.max_standardized_deviation < 4.0
 
 
+@pytest.mark.parametrize("seed", [13, 14])
+def test_wiener_mean_is_the_rk4_flow(seed):
+    # x0 and g nonzero: the mean moves, and an O(h) drift step would show
+    # against the RK4 flow at 100 steps and 4000 paths
+    prob = drift_problem(g=[0.3], x0=1.0)
+    grid = TimeGrid(0.0, prob.tf, 100)
+    noise = NoiseSpec("wiener", [[0.2]])
+    batch = simulate_wiener_paths(prob, noise, zero_control(grid), M=4000, seed=seed)
+    det = integrate_forward(lambda t, y: prob.A @ y + prob.g, prob.x0, grid)
+    assert mean_consistency(batch, det).max_standardized_deviation < 4.0
+
+
 def test_mean_consistency_identical_paths():
     grid = TimeGrid(0.0, 1.0, 10)
     ref = GriddedTrajectory(grid, np.linspace(0, 1, 11).reshape(-1, 1))
     states = np.tile(ref.values, (4, 1, 1))
     from bilqr.stochastic import PathBatch
 
-    batch = PathBatch(paths=4, grid=grid, states=states, rng_seed=0)
+    batch = PathBatch(states)
     report = mean_consistency(batch, ref)
     assert report.max_standardized_deviation == 0.0
 
@@ -183,7 +194,7 @@ def test_mean_consistency_flags_shifted_reference():
     states = rng.normal(size=(500, 6, 1))
     from bilqr.stochastic import PathBatch
 
-    batch = PathBatch(paths=500, grid=grid, states=states, rng_seed=0)
+    batch = PathBatch(states)
     stderr = states.std(axis=0, ddof=1) / np.sqrt(500)
     shifted = GriddedTrajectory(grid, states.mean(axis=0) + 10.0 * stderr)
     report = mean_consistency(batch, shifted)
@@ -194,7 +205,7 @@ def test_mean_consistency_single_path_not_gated():
     grid = TimeGrid(0.0, 1.0, 5)
     from bilqr.stochastic import PathBatch
 
-    batch = PathBatch(paths=1, grid=grid, states=np.zeros((1, 6, 1)), rng_seed=0)
+    batch = PathBatch(np.zeros((1, 6, 1)))
     ref = GriddedTrajectory(grid, np.zeros((6, 1)))
     report = mean_consistency(batch, ref)
     assert np.isnan(report.max_standardized_deviation)
