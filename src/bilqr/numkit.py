@@ -2,11 +2,16 @@
 l1/max-column-sum norm pair, weighted sup-norms, norm tables of transition
 matrices, and spectral radius.
 
-Every integration in the package is `rk4_sweep`: fixed-step classical RK4,
-forward or backward over a uniform grid, of y' = rhs(y, *args) whose
-time-dependent arguments are stage tables, arrays precomputed at the grid
-nodes and at the interval midpoints.  There is no adaptive stepping, so
-repeated runs produce bitwise-identical iterates.
+Every integration in the package is fixed-step classical RK4, forward or
+backward over a uniform grid, with `rk4_step` the one step body.
+`rk4_sweep` steps y' = rhs(y, *args) whose time-dependent arguments are
+stage tables, arrays precomputed at the grid nodes and at the interval
+midpoints.  `linear_sweep` takes the linear y' = L y + f with the same
+stage tables: an RK4 step of a linear equation is one affine map, so it
+forms every step's map with one batched `rk4_step` a block of steps at a
+time and applies them in sweep order, one small product per step, which
+beats four stage evaluations on small systems.  There is no adaptive
+stepping, so repeated runs produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
@@ -116,16 +121,23 @@ def rk4_step(rhs, y, h, start: tuple, mid: tuple, end: tuple):
 _CHECK_EVERY = 32
 
 # Bytes of the block of midpoints a sweep forms at a time for a `mids` entry
-# None: a row or two of a large gain table, all of a small one.
+# None (a row or two of a large gain table, all of a small one), and of the
+# block of step maps a linear sweep forms at a time.
 _MID_BLOCK_BYTES = 1 << 18
+
+
+def _blocks(T: int, row_bytes: int, backward: bool):
+    """Blocks [lo, hi) of the T steps, in sweep order, of _MID_BLOCK_BYTES at
+    row_bytes a step (at least one step)."""
+    starts = range(0, T, max(1, _MID_BLOCK_BYTES // row_bytes))
+    for lo in (reversed(starts) if backward else starts):
+        yield lo, min(lo + starts.step, T)
 
 
 def _mid_rows(nodes: tuple, mids: tuple, T: int, backward: bool):
     """Midpoint argument rows in sweep order, None entries formed a block at a time."""
     row = max((n[0].nbytes for n, m in zip(nodes, mids) if m is None), default=1)
-    starts = range(0, T, max(1, _MID_BLOCK_BYTES // row))
-    for lo in (reversed(starts) if backward else starts):
-        hi = min(lo + starts.step, T)
+    for lo, hi in _blocks(T, row, backward):
         rows = list(zip(*(midpoints(n[lo:hi + 1]) if m is None else m[lo:hi]
                           for n, m in zip(nodes, mids)))) or [()] * (hi - lo)
         yield from (reversed(rows) if backward else rows)
@@ -133,6 +145,13 @@ def _mid_rows(nodes: tuple, mids: tuple, T: int, backward: bool):
 
 def _blowup(node: int, t: float) -> Exception:
     return BlowupError(f"numerical blow-up at node {node} (t={t:.6g})", node_index=node, t=t)
+
+
+def _first_nonfinite(out: np.ndarray, grid: TimeGrid, backward: bool, error) -> Exception:
+    """error(node, t) for the first non-finite node of a table, in sweep order."""
+    bad = np.flatnonzero(~np.isfinite(out.reshape(grid.steps + 1, -1)).all(axis=1))
+    node = int(bad[-1] if backward else bad[0])
+    return error(node, float(grid.nodes[node]))
 
 
 def rk4_sweep(
@@ -172,9 +191,67 @@ def rk4_sweep(
                 break
     if np.isfinite(y).all():
         return GriddedTrajectory(grid, out)
-    bad = np.flatnonzero(~np.isfinite(out.reshape(T + 1, -1)).all(axis=1))
-    node = int(bad[-1] if backward else bad[0])
-    raise error(node, float(grid.nodes[node]))
+    raise _first_nonfinite(out, grid, backward, error)
+
+
+def _augmented(L: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Z = [[L, f], [0, 0]] for each row of the tables L (k, n, n) and f (k, n)."""
+    k, n = f.shape
+    Z = np.zeros((k, n + 1, n + 1))
+    Z[:, :n, :n] = L
+    Z[:, :n, n] = f
+    return Z
+
+
+def linear_sweep(
+    L_nodes: np.ndarray,
+    L_mids: np.ndarray,
+    f_nodes: np.ndarray,
+    f_mids: np.ndarray,
+    y_start,
+    grid: TimeGrid,
+    backward: bool = False,
+    error: Callable[[int, float], Exception] = _blowup,
+) -> GriddedTrajectory:
+    """Fixed-step RK4 of the linear y' = L y + f over the grid: the sweep
+    `rk4_sweep(lambda y, L, f: L @ y + f, ...)` with the same stage tables
+    (`L_nodes` (steps + 1, n, n), `L_mids` (steps, n, n), `f_nodes` and
+    `f_mids` likewise), up to round-off.
+
+    For a linear right-hand side an RK4 step is one affine map: with
+    Z = [[L, f], [0, 0]] at the stage times, `rk4_step` of Y' = Z Y from the
+    identity gives P_i, and [y_i+1; 1] = P_i [y_i; 1].  The maps of a block
+    of steps are formed together, one batched `rk4_step`, under the byte
+    budget of `_MID_BLOCK_BYTES`, and applied in sweep order, one
+    (n + 1) x (n + 1) product per step.  The first non-finite node, in
+    sweep order, raises error(node, t).
+    """
+    y = np.asarray(y_start, dtype=float)
+    T, n = grid.steps, y.shape[0]
+    h = -grid.h if backward else grid.h
+    out = np.empty((T + 1, n))
+    out[T if backward else 0] = y
+    z = np.append(y, 1.0)
+    eye = np.eye(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _blocks(T, eye.nbytes, backward):
+            Zn = _augmented(L_nodes[lo:hi + 1], f_nodes[lo:hi + 1])
+            first, last = (Zn[1:], Zn[:-1]) if backward else (Zn[:-1], Zn[1:])
+            maps = rk4_step(lambda Y, Z: Z @ Y, eye, h, (first,),
+                            (_augmented(L_mids[lo:hi], f_mids[lo:hi]),), (last,))
+            zs = np.empty((hi - lo + 1, n + 1))  # [y; 1] at the block's nodes, sweep order
+            zs[0] = z
+            for P, row in zip(maps[::-1] if backward else maps, zs[1:]):
+                z = np.dot(P, z, out=row)
+            if backward:
+                out[lo:hi] = zs[:0:-1, :n]
+            else:
+                out[lo + 1:hi + 1] = zs[1:, :n]
+            if not np.isfinite(z).all():
+                break
+    if np.isfinite(z).all():
+        return GriddedTrajectory(grid, out)
+    raise _first_nonfinite(out, grid, backward, error)
 
 
 def integrate_forward(field: Callable[[float, np.ndarray], np.ndarray], y0, grid: TimeGrid):

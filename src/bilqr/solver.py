@@ -33,7 +33,13 @@ W = L C with R^-1 = C C'.  Every product with the gram is taken through W,
 so an RK4 stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense
 n x n products, and no (T, n, n) gram table is formed.  One (T + 1, n, n)
 gain table is alive per iteration: K midpoints are formed in small blocks,
-and spent sweeps are released unless the diagnostics need them.  The
+and spent sweeps are released unless the diagnostics need them.
+
+The affine and closed-loop sweeps are linear, so for small systems (n at
+most STEP_MAPS_MAX_N) each is one numkit.linear_sweep instead: its
+coefficient tables, a few small (T + 1, n, n) tables, give one precomputed
+RK4 step map per step, and the sweep costs one (n + 1) x (n + 1) product
+per step in place of four stage evaluations of about 35 numpy calls.  The
 resimulation steps the same sample blocks (`model.sample_blocks`) through
 `model.bilinear_field`, the field of the Monte Carlo paths.
 """
@@ -47,7 +53,8 @@ import numpy as np
 
 from .model import (BilinearFactors, BilinearProblem, bilinear_factors, bilinear_field,
                     diagonal_blocks, sample_blocks)
-from .numkit import BlowupError, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
+from .numkit import (BlowupError, GriddedTrajectory, TimeGrid, linear_sweep, midpoints,
+                     rk4_sweep)
 
 __all__ = [
     "IterationState",
@@ -67,6 +74,15 @@ __all__ = [
 ]
 
 STOP_RULES = ("diff", "target", "both")
+
+# Largest n whose affine and closed-loop sweeps take precomputed RK4 step
+# maps (numkit.linear_sweep) instead of four stage evaluations per step.  A
+# stage step costs about 35 numpy calls whatever n is, while forming a map
+# costs O(n^3) per step.  CPU time of both sweeps, maps over stages (200
+# steps, m = 2, one BLAS thread): 0.15 at n = 6, 0.44-0.50 at n = 16,
+# 0.61-0.93 at n = 18-24, 1.3 at n = 32-36 and 22 at n = 243.  Up to 16
+# the maps win by 2x or more; beyond it the margin is thin.
+STEP_MAPS_MAX_N = 16
 
 
 class RiccatiEscapeError(RuntimeError):
@@ -236,18 +252,31 @@ def affine_sweep(
 ) -> GriddedTrajectory:
     """Backward sweep of ds/dt = K (W W' s - g) - A' s from s(tf) = s_T.
 
-    K is interpolated linearly at the RK4 stage times; its midpoints are
-    formed in small blocks, and K g is not tabulated.
+    K is interpolated linearly at the RK4 stage times.  Up to
+    STEP_MAPS_MAX_N states the sweep takes the RK4 step maps of its
+    coefficient tables (numkit.linear_sweep); above it, K midpoints are
+    formed in small blocks and K g is not tabulated.
     """
     g = np.asarray(g, dtype=float)
     At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
+    K_n = Ktraj.values
+    n = K_n.shape[1]
+    if n <= STEP_MAPS_MAX_N:
+        K_m, At_n = midpoints(K_n), At(np.eye(n))
+        return linear_sweep(K_n @ _gram(W_nodes) - At_n, K_m @ _gram(W_mids) - At_n,
+                            -(K_n @ g), -(K_m @ g), s_T, grid, backward=True)
 
     def rhs(s, W, K):
         out = np.dot(K, np.dot(W, np.dot(W.T, s)) - g)
         out -= At(s)
         return out
 
-    return rk4_sweep(rhs, s_T, grid, (W_nodes, Ktraj.values), (W_mids, None), backward=True)
+    return rk4_sweep(rhs, s_T, grid, (W_nodes, K_n), (W_mids, None), backward=True)
+
+
+def _gram(W: np.ndarray) -> np.ndarray:
+    """Node-wise W W' for W of shape (T, n, r)."""
+    return W @ np.transpose(W, (0, 2, 1))
 
 
 def _gram_times(W: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -266,11 +295,19 @@ def closed_loop_forward(
     x0: np.ndarray,
     grid: TimeGrid,
 ) -> GriddedTrajectory:
-    """Forward sweep of dx/dt = (A - W W' K) x - W W' s + g from x(0) = x0."""
+    """Forward sweep of dx/dt = (A - W W' K) x - W W' s + g from x(0) = x0,
+    by RK4 step maps up to STEP_MAPS_MAX_N states, as the affine sweep."""
     g = np.asarray(g, dtype=float)
     A = _block_product(A_blocks)
     K_n = Ktraj.values
     s_n = straj.values
+    Os_n = _gram_times(W_nodes, s_n) - g
+    Os_m = _gram_times(W_mids, midpoints(s_n)) - g
+    n = K_n.shape[1]
+    if n <= STEP_MAPS_MAX_N:
+        A_n = A(np.eye(n))
+        return linear_sweep(A_n - _gram(W_nodes) @ K_n, A_n - _gram(W_mids) @ midpoints(K_n),
+                            -Os_n, -Os_m, x0, grid)
 
     def rhs(x, W, K, Os):
         out = A(x)
@@ -278,8 +315,7 @@ def closed_loop_forward(
         out -= Os
         return out
 
-    return rk4_sweep(rhs, x0, grid, (W_nodes, K_n, _gram_times(W_nodes, s_n) - g),
-                     (W_mids, None, _gram_times(W_mids, midpoints(s_n)) - g))
+    return rk4_sweep(rhs, x0, grid, (W_nodes, K_n, Os_n), (W_mids, None, Os_m))
 
 
 def reconstruct_control(

@@ -267,20 +267,33 @@ class MeanConsistencyReport:
     max_standardized_deviation: float
 
 
+# Bytes of the block of nodes whose path statistics are formed at a time:
+# the deviations and squares inside `np.std` are the size of the block.
+_STAT_BLOCK_BYTES = 1 << 20
+
+
 def mean_consistency(batch: PathBatch, reference: GriddedTrajectory) -> MeanConsistencyReport:
     """Max over nodes/components of |sample mean - reference| / stderr.
 
     Nodes with zero spread (the initial condition, noise-free components)
     count as zero deviation when the means agree exactly and as infinite
-    otherwise.  With M < 2 the statistic is NaN.
+    otherwise.  With M < 2 the statistic is NaN.  The statistics are formed
+    a block of nodes at a time, so the temporaries stay small beside the
+    path table.
     """
     if batch.paths < 2:
         return MeanConsistencyReport(float("nan"))
     ref = reference.values
     if ref.ndim == 1:
         ref = ref[:, np.newaxis]
-    dev = np.abs(batch.states.mean(axis=0) - ref)
-    stderr = batch.states.std(axis=0, ddof=1) / np.sqrt(batch.paths)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = np.where(stderr > 0, dev / stderr, np.where(dev > 1e-12, np.inf, 0.0))
-    return MeanConsistencyReport(float(np.max(z)))
+    states = batch.states
+    step = max(1, _STAT_BLOCK_BYTES // states[:, 0].nbytes)
+    worst = []
+    for lo in range(0, states.shape[1], step):
+        block = states[:, lo:lo + step]
+        dev = np.abs(block.mean(axis=0) - ref[lo:lo + step])
+        stderr = block.std(axis=0, ddof=1) / np.sqrt(batch.paths)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z = np.where(stderr > 0, dev / stderr, np.where(dev > 1e-12, np.inf, 0.0))
+        worst.append(np.max(z))
+    return MeanConsistencyReport(float(np.max(worst)))

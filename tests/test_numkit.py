@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from bilqr import numkit
 from bilqr.numkit import (
     BlowupError,
     GriddedTrajectory,
@@ -9,6 +12,7 @@ from bilqr.numkit import (
     TransitionInversionError,
     alpha_norm,
     integrate_forward,
+    linear_sweep,
     mat_norm,
     midpoints,
     rk4_sweep,
@@ -109,6 +113,27 @@ def test_backward_of_forward_identity():
     back = rk4_sweep(lambda y, At: At @ y, fwd.values[-1], g, (A_nodes,), (A_mids,),
                      backward=True)
     assert np.max(np.abs(back.values[0] - y0)) < 1e-8
+
+
+# steps of a 6-state sweep that span two map blocks and part of a third
+_BLOCK_CROSSING_STEPS = 2 * (numkit._MID_BLOCK_BYTES // (8 * 7 * 7)) + 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), steps=st.integers(2, 40))
+@example(seed=11, n=6, steps=_BLOCK_CROSSING_STEPS)
+def test_linear_sweep_matches_the_stage_sweep(seed, n, steps):
+    # the step maps reproduce four stage evaluations per step of L y + f
+    rng = np.random.default_rng(seed)
+    g = TimeGrid(0.0, 1.0, steps)
+    L_n, L_m = rng.normal(size=(steps + 1, n, n)), rng.normal(size=(steps, n, n))
+    f_n, f_m = rng.normal(size=(steps + 1, n)), rng.normal(size=(steps, n))
+    y = rng.normal(size=n)
+    for backward in (False, True):
+        maps = linear_sweep(L_n, L_m, f_n, f_m, y, g, backward=backward).values
+        stages = rk4_sweep(lambda v, L, f: L @ v + f, y, g, (L_n, f_n), (L_m, f_m),
+                           backward=backward).values
+        assert np.max(np.abs(maps - stages)) <= 1e-12 * np.max(np.abs(stages))
 
 
 def test_interp_exact_at_nodes_and_midpoints():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bilqr.model import BilinearProblem, bilinear_factors, diagonal_blocks
-from bilqr.numkit import GriddedTrajectory, TimeGrid
+from bilqr.numkit import GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
 from bilqr.solver import (
     SolveOptions,
     _initial_state,
@@ -369,9 +369,11 @@ def rk4_reference(rhs, y_end, grid, backward):
     return out
 
 
-@pytest.mark.parametrize("q,b", [(4, 2), (1, 5)])
+@pytest.mark.parametrize("q,b", [(4, 2), (1, 5), (6, 3)])
 def test_factored_sweeps_match_dense_gram_reference(q, b):
-    # a block-diagonal ensemble and one dense single system, m = 2
+    # block-diagonal ensembles and one dense single system, m = 2; n = 18
+    # lies above STEP_MAPS_MAX_N, so its affine and forward sweeps take the
+    # stage path and the others take step maps
     rng = np.random.default_rng(7)
     prob = random_bilinear_problem(rng, q, b, 2)
     factors = bilinear_factors(prob.Blist)
@@ -414,23 +416,26 @@ def test_factored_sweeps_match_dense_gram_reference(q, b):
 def test_sweep_blowup_names_first_nonfinite_node():
     # dx/dt = c x overflows float64 one RK4 step per ~8-9 decades of growth;
     # each error names the first node, in sweep order, that is not finite,
-    # although each sweep stops at a later periodic check
+    # although each sweep stops at a later periodic check.  n = 2 takes step
+    # maps in the affine and forward sweeps, n = 18 the stage path
     from bilqr.numkit import BlowupError
     from bilqr.solver import RiccatiEscapeError
 
     grid = TimeGrid(0.0, 1.0, 100)
-    fields = const_fields(2e4 * np.eye(2), np.zeros((2, 1)), grid, q=2)
-    K0 = GriddedTrajectory(grid, np.zeros((101, 2, 2)))
-    s0 = GriddedTrajectory(grid, np.zeros((101, 2)))
-    with pytest.raises(RiccatiEscapeError) as exc:
-        riccati_sweep(*fields, np.eye(2), grid)
-    assert (exc.value.node_index, exc.value.t) == (66, pytest.approx(0.66))
-    with pytest.raises(BlowupError) as exc:
-        affine_sweep(*fields, K0, np.zeros(2), np.ones(2), grid)
-    assert exc.value.node_index == 60
-    with pytest.raises(BlowupError) as exc:
-        closed_loop_forward(*fields, K0, s0, np.zeros(2), np.ones(2), grid)
-    assert exc.value.node_index == 40
+    for q, b in [(2, 1), (6, 3)]:
+        n = q * b
+        fields = const_fields(2e4 * np.eye(n), np.zeros((n, 1)), grid, q=q)
+        K0 = GriddedTrajectory(grid, np.zeros((101, n, n)))
+        s0 = GriddedTrajectory(grid, np.zeros((101, n)))
+        with pytest.raises(RiccatiEscapeError) as exc:
+            riccati_sweep(*fields, np.eye(n), grid)
+        assert (exc.value.node_index, exc.value.t) == (66, pytest.approx(0.66))
+        with pytest.raises(BlowupError) as exc:
+            affine_sweep(*fields, K0, np.zeros(n), np.ones(n), grid)
+        assert exc.value.node_index == 60
+        with pytest.raises(BlowupError) as exc:
+            closed_loop_forward(*fields, K0, s0, np.zeros(n), np.ones(n), grid)
+        assert exc.value.node_index == 40
 
 
 def test_simulate_bilinear_finer_grid_matches_per_stage_interpolation():
@@ -583,6 +588,50 @@ def test_final_iterate_costate_and_gain_invariants(seed, q, b, m):
     assert np.max(np.abs(p - recon)) <= 1e-12 * max(1.0, np.max(np.abs(recon)))
     assert np.array_equal(K, np.transpose(K, (0, 2, 1)))
     assert np.min(np.linalg.eigvalsh(K)) >= -1e-9 * np.max(np.abs(K))
+
+
+def smooth_directions(rng, grid, m, count):
+    """Seeded smooth perturbations (steps + 1, m) with max |d| = 1: a few
+    sines of low frequency and random phase per channel."""
+    t = (grid.nodes - grid.t0) / (grid.tf - grid.t0)
+    for _ in range(count):
+        freq, phase = rng.integers(1, 4, size=(3, m)), rng.uniform(0, 2 * np.pi, (3, m))
+        d = np.sum(np.sin(2 * np.pi * freq[:, None] * t[:, None] + phase[:, None]), axis=0)
+        yield d / np.max(np.abs(d))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3), b=st.integers(1, 3),
+       m=st.integers(1, 2))
+@example(seed=0, q=6, b=3, m=2)  # n = 18: the stage path of both linear sweeps
+@example(seed=218373444, q=3, b=3, m=1)  # the smallest rise of 500 draws; a share of 0.05 lowers J
+def test_iterate_minimizes_its_frozen_subproblem(seed, q, b, m):
+    # the frozen subproblem is min (1/2) int u' R u + w |x(tf) - xd|^2 under
+    # x' = A x + L(x_prev) u + g; its control is -R^-1 L(x_prev)' p with the
+    # iterate's costate p (iterate_once returns -R^-1 L(x)' p, the same
+    # control once x = x_prev).  Perturbing it along smooth directions by a
+    # fixed share of max |u| must not lower the cost, integrated by RK4 with
+    # the drive tabulated at the nodes: the second-order rise dominates the
+    # O(h^2) slack of the discrete optimum
+    rng = np.random.default_rng(seed)
+    prob = random_bilinear_problem(rng, q, b, m)
+    factors = bilinear_factors(prob.Blist)
+    grid = TimeGrid(0.0, prob.tf, 100)
+    prev = _initial_state(prob, grid)
+    state = iterate_once(prob, factors, prev, grid)
+    L = prob.B + np.einsum("tj,jki->tki", prev.x.values, factors.mats)
+    U = reconstruct_control(prob, factors, prev.x, state.p).values
+
+    def cost(Uc):
+        drive = np.einsum("tki,ti->tk", L, Uc) + prob.g
+        x = rk4_sweep(lambda y, d: prob.A @ y + d, prob.x0, grid, (drive,), (midpoints(drive),))
+        return evaluate_cost(prob, GriddedTrajectory(grid, Uc), x.values[-1])
+
+    j0 = cost(U)
+    eps = 0.2 * max(float(np.max(np.abs(U))), 1e-3)
+    for d in smooth_directions(rng, grid, m, 3):
+        for sign in (1.0, -1.0):
+            assert cost(U + sign * eps * d) >= j0 - 1e-12 * max(1.0, abs(j0))
 
 
 def test_riccati_escape_on_a_coarse_grid_takes_the_boundary_value_route(monkeypatch):

@@ -201,6 +201,27 @@ def test_mean_consistency_flags_shifted_reference():
     assert report.max_standardized_deviation > 8.0
 
 
+@pytest.mark.parametrize("block_bytes", [1, 7 * 500 * 2 * 8, 1 << 20])
+def test_mean_consistency_blocks_match_the_whole_table(monkeypatch, block_bytes):
+    # one node, seven nodes or all nodes a block: the statistic equals the
+    # one formed from the whole path table at once, zero-spread node included
+    import bilqr.stochastic as stochastic
+    from bilqr.stochastic import PathBatch
+
+    monkeypatch.setattr(stochastic, "_STAT_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(500, 41, 2))
+    states[:, 0] = 0.25
+    ref = states.mean(axis=0) + 0.2 * rng.normal(size=(41, 2)) / np.sqrt(500)
+    ref[0] = 0.25
+    dev = np.abs(states.mean(axis=0) - ref)
+    stderr = states.std(axis=0, ddof=1) / np.sqrt(500)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        whole = np.max(np.where(stderr > 0, dev / stderr, np.where(dev > 1e-12, np.inf, 0.0)))
+    report = mean_consistency(PathBatch(states), GriddedTrajectory(TimeGrid(0.0, 1.0, 40), ref))
+    assert report.max_standardized_deviation == whole > 0.0
+
+
 def test_mean_consistency_single_path_not_gated():
     grid = TimeGrid(0.0, 1.0, 5)
     from bilqr.stochastic import PathBatch
