@@ -9,6 +9,10 @@ The optimality side evaluates the dynamic-programming residual of the
 iterate's value function (an identity at round-off level, not a
 certificate) and the finite-difference residuals of the canonical
 two-point boundary-value equations.
+
+The coupling strengths and the residuals' dynamics read the per-sample
+blocks (`model.sample_blocks`, `model.bilinear_field`); the frozen input
+map and the sweep bounds' closed loop A - W W' K stay dense.
 """
 
 from __future__ import annotations
@@ -17,18 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BilinearFactors, BilinearProblem
+from .model import BilinearFactors, BilinearProblem, bilinear_field, sample_blocks
 from .numkit import (
-    GriddedTrajectory,
     TimeGrid,
     alpha_norm,
-    mat_norm,
     node_norms,
     spectral_radius,
     transition_norms,
     vec_norm,
 )
-from .solver import IterationState, freeze_iteration_fields
+from .solver import IterationState, freeze_iteration_fields, reconstruct_control
 
 __all__ = [
     "ContractionReport",
@@ -73,29 +75,33 @@ class ConvergenceReport:
         return None
 
 
-def coupling_strengths(prob: BilinearProblem, factors: BilinearFactors) -> tuple[float, float]:
+def coupling_strengths(prob: BilinearProblem) -> tuple[float, float]:
     """Root-sum-square norms of the R^-1-weighted coupling matrices.
 
-    delta aggregates P_i = N_i R^-1 B' + B R^-1 N_i'; zeta aggregates
-    Q_ij = N_i R^-1 N_j' + N_j R^-1 N_i'.  Both vanish for a linear problem.
+    delta aggregates P_j = F + F' with F = N_j R^-1 B'; zeta aggregates
+    Q_ij = E + E' with E = N_i R^-1 N_j'.  Both vanish for a linear problem.
+    N_j is zero outside the rows of the sample owning state j, so F is one
+    band of b rows and E one b x b block, formed from the sample blocks in
+    O(n^2 b^2); across samples E and E' are disjoint blocks.
     """
-    Nm = factors.mats  # (n, n, m)
-    Rinv = prob.Rinv
-    B = prob.B
-    n = factors.n
+    _, B, Bs, _, _ = sample_blocks(prob)
+    own = np.arange(prob.q)
+    N = Bs.transpose(0, 3, 2, 1)  # [s, c] = N_j on the rows of sample s, j = (s, c)
+    NR = N @ prob.Rinv
 
-    NR = np.einsum("jki,il->jkl", Nm, Rinv)  # N_j R^-1
-    P = np.einsum("jkl,ml->jkm", NR, B)  # N_j R^-1 B'
-    P = P + np.transpose(P, (0, 2, 1))
-    delta_sq = sum(mat_norm(P[i]) ** 2 for i in range(n))
+    F = np.einsum("scki,tli->scktl", NR, B)
+    absF = np.abs(F)
+    cols = absF.sum(axis=2)  # the column sums of P_j outside the band's own columns
+    absF[own, :, :, own] = 0.0  # the band's rows outside its own columns
+    G = F[own, :, :, own]
+    cols[own, :, own] = np.abs(G + G.swapaxes(2, 3)).sum(axis=2) + absF.sum(axis=(3, 4))
 
-    zeta_sq = 0.0
-    for i in range(n):
-        Qi = np.einsum("kl,jml->jkm", NR[i], Nm)  # N_i R^-1 N_j' for all j
-        Qi = Qi + np.transpose(Qi, (0, 2, 1))
-        for j in range(n):
-            zeta_sq += mat_norm(Qi[j]) ** 2
-    return float(np.sqrt(delta_sq)), float(np.sqrt(zeta_sq))
+    E = np.einsum("scki,tdli->scktdl", NR, N)
+    absE = np.abs(E)
+    Q = np.maximum(absE.sum(axis=2).max(axis=-1), absE.sum(axis=5).max(axis=2))
+    D = E[own, :, :, own]
+    Q[own, :, own] = np.abs(D + D.transpose(0, 1, 4, 3, 2)).sum(axis=2).max(axis=-1)
+    return float(np.sqrt(np.sum(cols.max(axis=(2, 3)) ** 2))), float(np.sqrt(np.sum(Q ** 2)))
 
 
 def _sub_indices(steps: int, subsample: int) -> np.ndarray:
@@ -225,7 +231,7 @@ def contraction_report(
     report then carries an infinite criterion sum, since contraction is
     certainly not certified there.
     """
-    delta, zeta = strengths if strengths is not None else coupling_strengths(prob, factors)
+    delta, zeta = strengths if strengths is not None else coupling_strengths(prob)
     if cur.K is None or prev.K is None:
         return ContractionReport(
             iteration=cur.k,
@@ -263,13 +269,19 @@ def contraction_report(
 
 @dataclass(frozen=True)
 class HJBReport:
-    residual: GriddedTrajectory
     sup: float
     scale: float
 
     @property
     def relative(self) -> float:
         return self.sup / self.scale
+
+
+def _sample_field(blocks, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """`model.bilinear_field` of the sample blocks (A, B, Bs, g) at the node
+    rows Y (T, n) under the controls U (T, m), as a (T, n) table."""
+    Ys = Y.reshape(len(Y), len(blocks[0]), -1).swapaxes(0, 1)  # (q, T, b)
+    return bilinear_field(*blocks)(Ys, U[np.newaxis]).swapaxes(0, 1).reshape(Y.shape)
 
 
 def hjb_residual(
@@ -285,10 +297,11 @@ def hjb_residual(
     offset q (no numerical differentiation; q itself is never needed),
     contracted with x as V needs them, so no (T, n, n) derivative is
     formed; it is then added to the Hamiltonian of the original bilinear
-    problem along the stored (x, u) pair.  This is not an optimality
-    certificate: with p = K x + s and u = -R^-1 L' p the terms cancel
-    identically for any K and s, so the residual sits at round-off level at
-    every iterate, converged or not.
+    problem along the stored (x, u) pair, whose dynamics are
+    `model.bilinear_field` over the sample blocks.  This is not an
+    optimality certificate: with p = K x + s and u = -R^-1 L' p the terms
+    cancel identically for any K and s, so the residual sits at round-off
+    level at every iterate, converged or not.
     """
     if final.K is None:
         raise ValueError("iterate carries no gain/affine sweeps (Riccati escape)")
@@ -297,33 +310,27 @@ def hjb_residual(
     U = final.u.values
     K = final.K.values
     S = final.s.values
-    g = prob.g
+    *blocks, _ = sample_blocks(prob)
 
     W, _ = freeze_iteration_fields(prob, factors, X)
     KX = np.matmul(K, X[:, :, np.newaxis])[:, :, 0]
-    AX = X @ prob.A.T
+    AX = np.einsum("tsk,slk->tsl", X.reshape(len(X), prob.q, -1), blocks[0]).reshape(X.shape)
     WtKX = np.matmul(KX[:, np.newaxis, :], W)[:, 0]  # rows (W' K x)'
     WtS = np.matmul(S[:, np.newaxis, :], W)[:, 0]
 
     # x'K'x with K' = -KA - A'K + K W W' K
     xKdx = -2.0 * np.einsum("ti,ti->t", KX, AX) + np.einsum("ti,ti->t", WtKX, WtKX)
     # x's' with s' = K (W W' s - g) - A's
-    xsd = -np.einsum("ti,ti->t", AX, S) + np.einsum("ti,ti->t", WtKX, WtS) - KX @ g
-    qdot = np.einsum("ti,ti->t", WtS, WtS) - 2.0 * (S @ g)
+    xsd = -np.einsum("ti,ti->t", AX, S) + np.einsum("ti,ti->t", WtKX, WtS) - KX @ prob.g
+    qdot = np.einsum("ti,ti->t", WtS, WtS) - 2.0 * (S @ prob.g)
     v_t = 0.5 * xKdx + xsd + 0.5 * qdot
 
-    lam = prob.B + np.einsum("tj,jki->tki", X, factors.mats)
-    dyn = AX + np.einsum("tki,ti->tk", lam, U) + g
-    h_dyn = np.einsum("ti,ti->t", P, dyn)
+    h_dyn = np.einsum("ti,ti->t", P, _sample_field(blocks, X, U))
     h_energy = 0.5 * np.einsum("ti,ij,tj->t", U, prob.R, U)
 
     res = v_t + h_dyn + h_energy
     scale = 1.0 + float(np.max(np.abs(v_t) + np.abs(h_dyn) + np.abs(h_energy)))
-    return HJBReport(
-        residual=GriddedTrajectory(grid, res),
-        sup=float(np.max(np.abs(res))),
-        scale=scale,
-    )
+    return HJBReport(sup=float(np.max(np.abs(res))), scale=scale)
 
 
 def necessary_condition_residual(
@@ -335,21 +342,20 @@ def necessary_condition_residual(
     """Relative sup residuals of the canonical state/costate equations.
 
     Central finite differences of the stored (x, p) are compared against
-    the right-hand sides evaluated with the converged frozen coefficients
-    (frozen_drift and frozen_gram along (x, p)), through the identities
-    drift x - gram p = A x - L R^-1 L' p and
-    drift' p = A' p - 2 [p' N_j R^-1 L' p]_j; the finite-difference floor
-    is O(h^2).
+    the right-hand sides A x + L u + g and -A' p - 2 sum_i u_i B_i' p, with
+    u = -R^-1 L' p formed from (x, p) by `solver.reconstruct_control`.
+    These equal the converged frozen coefficients' drift x - gram p + g and
+    -drift' p (see `model`); both are `model.bilinear_field` over the
+    sample blocks, the costate's over -A' and -2 B_i' with no input or
+    translation.  The finite-difference floor is O(h^2).
     """
     X = final.x.values
     P = final.p.values
     h = grid.h
-
-    NtP = np.tensordot(P, factors.mats, axes=(1, 1))  # (T, j, i): [N_j' p]_i
-    lam = prob.B + np.tensordot(X, factors.mats, axes=(1, 0))  # (T, n, m)
-    w = np.matmul(P[:, np.newaxis, :], lam)[:, 0] @ prob.Rinv  # rows (R^-1 L' p)'
-    rhs_x = X @ prob.A.T - np.matmul(lam, w[:, :, np.newaxis])[:, :, 0] + prob.g
-    rhs_p = -(P @ prob.A) + 2.0 * np.matmul(NtP, w[:, :, np.newaxis])[:, :, 0]
+    A, B, Bs, g, _ = sample_blocks(prob)
+    U = reconstruct_control(prob, factors, final.x, final.p).values
+    rhs_x = _sample_field((A, B, Bs, g), X, U)
+    rhs_p = _sample_field((-A.swapaxes(1, 2), 0.0 * B, -2.0 * Bs.swapaxes(2, 3), 0.0 * g), P, U)
 
     xdot = (X[2:] - X[:-2]) / (2.0 * h)
     pdot = (P[2:] - P[:-2]) / (2.0 * h)

@@ -189,14 +189,6 @@ class BilinearFactors:
 
     mats: np.ndarray  # (n, n, m)
 
-    @property
-    def n(self) -> int:
-        return self.mats.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.mats.shape[2]
-
 
 def bilinear_factors(Blist) -> BilinearFactors:
     """Build the N_j family from the B_i family."""

@@ -161,7 +161,6 @@ def rk4_sweep(
     nodes: tuple = (),
     mids: tuple = (),
     backward: bool = False,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
     error: Callable[[int, float], Exception] = _blowup,
 ) -> GriddedTrajectory:
     """Fixed-step RK4 of y' = rhs(y, *args) over the grid.
@@ -171,8 +170,8 @@ def rk4_sweep(
     (steps, ...) at the interval midpoints, in the same order; a `mids`
     entry None is formed from its node table in small blocks.  A forward
     sweep starts from values[0] = y_start, a backward one from
-    values[-1] = y_start.  `project`, when given, is applied after every
-    step.  The first non-finite node, in sweep order, raises error(node, t).
+    values[-1] = y_start.  The first non-finite node, in sweep order, raises
+    error(node, t).
     """
     y = np.asarray(y_start, dtype=float)
     T = grid.steps
@@ -184,8 +183,6 @@ def rk4_sweep(
         for i, mid in zip(order, _mid_rows(nodes, mids, T, backward)):
             a, b = (i + 1, i) if backward else (i, i + 1)
             y = rk4_step(rhs, y, h, node_rows[a], mid, node_rows[b])
-            if project is not None:
-                y = project(y)
             out[b] = y
             if i % _CHECK_EVERY == 0 and not np.isfinite(y).all():
                 break

@@ -16,10 +16,13 @@ has shape (samples, paths, b): each sample keeps its own blocks
 matrix product per sample over all its paths (for one sample, the plain
 `Y @ A.T` of a single system).  The Poisson simulator tabulates the
 control once, as its node values and the slope of each grid step, and reads
-it at every RK4 stage time from the line of the stage's grid step.  The
+it at every RK4 stage time from the line of the stage's grid step.  A path
+row that jumps steps alone, under its own sample's blocks gathered per
+row; the step closing each grid interval is batched per sample.  The
 Wiener simulator tabulates the control at the nodes and midpoints as the
-resimulation does and adds G sqrt(h) xi after each step; the drift is affine in the state, so
-the mean of its paths is exactly the RK4 resimulation.  A batch's `states`
+resimulation does and adds G sqrt(h) xi after each step; the drift is
+affine in the state, so the mean of its paths is exactly the RK4
+resimulation.  A batch's `states`
 has shape (paths, nodes, chosen samples * b), the stacked layout of the
 chosen samples.  Memory is that table plus a few of its rows and the jump
 lists, so a caller bounds it by choosing fewer samples per call.
@@ -199,18 +202,14 @@ def simulate_poisson_paths(
                 rows = np.flatnonzero(next_t <= t_right)
                 if rows.size == 0:
                     break
-                # Each sample's jumping rows, padded to the largest count
-                # with row 0 over a zero step, which is discarded.
+                # Each jumping row steps alone, (rows, 1, b), under its own
+                # sample's blocks.
                 s = rows // M
-                jumping = np.bincount(s, minlength=S)
-                slot = np.arange(rows.size) - (np.cumsum(jumping) - jumping)[s]
-                pad = np.zeros((S, jumping.max()), dtype=int)
-                pad[s, slot] = rows
-                h = np.zeros(pad.shape)
-                h[s, slot] = next_t[rows] - tcur[rows]
                 Yr = Y.reshape(S * M, b)
-                step = _rk4_path_step(rhs, U[i], D[i], Yr[pad], tcur[pad] - nodes[i], h)
-                Yr[rows] = step[s, slot] + G_cols[s, jc[ptr[rows]]]
+                step = _rk4_path_step(bilinear_field(*(c[s] for c in coeffs)), U[i], D[i],
+                                      Yr[rows, np.newaxis], (tcur[rows] - nodes[i])[:, np.newaxis],
+                                      (next_t[rows] - tcur[rows])[:, np.newaxis])
+                Yr[rows] = step[:, 0] + G_cols[s, jc[ptr[rows]]]
                 tcur[rows] = next_t[rows]
                 ptr[rows] += 1
             tcur = tcur.reshape(S, M)

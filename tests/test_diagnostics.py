@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilqr.diagnostics import (
     bound_coefficients,
@@ -46,16 +48,14 @@ def iaf_run():
 
 def test_coupling_strengths_hand_value():
     prob = scalar_iaf()
-    factors = bilinear_factors(prob.Blist)
-    delta, zeta = coupling_strengths(prob, factors)
+    delta, zeta = coupling_strengths(prob)
     assert delta == pytest.approx(1.6, abs=1e-12)
     assert zeta == pytest.approx(1.6, abs=1e-12)
 
 
 def test_coupling_strengths_vanish_for_linear():
     prob = linear_problem()
-    factors = bilinear_factors(prob.Blist)
-    delta, zeta = coupling_strengths(prob, factors)
+    delta, zeta = coupling_strengths(prob)
     assert delta == 0.0
     assert zeta == 0.0
 
@@ -65,10 +65,46 @@ def test_coupling_strengths_delta_zero_without_B():
         A=np.zeros((2, 2)), B=np.zeros((2, 1)), Blist=(np.eye(2),), g=np.zeros(2),
         x0=np.zeros(2), xd=np.zeros(2), tf=1.0, R=[[2.0]],
     )
-    factors = bilinear_factors(prob.Blist)
-    delta, zeta = coupling_strengths(prob, factors)
+    delta, zeta = coupling_strengths(prob)
     assert delta == 0.0
     assert zeta > 0.0
+
+
+def dense_coupling_strengths(prob):
+    """The coupling strengths from the dense N_j, one n x n matrix at a time."""
+    from bilqr.numkit import mat_norm
+
+    N = bilinear_factors(prob.Blist).mats
+    NR = N @ prob.Rinv
+    delta_sq = zeta_sq = 0.0
+    for i in range(prob.n):
+        P = NR[i] @ prob.B.T
+        delta_sq += mat_norm(P + P.T) ** 2
+        for j in range(prob.n):
+            E = NR[i] @ N[j].T
+            zeta_sq += mat_norm(E + E.T) ** 2
+    return np.sqrt(delta_sq), np.sqrt(zeta_sq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4), b=st.integers(1, 3),
+       m=st.integers(1, 2), with_B=st.booleans())
+def test_coupling_strengths_match_the_dense_loop(seed, q, b, m, with_B):
+    from scipy.linalg import block_diag
+
+    rng = np.random.default_rng(seed)
+    n = q * b
+    C = rng.normal(size=(m, m))
+    prob = BilinearProblem(
+        A=np.zeros((n, n)), B=rng.normal(size=(n, m)) if with_B else np.zeros((n, m)),
+        Blist=tuple(block_diag(*rng.normal(size=(q, b, b))) for _ in range(m)),
+        g=np.zeros(n), x0=np.zeros(n), xd=np.zeros(n), tf=1.0,
+        R=C @ C.T + np.eye(m), q=q,
+    )
+    delta, zeta = coupling_strengths(prob)
+    ref_delta, ref_zeta = dense_coupling_strengths(prob)
+    assert delta == pytest.approx(ref_delta, rel=1e-12, abs=0.0)
+    assert zeta == pytest.approx(ref_zeta, rel=1e-12, abs=0.0)
 
 
 def test_bounds_zero_for_zero_problem():

@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from bilqr.model import BilinearProblem, bilinear_factors, diagonal_blocks
 from bilqr.numkit import GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
 from bilqr.solver import (
+    STEP_MAPS_MAX_N,
     SolveOptions,
     _initial_state,
     affine_sweep,
@@ -523,6 +524,28 @@ def test_solve_keeps_one_gain_table_per_iteration():
         tracemalloc.stop()
     assert res.iterations_used == 3 and res.final.K.values.shape == (201, 63, 63)
     assert peak < 1.6 * table
+
+
+def test_step_map_sweeps_hold_a_few_gain_tables():
+    # up to STEP_MAPS_MAX_N states the affine and closed-loop sweeps tabulate
+    # their coefficients (L at nodes and midpoints, K midpoints, two grams),
+    # each the size of the gain table: iterate_once peaked at 5.59 tables on
+    # this 16-state problem (4 blocks of 4, m = 2, 2000 steps); the guard
+    # keeps that peak from growing unnoticed
+    prob = random_bilinear_problem(np.random.default_rng(0), 4, 4, 2)
+    assert prob.n == STEP_MAPS_MAX_N
+    grid = TimeGrid(0.0, prob.tf, 2000)
+    factors = bilinear_factors(prob.Blist)
+    prev = _initial_state(prob, grid)
+    table = 2001 * prob.n * prob.n * 8
+    tracemalloc.start()
+    try:
+        state = iterate_once(prob, factors, prev, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.K is not None
+    assert peak < 5.6 * table
 
 
 def test_diagnostics_keep_the_previous_sweeps():

@@ -282,7 +282,7 @@ def test_poisson_steps_split_at_jumps_read_the_control_at_every_stage():
             np.testing.assert_allclose(batch.states[p, i + 1], x, rtol=0, atol=1e-12)
 
 
-def sample_stack(b, m, k, kind, q=3, seed=0):
+def sample_stack(b, m, k, kind, q=3, seed=0, rate_scale=1.0):
     """q random b-state samples, stacked in the ensemble layout, and each sample alone."""
     rng = np.random.default_rng(seed)
     coeffs, noises = [], []
@@ -292,7 +292,7 @@ def sample_stack(b, m, k, kind, q=3, seed=0):
             Blist=tuple(0.2 * rng.normal(size=(b, b)) for _ in range(m)),
             g=0.1 * rng.normal(size=b), x0=rng.normal(size=b), xd=np.zeros(b)))
         G = 0.2 * rng.normal(size=(b, k))
-        lam = rng.uniform(1.0, 3.0, size=k) if kind == "poisson" else None
+        lam = rate_scale * rng.uniform(1.0, 3.0, size=k) if kind == "poisson" else None
         noises.append(NoiseSpec(kind, G, lam))
     stack, noise = stack_coefficients(coeffs, 3.0, np.eye(m)), stack_noise(noises)
     singles = [BilinearProblem(**vars(c), tf=3.0, R=np.eye(m)) for c in coeffs]
@@ -322,10 +322,16 @@ def test_stacked_samples_match_single_system_calls(kind):
         simulate(stack, noise, u, M=25, seed=40, samples=range(2, 4))
 
 
-@pytest.mark.parametrize("kind", ["poisson", "wiener"])
-def test_stacked_multistate_samples_match_single_system_calls(kind):
+@pytest.mark.parametrize("kind,rate_scale", [
+    pytest.param("poisson", 1.0, id="poisson"),
+    pytest.param("wiener", 1.0, id="wiener"),
+    # rates 50-150 at h = 0.02: rows jump several times in one grid step,
+    # rows of different samples in the same round
+    pytest.param("poisson", 50.0, id="poisson-busy"),
+])
+def test_stacked_multistate_samples_match_single_system_calls(kind, rate_scale):
     simulate = SIMULATORS[kind]
-    stack, noise, singles = sample_stack(2, 2, 2, kind, seed=1)
+    stack, noise, singles = sample_stack(2, 2, 2, kind, seed=1, rate_scale=rate_scale)
     grid = TimeGrid(0.0, stack.tf, 150)
     u = GriddedTrajectory(grid, 0.3 * np.sin(np.outer(grid.nodes, [1.0, 2.0])))
     states = sample_view(simulate(stack, noise, u, M=25, seed=40).states, 3)
