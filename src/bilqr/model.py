@@ -202,9 +202,10 @@ def bilinear_factors(Blist) -> BilinearFactors:
 
 
 def input_gain(prob: BilinearProblem, factors: BilinearFactors, x: np.ndarray) -> np.ndarray:
-    """State-dependent input map B + sum_j x_j N_j (n x m)."""
+    """State-dependent input map B + sum_j x_j N_j over the last axis of x:
+    (n, m) for a state, (T, n, m) for a table of states (T, n)."""
     x = np.asarray(x, dtype=float)
-    return prob.B + np.tensordot(x, factors.mats, axes=(0, 0))
+    return prob.B + np.tensordot(x, factors.mats, axes=(-1, 0))
 
 
 def frozen_drift(

@@ -6,12 +6,13 @@ Every integration in the package is fixed-step classical RK4, forward or
 backward over a uniform grid, with `rk4_step` the one step body.
 `rk4_sweep` steps y' = rhs(y, *args) whose time-dependent arguments are
 stage tables, arrays precomputed at the grid nodes and at the interval
-midpoints.  `linear_sweep` takes the linear y' = L y + f with the same
-stage tables: an RK4 step of a linear equation is one affine map, so it
-forms every step's map with one batched `rk4_step` a block of steps at a
-time and applies them in sweep order, one small product per step, which
-beats four stage evaluations on small systems.  There is no adaptive
-stepping, so repeated runs produce bitwise-identical iterates.
+midpoints.  `linear_sweep` takes the same arguments for a right-hand side
+affine in y and is the one place that picks how to step it: an RK4 step of
+an affine equation is one affine map, so up to STEP_MAPS_MAX_N states it
+forms the maps of a block of steps with one batched `rk4_step` and applies
+them in sweep order, one small product per step, which beats four stage
+evaluations on small systems; above, it is `rk4_sweep`.  There is no
+adaptive stepping, so repeated runs produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
@@ -126,20 +127,23 @@ _CHECK_EVERY = 32
 _MID_BLOCK_BYTES = 1 << 18
 
 
-def _blocks(T: int, row_bytes: int, backward: bool):
-    """Blocks [lo, hi) of the T steps, in sweep order, of _MID_BLOCK_BYTES at
-    row_bytes a step (at least one step)."""
+def _stage_blocks(nodes: tuple, mids: tuple, T: int, row_bytes: int, backward: bool):
+    """Blocks (lo, hi, node tables [lo, hi], midpoint tables [lo, hi)) of
+    the T steps, in sweep order, of _MID_BLOCK_BYTES at row_bytes a step (at
+    least one step); a `mids` entry None is formed from its node block."""
     starts = range(0, T, max(1, _MID_BLOCK_BYTES // row_bytes))
     for lo in (reversed(starts) if backward else starts):
-        yield lo, min(lo + starts.step, T)
+        hi = min(lo + starts.step, T)
+        node = tuple(n[lo:hi + 1] for n in nodes)
+        yield lo, hi, node, tuple(midpoints(n) if m is None else m[lo:hi]
+                                  for n, m in zip(node, mids))
 
 
 def _mid_rows(nodes: tuple, mids: tuple, T: int, backward: bool):
     """Midpoint argument rows in sweep order, None entries formed a block at a time."""
     row = max((n[0].nbytes for n, m in zip(nodes, mids) if m is None), default=1)
-    for lo, hi in _blocks(T, row, backward):
-        rows = list(zip(*(midpoints(n[lo:hi + 1]) if m is None else m[lo:hi]
-                          for n, m in zip(nodes, mids)))) or [()] * (hi - lo)
+    for lo, hi, _, mid in _stage_blocks(nodes, mids, T, row, backward):
+        rows = list(zip(*mid)) or [()] * (hi - lo)
         yield from (reversed(rows) if backward else rows)
 
 
@@ -191,59 +195,72 @@ def rk4_sweep(
     raise _first_nonfinite(out, grid, backward, error)
 
 
-def _augmented(L: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Z = [[L, f], [0, 0]] for each row of the tables L (k, n, n) and f (k, n)."""
-    k, n = f.shape
-    Z = np.zeros((k, n + 1, n + 1))
-    Z[:, :n, :n] = L
-    Z[:, :n, n] = f
-    return Z
+# Largest state dimension n whose linear sweeps take precomputed RK4 step
+# maps instead of four stage evaluations per step.  A stage step costs about
+# 35 numpy calls whatever n is, while forming a map costs O(n^3) per step.
+# CPU time of the affine and closed-loop sweeps, maps over stages (200
+# steps, m = 2, one BLAS thread): 0.15 at n = 6, 0.44-0.50 at n = 16,
+# 0.61-0.93 at n = 18-24, 1.3 at n = 32-36 and 22 at n = 243.  Up to 16 the
+# maps win by 2x or more; beyond it the margin is thin.
+STEP_MAPS_MAX_N = 16
 
 
 def linear_sweep(
-    L_nodes: np.ndarray,
-    L_mids: np.ndarray,
-    f_nodes: np.ndarray,
-    f_mids: np.ndarray,
+    rhs: Callable[..., np.ndarray],
     y_start,
     grid: TimeGrid,
+    nodes: tuple = (),
+    mids: tuple = (),
     backward: bool = False,
     error: Callable[[int, float], Exception] = _blowup,
 ) -> GriddedTrajectory:
-    """Fixed-step RK4 of the linear y' = L y + f over the grid: the sweep
-    `rk4_sweep(lambda y, L, f: L @ y + f, ...)` with the same stage tables
-    (`L_nodes` (steps + 1, n, n), `L_mids` (steps, n, n), `f_nodes` and
-    `f_mids` likewise), up to round-off.
+    """`rk4_sweep` of a right-hand side affine in y, with the same arguments
+    and results up to round-off: by precomputed RK4 step maps up to
+    STEP_MAPS_MAX_N states, and by `rk4_sweep` itself above.
 
-    For a linear right-hand side an RK4 step is one affine map: with
-    Z = [[L, f], [0, 0]] at the stage times, `rk4_step` of Y' = Z Y from the
-    identity gives P_i, and [y_i+1; 1] = P_i [y_i; 1].  The maps of a block
-    of steps are formed together, one batched `rk4_step`, under the byte
-    budget of `_MID_BLOCK_BYTES`, and applied in sweep order, one
-    (n + 1) x (n + 1) product per step.  The first non-finite node, in
-    sweep order, raises error(node, t).
+    `rhs` acts on the last axis of y, a row vector (n,) or a stack of rows
+    (rows, n), and broadcasts over leading axes of its arguments, so a table
+    of vectors enters as (steps + 1, 1, n).  An RK4 step of an affine
+    equation is one affine map.  For each block of steps, rhs is evaluated
+    once at the nodes and once at the midpoints on the stacked rows
+    0, e_1 ... e_n; that gives the generator Z = [[0, f], [0, L']] with
+    [1, y] Z = [0, rhs(y)], whose `rk4_step` of Y' = Y Z from the identity
+    gives the block's maps P_i.  They are applied in sweep order,
+    [1, y_i+1] = [1, y_i] P_i, one (n + 1) x (n + 1) product per step.  The
+    first non-finite node, in sweep order, raises error(node, t).
     """
     y = np.asarray(y_start, dtype=float)
-    T, n = grid.steps, y.shape[0]
+    n = y.shape[-1]
+    if n > STEP_MAPS_MAX_N:
+        return rk4_sweep(rhs, y, grid, nodes, mids, backward, error)
+    T = grid.steps
     h = -grid.h if backward else grid.h
-    out = np.empty((T + 1, n))
+    out = np.empty((T + 1,) + y.shape)
     out[T if backward else 0] = y
-    z = np.append(y, 1.0)
+    z = np.concatenate((np.ones(y.shape[:-1] + (1,)), y), axis=-1)
     eye = np.eye(n + 1)
+    rows = eye[:, 1:]  # 0, e_1 ... e_n
+
+    def generator(args, steps):
+        Z = np.zeros((steps, n + 1, n + 1))
+        Z[:, :, 1:] = rhs(rows, *args)
+        Z[:, 1:, 1:] -= Z[:, :1, 1:]
+        return Z
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in _blocks(T, eye.nbytes, backward):
-            Zn = _augmented(L_nodes[lo:hi + 1], f_nodes[lo:hi + 1])
+        for lo, hi, node, mid in _stage_blocks(nodes, mids, T, max(eye.nbytes, z.nbytes),
+                                               backward):
+            Zn = generator(node, hi - lo + 1)
             first, last = (Zn[1:], Zn[:-1]) if backward else (Zn[:-1], Zn[1:])
-            maps = rk4_step(lambda Y, Z: Z @ Y, eye, h, (first,),
-                            (_augmented(L_mids[lo:hi], f_mids[lo:hi]),), (last,))
-            zs = np.empty((hi - lo + 1, n + 1))  # [y; 1] at the block's nodes, sweep order
+            maps = rk4_step(np.matmul, eye, h, (first,), (generator(mid, hi - lo),), (last,))
+            zs = np.empty((hi - lo + 1,) + z.shape)  # [1, y] at the block's nodes, sweep order
             zs[0] = z
             for P, row in zip(maps[::-1] if backward else maps, zs[1:]):
-                z = np.dot(P, z, out=row)
+                z = np.dot(z, P, out=row)
             if backward:
-                out[lo:hi] = zs[:0:-1, :n]
+                out[lo:hi] = zs[:0:-1, ..., 1:]
             else:
-                out[lo + 1:hi + 1] = zs[1:, :n]
+                out[lo + 1:hi + 1] = zs[1:, ..., 1:]
             if not np.isfinite(z).all():
                 break
     if np.isfinite(z).all():
@@ -308,8 +325,9 @@ def transition_norms(A_nodes: np.ndarray, grid: TimeGrid, indices) -> np.ndarray
     row of the table at a time.  A numerically singular Phi(t_b, t0) raises
     TransitionInversionError naming the node.
     """
-    base = rk4_sweep(lambda Phi, A: A @ Phi, np.eye(A_nodes.shape[1]), grid,
-                     (A_nodes,), (None,)).values
+    # Phi' steps as a stack of rows: (Phi')' = Phi' A'
+    base = linear_sweep(lambda Y, A: Y @ A.swapaxes(-1, -2), np.eye(A_nodes.shape[1]), grid,
+                        (A_nodes,), (None,)).values.swapaxes(1, 2)
     indices = np.asarray(indices, dtype=int)
     for j in indices:
         if np.linalg.cond(base[j]) > _COND_LIMIT:

@@ -23,27 +23,25 @@ can be indefinite and makes the backward flow escape in finite time on
 broadcast ensembles (it is kept as a diagnostic quantity, see the model
 module).
 
-Every sweep, both passes of the boundary-value route, the initial flow and
-the bilinear resimulation are one call of numkit.rk4_sweep, whose
-right-hand side takes the coefficients as stage tables: arrays at the grid
-nodes and interval midpoints, in the structure the problem has.  The
-drift A comes as its prob.q diagonal blocks (q, b, b), one per sample,
-and the input gram L R^-1 L', whose rank is at most m, as its factor
-W = L C with R^-1 = C C'.  Every product with the gram is taken through W,
-so an RK4 stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense
-n x n products, and no (T, n, n) gram table is formed.  Above
-STEP_MAPS_MAX_N states one (T + 1, n, n) gain table is alive per
-iteration: K midpoints are formed in small blocks, and spent sweeps are
-released unless the diagnostics need them.
-
-The affine and closed-loop sweeps are linear, so for small systems (n at
-most STEP_MAPS_MAX_N) each is one numkit.linear_sweep instead: its
-coefficient tables, each the size of the gain table (an iteration peaks
-near 5.6 of them, 22 MiB at 16 states and 2000 steps), give one precomputed
-RK4 step map per step, and the sweep costs one (n + 1) x (n + 1) product
-per step in place of four stage evaluations of about 35 numpy calls.  The
-resimulation steps the same sample blocks (`model.sample_blocks`) through
-`model.bilinear_field`, the field of the Monte Carlo paths.
+The Riccati sweep, both passes of the boundary-value route and the
+bilinear resimulation are each one call of numkit.rk4_sweep; the affine
+and closed-loop sweeps and the initial flow are linear, and each is one
+right-hand side handed to numkit.linear_sweep, which takes the same
+arguments and steps systems of at most numkit.STEP_MAPS_MAX_N states by
+precomputed RK4 step maps.  The right-hand sides act on rows and take the
+coefficients as stage tables: arrays at the grid nodes and interval
+midpoints, in the structure the problem has.  The drift A comes as its
+prob.q diagonal blocks (q, b, b), one per sample (as one dense block up to
+STEP_MAPS_MAX_N states, where one product costs less), and the input gram
+L R^-1 L', whose rank is at most m, as its factor W = L C with
+R^-1 = C C'.  Every product with the gram is taken through W, so an RK4
+stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense n x n
+products, and no (T, n, n) gram table is formed.  One (T + 1, n, n) gain
+table is alive per iteration: K midpoints and step maps are formed in
+small blocks, and spent sweeps are released unless the diagnostics need
+them.  The resimulation steps the same sample blocks
+(`model.sample_blocks`) through `model.bilinear_field`, the field of the
+Monte Carlo paths.
 """
 
 from __future__ import annotations
@@ -54,9 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (BilinearFactors, BilinearProblem, bilinear_factors, bilinear_field,
-                    diagonal_blocks, sample_blocks)
-from .numkit import (BlowupError, GriddedTrajectory, TimeGrid, linear_sweep, midpoints,
-                     rk4_sweep)
+                    diagonal_blocks, input_gain, sample_blocks)
+from .numkit import (STEP_MAPS_MAX_N, BlowupError, GriddedTrajectory, TimeGrid, linear_sweep,
+                     midpoints, rk4_sweep)
 
 __all__ = [
     "IterationState",
@@ -76,15 +74,6 @@ __all__ = [
 ]
 
 STOP_RULES = ("diff", "target", "both")
-
-# Largest n whose affine and closed-loop sweeps take precomputed RK4 step
-# maps (numkit.linear_sweep) instead of four stage evaluations per step.  A
-# stage step costs about 35 numpy calls whatever n is, while forming a map
-# costs O(n^3) per step.  CPU time of both sweeps, maps over stages (200
-# steps, m = 2, one BLAS thread): 0.15 at n = 6, 0.44-0.50 at n = 16,
-# 0.61-0.93 at n = 18-24, 1.3 at n = 32-36 and 22 at n = 243.  Up to 16
-# the maps win by 2x or more; beyond it the margin is thin.
-STEP_MAPS_MAX_N = 16
 
 
 class RiccatiEscapeError(RuntimeError):
@@ -177,12 +166,14 @@ class SolveResult:
 
 
 def _block_product(blocks: np.ndarray):
-    """y -> blockdiag(blocks) @ y for y of shape (n,) or (n, k)."""
+    """y -> y @ blockdiag(blocks) for a row y (n,) or rows (k, n), taken as
+    (blockdiag(blocks') @ y')', which reads the columns of y' in place."""
     q, b, _ = blocks.shape
     if q == 1:
         dense = blocks[0]
-        return lambda y: np.dot(dense, y)
-    return lambda y: np.matmul(blocks, y.reshape(q, b, -1)).reshape(y.shape)
+        return lambda y: np.dot(y, dense)
+    blocks_t = np.ascontiguousarray(blocks.swapaxes(1, 2))
+    return lambda y: np.matmul(blocks_t, y.T.reshape(q, b, -1)).reshape(y.T.shape).T
 
 
 def freeze_iteration_fields(
@@ -196,8 +187,7 @@ def freeze_iteration_fields(
     [W_i, W_i+1] / sqrt(2) at the interval midpoints, (T, n, 2 m), whose
     gram is the average of the two node grams.
     """
-    lam = prob.B + np.tensordot(X, factors.mats, axes=(1, 0))  # (T, n, m)
-    W = lam @ np.linalg.cholesky(prob.Rinv)
+    W = input_gain(prob, factors, X) @ np.linalg.cholesky(prob.Rinv)
     return W, np.concatenate((W[:-1], W[1:]), axis=2) * np.sqrt(0.5)
 
 
@@ -223,19 +213,19 @@ def riccati_sweep(
     """Backward sweep of dK/dt = -K A - A' K + (K W)(K W)' from K(tf) = K_T.
 
     A is block-diagonal with the given blocks and W W' is the input gram at
-    the stage time.  (K W)(K W)' and A'K + (A'K)' are symmetric to the last
+    the stage time.  (K W)(K W)' and K A + (K A)' are symmetric to the last
     bit, so every RK4 step keeps K exactly symmetric.
     """
     K_T = np.asarray(K_T, dtype=float)
     if np.max(np.abs(K_T - K_T.T)) > 1e-10 * max(1.0, np.max(np.abs(K_T))):
         raise ValueError("terminal Riccati matrix must be symmetric")
-    At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
+    times_A = _block_product(A_blocks)
 
     def rhs(K, W):
         KW = np.dot(K, W)
         out = np.dot(KW, KW.T)
-        AtK = At(K)
-        out -= AtK + AtK.T
+        KA = times_A(K.T)  # K A, as K is exactly symmetric; K' is the layout read fastest
+        out -= KA + KA.T
         return out
 
     return rk4_sweep(rhs, 0.5 * (K_T + K_T.T), grid, (W_nodes,), (W_mids,), backward=True,
@@ -251,39 +241,18 @@ def affine_sweep(
     s_T: np.ndarray,
     grid: TimeGrid,
 ) -> GriddedTrajectory:
-    """Backward sweep of ds/dt = K (W W' s - g) - A' s from s(tf) = s_T.
-
-    K is interpolated linearly at the RK4 stage times.  Up to
-    STEP_MAPS_MAX_N states the sweep takes the RK4 step maps of its
-    coefficient tables (numkit.linear_sweep); above it, K midpoints are
-    formed in small blocks and K g is not tabulated.
+    """Backward sweep of ds/dt = K (W W' s - g) - A' s from s(tf) = s_T,
+    one numkit.linear_sweep with K interpolated linearly at the RK4 stage
+    times (its midpoints formed in small blocks).  K is exactly symmetric,
+    so the row s' K is K s.
     """
     g = np.asarray(g, dtype=float)
-    At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
-    K_n = Ktraj.values
-    n = K_n.shape[1]
-    if n <= STEP_MAPS_MAX_N:
-        K_m, At_n = midpoints(K_n), At(np.eye(n))
-        return linear_sweep(K_n @ _gram(W_nodes) - At_n, K_m @ _gram(W_mids) - At_n,
-                            -(K_n @ g), -(K_m @ g), s_T, grid, backward=True)
+    times_A = _block_product(A_blocks)
 
     def rhs(s, W, K):
-        out = np.dot(K, np.dot(W, np.dot(W.T, s)) - g)
-        out -= At(s)
-        return out
+        return ((s @ W) @ W.swapaxes(-1, -2) - g) @ K - times_A(s)
 
-    return rk4_sweep(rhs, s_T, grid, (W_nodes, K_n), (W_mids, None), backward=True)
-
-
-def _gram(W: np.ndarray) -> np.ndarray:
-    """Node-wise W W' for W of shape (T, n, r)."""
-    return W @ np.transpose(W, (0, 2, 1))
-
-
-def _gram_times(W: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Node-wise W W' v for W of shape (T, n, r) and v of shape (T, n)."""
-    Wtv = np.matmul(v[:, np.newaxis, :], W)  # (T, 1, r)
-    return np.matmul(W, np.transpose(Wtv, (0, 2, 1)))[:, :, 0]
+    return linear_sweep(rhs, s_T, grid, (W_nodes, Ktraj.values), (W_mids, None), backward=True)
 
 
 def closed_loop_forward(
@@ -296,27 +265,18 @@ def closed_loop_forward(
     x0: np.ndarray,
     grid: TimeGrid,
 ) -> GriddedTrajectory:
-    """Forward sweep of dx/dt = (A - W W' K) x - W W' s + g from x(0) = x0,
-    by RK4 step maps up to STEP_MAPS_MAX_N states, as the affine sweep."""
+    """Forward sweep of dx/dt = A x - W W' (K x + s) + g from x(0) = x0, one
+    numkit.linear_sweep of x as a row, with K and s as in the affine sweep."""
     g = np.asarray(g, dtype=float)
-    A = _block_product(A_blocks)
-    K_n = Ktraj.values
-    s_n = straj.values
-    Os_n = _gram_times(W_nodes, s_n) - g
-    Os_m = _gram_times(W_mids, midpoints(s_n)) - g
-    n = K_n.shape[1]
-    if n <= STEP_MAPS_MAX_N:
-        A_n = A(np.eye(n))
-        return linear_sweep(A_n - _gram(W_nodes) @ K_n, A_n - _gram(W_mids) @ midpoints(K_n),
-                            -Os_n, -Os_m, x0, grid)
+    times_At = _block_product(A_blocks.swapaxes(1, 2))
 
-    def rhs(x, W, K, Os):
-        out = A(x)
-        out -= np.dot(W, np.dot(W.T, np.dot(K, x)))
-        out -= Os
-        return out
+    def rhs(x, W, K, s):
+        return times_At(x) - ((x @ K + s) @ W) @ W.swapaxes(-1, -2) + g
 
-    return rk4_sweep(rhs, x0, grid, (W_nodes, K_n, Os_n), (W_mids, None, Os_m))
+    s_rows = straj.values[:, np.newaxis]
+    x = linear_sweep(rhs, np.reshape(x0, (1, -1)), grid, (W_nodes, Ktraj.values, s_rows),
+                     (W_mids, None, None))
+    return GriddedTrajectory(grid, x.values[:, 0])
 
 
 def reconstruct_control(
@@ -326,10 +286,8 @@ def reconstruct_control(
     ptraj: GriddedTrajectory,
 ) -> GriddedTrajectory:
     """Node-wise u = -R^-1 L(x)' p along the given trajectories."""
-    X = xtraj.values
-    P = ptraj.values
-    lam = prob.B + np.einsum("tj,jki->tki", X, factors.mats)
-    rhs = np.einsum("tki,tk->ti", lam, P)
+    lam = input_gain(prob, factors, xtraj.values)
+    rhs = np.einsum("tki,tk->ti", lam, ptraj.values)
     U = -(prob.Rinv @ rhs.T).T
     return GriddedTrajectory(xtraj.grid, U)
 
@@ -362,27 +320,27 @@ def solve_frozen_boundary_value(
     """
     n = prob.n
     w = prob.terminal_weight
-    A = _block_product(A_blocks)
-    At = _block_product(np.transpose(A_blocks, (0, 2, 1)))
+    times_A = _block_product(A_blocks)
+    times_At = _block_product(A_blocks.swapaxes(1, 2))
 
-    # backward fundamental of dp/dt = -A' p, Theta(tf) = I
-    theta = rk4_sweep(lambda Th: -At(Th), np.eye(n), grid, backward=True,
-                      error=_boundary_error).values
+    # backward fundamental of dp/dt = -A' p as rows, Theta', Theta(tf) = I
+    theta_rows = rk4_sweep(lambda Th: -times_A(Th), np.eye(n), grid, backward=True,
+                           error=_boundary_error).values
 
-    # forward: Y = [X_c | phi] with dX_c/dt = A X_c - W W' Theta, dphi/dt = A phi + g
-    def rhs(Yv, W, Thi):
-        out = A(Yv)
-        out[:, :n] -= np.dot(W, np.dot(W.T, Thi))
-        out[:, n] += prob.g
+    # forward rows Y = [X_c'; phi'] with dX_c/dt = A X_c - W W' Theta, dphi/dt = A phi + g
+    def rhs(Yv, W, Th):
+        out = times_At(Yv)
+        out[:n] -= np.dot(np.dot(Th, W), W.T)
+        out[n] += prob.g
         return out
 
-    Y0 = np.zeros((n, n + 1))
-    Y0[:, n] = prob.x0
-    stored = rk4_sweep(rhs, Y0, grid, (W_nodes, theta), (W_mids, None),
+    Y0 = np.zeros((n + 1, n))
+    Y0[n] = prob.x0
+    stored = rk4_sweep(rhs, Y0, grid, (W_nodes, theta_rows), (W_mids, None),
                        error=_boundary_error).values
 
-    Xc_f = stored[-1, :, :n]
-    phi_f = stored[-1, :, n]
+    Xc_f = stored[-1, :n].T
+    phi_f = stored[-1, n]
     M = np.eye(n) - 2.0 * w * Xc_f
     try:
         c = np.linalg.solve(M, 2.0 * w * (phi_f - prob.xd))
@@ -392,8 +350,8 @@ def solve_frozen_boundary_value(
         ) from exc
     if not np.all(np.isfinite(c)):
         raise _boundary_error(grid.steps, grid.tf)
-    X = stored[:, :, :n] @ c + stored[:, :, n]
-    P = theta @ c
+    X = c @ stored[:, :n] + stored[:, n]
+    P = c @ theta_rows
     return GriddedTrajectory(grid, X), GriddedTrajectory(grid, P)
 
 
@@ -414,7 +372,7 @@ def iterate_once(
     `diff_x` measures how far the map moved the state away from its argument.
     """
     w = prob.terminal_weight
-    Ab = diagonal_blocks(prob.A, prob.q)
+    Ab = diagonal_blocks(prob.A, prob.q if prob.n > STEP_MAPS_MAX_N else 1)
     Wn, Wm = freeze_iteration_fields(prob, factors, prev.x.values)
     try:
         K = riccati_sweep(Ab, Wn, Wm, 2.0 * w * np.eye(prob.n), grid)
@@ -441,7 +399,7 @@ def _initial_state(prob: BilinearProblem, grid: TimeGrid, probe: float = 0.0) ->
     u0 = np.full(prob.m, probe)
     coupling = prob.A + np.tensordot(u0, np.stack(prob.Blist), axes=(0, 0))
     drive = prob.B @ u0 + prob.g
-    x = rk4_sweep(lambda y: coupling @ y + drive, prob.x0, grid)
+    x = linear_sweep(lambda y: y @ coupling.T + drive, prob.x0, grid)
     u_traj = GriddedTrajectory(grid, np.tile(u0, (T, 1)))
     zeros_n = GriddedTrajectory(grid, np.zeros((T, prob.n)))
     zeros_nn = GriddedTrajectory(grid, np.zeros((T, prob.n, prob.n)))

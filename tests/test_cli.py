@@ -319,6 +319,14 @@ def test_solver_errors_exit_one_without_traceback(tmp_path, capsys, monkeypatch)
         assert "Traceback" not in capsys.readouterr().err
         assert str(exc) in (out / "sweep_r.csv").read_text()
 
+    # a grid too large for memory ends in one line too; nothing is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array with shape (2000000001,)")
+
+    monkeypatch.setattr(cli, "solve", out_of_memory)
+    assert main(solve_args(prob, tmp_path / "run")) == 1
+    assert "out of memory: Unable to allocate 14.9 GiB" in one_error_line(capsys)
+
 
 def test_validate_monte_carlo_blowup_exit_one(tmp_path, capsys, monkeypatch):
     import bilqr.cli as cli

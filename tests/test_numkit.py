@@ -122,18 +122,26 @@ _BLOCK_CROSSING_STEPS = 2 * (numkit._MID_BLOCK_BYTES // (8 * 7 * 7)) + 3
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), steps=st.integers(2, 40))
 @example(seed=11, n=6, steps=_BLOCK_CROSSING_STEPS)
+@example(seed=12, n=numkit.STEP_MAPS_MAX_N + 1, steps=9)  # above it, rk4_sweep itself
 def test_linear_sweep_matches_the_stage_sweep(seed, n, steps):
-    # the step maps reproduce four stage evaluations per step of L y + f
+    # the step maps reproduce four stage evaluations per step of the same
+    # affine right-hand side, on a vector and on a stack of rows
     rng = np.random.default_rng(seed)
     g = TimeGrid(0.0, 1.0, steps)
     L_n, L_m = rng.normal(size=(steps + 1, n, n)), rng.normal(size=(steps, n, n))
-    f_n, f_m = rng.normal(size=(steps + 1, n)), rng.normal(size=(steps, n))
-    y = rng.normal(size=n)
-    for backward in (False, True):
-        maps = linear_sweep(L_n, L_m, f_n, f_m, y, g, backward=backward).values
-        stages = rk4_sweep(lambda v, L, f: L @ v + f, y, g, (L_n, f_n), (L_m, f_m),
-                           backward=backward).values
-        assert np.max(np.abs(maps - stages)) <= 1e-12 * np.max(np.abs(stages))
+    f_n, f_m = rng.normal(size=(steps + 1, 1, n)), rng.normal(size=(steps, 1, n))
+
+    def rhs(v, L, f):
+        return v @ L.swapaxes(-1, -2) + f
+
+    for y in (rng.normal(size=n), rng.normal(size=(3, n))):
+        for backward in (False, True):
+            args = (y, g, (L_n, f_n), (L_m, f_m), backward)
+            maps, stages = linear_sweep(rhs, *args).values, rk4_sweep(rhs, *args).values
+            assert maps.shape == stages.shape == (steps + 1,) + y.shape
+            if n > numkit.STEP_MAPS_MAX_N:
+                assert np.array_equal(maps, stages)
+            assert np.max(np.abs(maps - stages)) <= 1e-12 * np.max(np.abs(stages))
 
 
 def test_interp_exact_at_nodes_and_midpoints():

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bilqr.model import BilinearProblem, bilinear_factors, diagonal_blocks
-from bilqr.numkit import GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
+from bilqr.numkit import STEP_MAPS_MAX_N, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
 from bilqr.solver import (
-    STEP_MAPS_MAX_N,
     SolveOptions,
     _initial_state,
     affine_sweep,
@@ -527,25 +526,25 @@ def test_solve_keeps_one_gain_table_per_iteration():
 
 
 def test_step_map_sweeps_hold_a_few_gain_tables():
-    # up to STEP_MAPS_MAX_N states the affine and closed-loop sweeps tabulate
-    # their coefficients (L at nodes and midpoints, K midpoints, two grams),
-    # each the size of the gain table: iterate_once peaked at 5.59 tables on
-    # this 16-state problem (4 blocks of 4, m = 2, 2000 steps); the guard
-    # keeps that peak from growing unnoticed
+    # up to STEP_MAPS_MAX_N states the affine and closed-loop sweeps take
+    # step maps formed a block of steps at a time, with no coefficient table
+    # over the whole grid: iterate_once on this 16-state problem (4 blocks of
+    # 4, m = 2) peaks near 2 gain tables, where whole-grid tables took 5.6
     prob = random_bilinear_problem(np.random.default_rng(0), 4, 4, 2)
     assert prob.n == STEP_MAPS_MAX_N
-    grid = TimeGrid(0.0, prob.tf, 2000)
     factors = bilinear_factors(prob.Blist)
-    prev = _initial_state(prob, grid)
-    table = 2001 * prob.n * prob.n * 8
-    tracemalloc.start()
-    try:
-        state = iterate_once(prob, factors, prev, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert state.K is not None
-    assert peak < 5.6 * table
+    for steps in (2000, 8000):
+        grid = TimeGrid(0.0, prob.tf, steps)
+        prev = _initial_state(prob, grid)
+        table = (steps + 1) * prob.n * prob.n * 8
+        tracemalloc.start()
+        try:
+            state = iterate_once(prob, factors, prev, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.K is not None
+        assert peak < 2.5 * table
 
 
 def test_diagnostics_keep_the_previous_sweeps():
@@ -627,7 +626,10 @@ def smooth_directions(rng, grid, m, count):
 @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3), b=st.integers(1, 3),
        m=st.integers(1, 2))
 @example(seed=0, q=6, b=3, m=2)  # n = 18: the stage path of both linear sweeps
-@example(seed=218373444, q=3, b=3, m=1)  # the smallest rise of 500 draws; a share of 0.05 lowers J
+@example(seed=218373444, q=3, b=3, m=1)  # at 100 steps the smallest rise of 500 draws;
+# a share of 0.05 lowered J there
+@example(seed=505699, q=3, b=3, m=1)  # lowered J by 0.43% at 100 steps; +0.34% at 400
+@example(seed=1050394205, q=3, b=3, m=1)  # lowered J by 7.1% at 100 steps; +1.08% at 400
 def test_iterate_minimizes_its_frozen_subproblem(seed, q, b, m):
     # the frozen subproblem is min (1/2) int u' R u + w |x(tf) - xd|^2 under
     # x' = A x + L(x_prev) u + g; its control is -R^-1 L(x_prev)' p with the
@@ -635,11 +637,12 @@ def test_iterate_minimizes_its_frozen_subproblem(seed, q, b, m):
     # control once x = x_prev).  Perturbing it along smooth directions by a
     # fixed share of max |u| must not lower the cost, integrated by RK4 with
     # the drive tabulated at the nodes: the second-order rise dominates the
-    # O(h^2) slack of the discrete optimum
+    # O(h^2) slack of the discrete optimum at 400 steps (at 100 it did not
+    # on the pinned draws, which rise alike at 400, 1600 and 6400 steps)
     rng = np.random.default_rng(seed)
     prob = random_bilinear_problem(rng, q, b, m)
     factors = bilinear_factors(prob.Blist)
-    grid = TimeGrid(0.0, prob.tf, 100)
+    grid = TimeGrid(0.0, prob.tf, 400)
     prev = _initial_state(prob, grid)
     state = iterate_once(prob, factors, prev, grid)
     L = prob.B + np.einsum("tj,jki->tki", prev.x.values, factors.mats)
