@@ -6,12 +6,13 @@ Every integration in the package is fixed-step classical RK4, forward or
 backward over a uniform grid, with `rk4_step` the one step body.
 `rk4_sweep` steps y' = rhs(y, *args) whose time-dependent arguments are
 stage tables, arrays precomputed at the grid nodes and at the interval
-midpoints.  `linear_sweep` takes the same arguments for a right-hand side
-affine in y and is the one place that picks how to step it: an RK4 step of
-an affine equation is one affine map, so up to STEP_MAPS_MAX_N states it
-forms the maps of a block of steps with one batched `rk4_step` and applies
-them in sweep order, one small product per step, which beats four stage
-evaluations on small systems; above, it is `rk4_sweep`.  There is no
+midpoints.  `linear_sweep` takes its arguments, with tables of vectors as
+(steps + 1, 1, n), for a right-hand side affine in y and is the one place
+that picks how to step it: an RK4 step of an affine equation is one affine
+map, so up to STEP_MAPS_MAX_N states it forms the maps of a block of steps
+with one batched `rk4_step` and applies them in sweep order, one small
+product per step, which beats four stage evaluations on small systems;
+above, it is `rk4_sweep`.  There is no
 adaptive stepping, so repeated runs produce bitwise-identical iterates.
 """
 
@@ -214,21 +215,30 @@ def linear_sweep(
     backward: bool = False,
     error: Callable[[int, float], Exception] = _blowup,
 ) -> GriddedTrajectory:
-    """`rk4_sweep` of a right-hand side affine in y, with the same arguments
-    and results up to round-off: by precomputed RK4 step maps up to
+    """`rk4_sweep` of a right-hand side affine in y, with its signature and
+    its results up to round-off: by precomputed RK4 step maps up to
     STEP_MAPS_MAX_N states, and by `rk4_sweep` itself above.
 
     `rhs` acts on the last axis of y, a row vector (n,) or a stack of rows
-    (rows, n), and broadcasts over leading axes of its arguments, so a table
-    of vectors enters as (steps + 1, 1, n).  An RK4 step of an affine
+    (rows, n), and broadcasts over leading axes of its arguments.  Unlike
+    `rk4_sweep`, every table's value at a node must have two axes or more,
+    as rhs sees a block of steps at once: a table of vectors enters as
+    (steps + 1, 1, n), one of scalars as (steps + 1, 1, 1); a table of
+    fewer axes raises ValueError at every n.  An RK4 step of an affine
     equation is one affine map.  For each block of steps, rhs is evaluated
     once at the nodes and once at the midpoints on the stacked rows
     0, e_1 ... e_n; that gives the generator Z = [[0, f], [0, L']] with
     [1, y] Z = [0, rhs(y)], whose `rk4_step` of Y' = Y Z from the identity
     gives the block's maps P_i.  They are applied in sweep order,
-    [1, y_i+1] = [1, y_i] P_i, one (n + 1) x (n + 1) product per step.  The
-    first non-finite node, in sweep order, raises error(node, t).
+    [1, y_i+1] = [1, y_i] P_i, one (n + 1) x (n + 1) product per step.
+    L' is read as rhs(e_j) - rhs(0), so it carries the forcing's round-off,
+    about eps |f| per entry, which each step multiplies by |y|: beside the
+    stage sweep's round-off, the maps add up to about eps |f| |y| per unit
+    time.  The first non-finite node, in sweep order, raises error(node, t).
     """
+    if any(np.ndim(t) < 3 for t in nodes + mids if t is not None):
+        raise ValueError("linear_sweep tables need two axes per node: a table of vectors "
+                         "enters as (steps + 1, 1, n)")
     y = np.asarray(y_start, dtype=float)
     n = y.shape[-1]
     if n > STEP_MAPS_MAX_N:

@@ -26,13 +26,12 @@ module).
 The Riccati sweep, both passes of the boundary-value route and the
 bilinear resimulation are each one call of numkit.rk4_sweep; the affine
 and closed-loop sweeps and the initial flow are linear, and each is one
-right-hand side handed to numkit.linear_sweep, which takes the same
-arguments and steps systems of at most numkit.STEP_MAPS_MAX_N states by
-precomputed RK4 step maps.  The right-hand sides act on rows and take the
+right-hand side handed to numkit.linear_sweep, which takes rk4_sweep's
+arguments (tables of vectors as (steps + 1, 1, n)) and steps systems of at
+most numkit.STEP_MAPS_MAX_N states by precomputed RK4 step maps.  The right-hand sides act on rows and take the
 coefficients as stage tables: arrays at the grid nodes and interval
 midpoints, in the structure the problem has.  The drift A comes as its
-prob.q diagonal blocks (q, b, b), one per sample (as one dense block up to
-STEP_MAPS_MAX_N states, where one product costs less), and the input gram
+prob.q diagonal blocks (q, b, b), one per sample, and the input gram
 L R^-1 L', whose rank is at most m, as its factor W = L C with
 R^-1 = C C'.  Every product with the gram is taken through W, so an RK4
 stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense n x n
@@ -53,8 +52,8 @@ import numpy as np
 
 from .model import (BilinearFactors, BilinearProblem, bilinear_factors, bilinear_field,
                     diagonal_blocks, input_gain, sample_blocks)
-from .numkit import (STEP_MAPS_MAX_N, BlowupError, GriddedTrajectory, TimeGrid, linear_sweep,
-                     midpoints, rk4_sweep)
+from .numkit import (BlowupError, GriddedTrajectory, TimeGrid, linear_sweep, midpoints,
+                     rk4_sweep)
 
 __all__ = [
     "IterationState",
@@ -167,11 +166,16 @@ class SolveResult:
 
 def _block_product(blocks: np.ndarray):
     """y -> y @ blockdiag(blocks) for a row y (n,) or rows (k, n), taken as
-    (blockdiag(blocks') @ y')', which reads the columns of y' in place."""
+    (blockdiag(blocks') @ y')', which reads the columns of y' in place.
+    Blocks of one state are a diagonal, applied as a column scaling (the
+    same numbers, without the batched product of 1 x 1 matrices)."""
     q, b, _ = blocks.shape
     if q == 1:
         dense = blocks[0]
         return lambda y: np.dot(y, dense)
+    if b == 1:
+        diag = blocks[:, 0, 0].copy()
+        return lambda y: y * diag
     blocks_t = np.ascontiguousarray(blocks.swapaxes(1, 2))
     return lambda y: np.matmul(blocks_t, y.T.reshape(q, b, -1)).reshape(y.T.shape).T
 
@@ -372,7 +376,7 @@ def iterate_once(
     `diff_x` measures how far the map moved the state away from its argument.
     """
     w = prob.terminal_weight
-    Ab = diagonal_blocks(prob.A, prob.q if prob.n > STEP_MAPS_MAX_N else 1)
+    Ab = diagonal_blocks(prob.A, prob.q)
     Wn, Wm = freeze_iteration_fields(prob, factors, prev.x.values)
     try:
         K = riccati_sweep(Ab, Wn, Wm, 2.0 * w * np.eye(prob.n), grid)

@@ -120,28 +120,49 @@ _BLOCK_CROSSING_STEPS = 2 * (numkit._MID_BLOCK_BYTES // (8 * 7 * 7)) + 3
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), steps=st.integers(2, 40))
-@example(seed=11, n=6, steps=_BLOCK_CROSSING_STEPS)
-@example(seed=12, n=numkit.STEP_MAPS_MAX_N + 1, steps=9)  # above it, rk4_sweep itself
-def test_linear_sweep_matches_the_stage_sweep(seed, n, steps):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), steps=st.integers(2, 40),
+       f_scale=st.sampled_from((1.0, 1e6)), y_scale=st.sampled_from((1.0, 1e3)))
+@example(seed=11, n=6, steps=_BLOCK_CROSSING_STEPS, f_scale=1.0, y_scale=1.0)
+@example(seed=12, n=numkit.STEP_MAPS_MAX_N + 1, steps=9, f_scale=1.0, y_scale=1.0)  # rk4_sweep
+@example(seed=13, n=6, steps=30, f_scale=1e6, y_scale=1e3)  # forcing far above L y
+def test_linear_sweep_matches_the_stage_sweep(seed, n, steps, f_scale, y_scale):
     # the step maps reproduce four stage evaluations per step of the same
-    # affine right-hand side, on a vector and on a stack of rows
+    # affine right-hand side, on a vector and on a stack of rows.  Their L'
+    # is rhs(e_j) - rhs(0), which carries the forcing's round-off eps |f|;
+    # each step multiplies it by |y|, so over the unit interval the maps
+    # may add up to eps |f| |y| (measured below 0.15 of it)
     rng = np.random.default_rng(seed)
     g = TimeGrid(0.0, 1.0, steps)
     L_n, L_m = rng.normal(size=(steps + 1, n, n)), rng.normal(size=(steps, n, n))
-    f_n, f_m = rng.normal(size=(steps + 1, 1, n)), rng.normal(size=(steps, 1, n))
+    f_n = f_scale * rng.normal(size=(steps + 1, 1, n))
+    f_m = f_scale * rng.normal(size=(steps, 1, n))
 
     def rhs(v, L, f):
         return v @ L.swapaxes(-1, -2) + f
 
-    for y in (rng.normal(size=n), rng.normal(size=(3, n))):
+    f_max = max(np.max(np.abs(f_n)), np.max(np.abs(f_m)))
+    for y in (y_scale * rng.normal(size=n), y_scale * rng.normal(size=(3, n))):
         for backward in (False, True):
             args = (y, g, (L_n, f_n), (L_m, f_m), backward)
             maps, stages = linear_sweep(rhs, *args).values, rk4_sweep(rhs, *args).values
             assert maps.shape == stages.shape == (steps + 1,) + y.shape
             if n > numkit.STEP_MAPS_MAX_N:
                 assert np.array_equal(maps, stages)
-            assert np.max(np.abs(maps - stages)) <= 1e-12 * np.max(np.abs(stages))
+            y_max = np.max(np.abs(stages))
+            tol = 1e-12 * y_max + np.finfo(float).eps * f_max * y_max
+            assert np.max(np.abs(maps - stages)) <= tol
+
+
+@pytest.mark.parametrize("n", [1, numkit.STEP_MAPS_MAX_N + 1])
+def test_linear_sweep_refuses_a_vector_table_without_its_row_axis(n):
+    # a (steps + 1, n) table would broadcast against the stacked probe rows
+    g = TimeGrid(0.0, 1.0, 4)
+    f = np.ones((5, n))
+    with pytest.raises(ValueError, match=r"\(steps \+ 1, 1, n\)"):
+        linear_sweep(lambda v, f: v + f, np.zeros(n), g, (f,), (None,))
+    rows = linear_sweep(lambda v, f: v + f, np.zeros(n), g, (f[:, None],), (None,))
+    stages = rk4_sweep(lambda v, f: v + f, np.zeros(n), g, (f,), (None,))
+    assert np.allclose(rows.values, stages.values, rtol=1e-14)
 
 
 def test_interp_exact_at_nodes_and_midpoints():
