@@ -21,7 +21,6 @@ import numpy as np
 
 from .diagnostics import hjb_residual, necessary_condition_residual
 from .ensemble import averaged_terminal_cost, sample_view
-from .model import bilinear_factors
 from .numkit import BlowupError, GriddedTrajectory, TimeGrid, TransitionInversionError
 from .probfile import ProblemFileError, load_problem_file
 from .scenarios import SCENARIO_IDS, RunSetup, build, scenario_metrics
@@ -137,7 +136,6 @@ def _write_outputs(out: Path, setup: RunSetup, result, config: dict) -> None:
         conv_rows.append([int(k), float(diff), float(cost), float(crit), float(rho)])
     _write_csv(out / "convergence.csv", ["k", "diff_x", "cost", "criterion_sum", "rho"], conv_rows)
 
-    factors = bilinear_factors(setup.problem.Blist)
     summary = {
         "config": config,
         "converged": result.converged,
@@ -150,9 +148,9 @@ def _write_outputs(out: Path, setup: RunSetup, result, config: dict) -> None:
 
     summary["hjb_residual"] = None
     if final.K is not None:  # the boundary-value route leaves no K to read
-        hjb = hjb_residual(setup.problem, factors, final, grid)
+        hjb = hjb_residual(setup.problem, None, final, grid)
         summary["hjb_residual"] = {"sup": hjb.sup, "relative": hjb.relative}
-    nc_x, nc_p = necessary_condition_residual(setup.problem, factors, final, grid)
+    nc_x, nc_p = necessary_condition_residual(setup.problem, final, grid)
     summary["necessary_condition_residuals"] = {"state": nc_x, "costate": nc_p}
 
     if result.diagnostics is not None:

@@ -10,9 +10,10 @@ iterate's value function (an identity at round-off level, not a
 certificate) and the finite-difference residuals of the canonical
 two-point boundary-value equations.
 
-The coupling strengths and the residuals' dynamics read the per-sample
-blocks (`model.sample_blocks`, `model.bilinear_field`); the frozen input
-map and the sweep bounds' closed loop A - W W' K stay dense.
+The coupling strengths, the frozen input map (`model.input_gain`) and the
+residuals' dynamics (`model.bilinear_field`) read the problem's per-sample
+blocks (`BilinearProblem.blocks`); only the sweep bounds' closed loop
+A - W W' K is dense.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BilinearFactors, BilinearProblem, bilinear_field, sample_blocks
+from .model import BilinearProblem, bilinear_field
 from .numkit import (
     TimeGrid,
     alpha_norm,
@@ -84,7 +85,7 @@ def coupling_strengths(prob: BilinearProblem) -> tuple[float, float]:
     band of b rows and E one b x b block, formed from the sample blocks in
     O(n^2 b^2); across samples E and E' are disjoint blocks.
     """
-    _, B, Bs, _, _ = sample_blocks(prob)
+    _, B, Bs, _, _ = prob.blocks
     own = np.arange(prob.q)
     N = Bs.transpose(0, 3, 2, 1)  # [s, c] = N_j on the rows of sample s, j = (s, c)
     NR = N @ prob.Rinv
@@ -113,7 +114,6 @@ def _sub_indices(steps: int, subsample: int) -> np.ndarray:
 
 def bound_coefficients(
     prob: BilinearProblem,
-    factors: BilinearFactors,
     prev: IterationState,
     cur: IterationState,
     grid: TimeGrid,
@@ -128,7 +128,7 @@ def bound_coefficients(
     sigma >= t and forward bounds pairs with sigma <= t.  Node pairs are
     subsampled to bound the quadratic pair cost.
     """
-    W, _ = freeze_iteration_fields(prob, factors, prev.x.values)
+    W, _ = freeze_iteration_fields(prob, prev.x.values)
     O_nodes = np.matmul(W, np.transpose(W, (0, 2, 1)))
     closed_loop = prob.A - np.matmul(O_nodes, cur.K.values)
     idx = _sub_indices(grid.steps, subsample)
@@ -215,7 +215,7 @@ def criterion_check(M: np.ndarray) -> tuple[float, bool, float]:
 
 def contraction_report(
     prob: BilinearProblem,
-    factors: BilinearFactors,
+    factors,
     prev: IterationState,
     cur: IterationState,
     grid: TimeGrid,
@@ -229,7 +229,8 @@ def contraction_report(
     on the problem).  When either iterate lacks gain/affine sweeps (Riccati
     escape in its frozen subproblem) the bound machinery is undefined; the
     report then carries an infinite criterion sum, since contraction is
-    certainly not certified there.
+    certainly not certified there.  `factors` is unread (the problem's
+    blocks give L(x)); it stays so that positional callers keep working.
     """
     delta, zeta = strengths if strengths is not None else coupling_strengths(prob)
     if cur.K is None or prev.K is None:
@@ -243,7 +244,7 @@ def contraction_report(
             rho=float("inf"),
             satisfied=False,
         )
-    bounds = bound_coefficients(prob, factors, prev, cur, grid, subsample=subsample)
+    bounds = bound_coefficients(prob, prev, cur, grid, subsample=subsample)
     M = contraction_matrix(
         bounds,
         delta,
@@ -284,12 +285,8 @@ def _sample_field(blocks, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
     return bilinear_field(*blocks)(Ys, U[np.newaxis]).swapaxes(0, 1).reshape(Y.shape)
 
 
-def hjb_residual(
-    prob: BilinearProblem,
-    factors: BilinearFactors,
-    final: IterationState,
-    grid: TimeGrid,
-) -> HJBReport:
+def hjb_residual(prob: BilinearProblem, factors, final: IterationState,
+                 grid: TimeGrid) -> HJBReport:
     """Dynamic-programming residual of the converged value function.
 
     The time derivative of V = x'Kx/2 + x's + q/2 is assembled from the
@@ -301,7 +298,9 @@ def hjb_residual(
     `model.bilinear_field` over the sample blocks.  This is not an
     optimality certificate: with p = K x + s and u = -R^-1 L' p the terms
     cancel identically for any K and s, so the residual sits at round-off
-    level at every iterate, converged or not.
+    level at every iterate, converged or not.  `factors` and `grid` are
+    unread (the problem's blocks give L(x), the iterate its grid); they
+    stay so that callers passing them positionally keep working.
     """
     if final.K is None:
         raise ValueError("iterate carries no gain/affine sweeps (Riccati escape)")
@@ -310,9 +309,9 @@ def hjb_residual(
     U = final.u.values
     K = final.K.values
     S = final.s.values
-    *blocks, _ = sample_blocks(prob)
+    blocks = prob.blocks[:4]
 
-    W, _ = freeze_iteration_fields(prob, factors, X)
+    W, _ = freeze_iteration_fields(prob, X)
     KX = np.matmul(K, X[:, :, np.newaxis])[:, :, 0]
     AX = np.einsum("tsk,slk->tsl", X.reshape(len(X), prob.q, -1), blocks[0]).reshape(X.shape)
     WtKX = np.matmul(KX[:, np.newaxis, :], W)[:, 0]  # rows (W' K x)'
@@ -335,7 +334,6 @@ def hjb_residual(
 
 def necessary_condition_residual(
     prob: BilinearProblem,
-    factors: BilinearFactors,
     final: IterationState,
     grid: TimeGrid,
 ) -> tuple[float, float]:
@@ -352,8 +350,8 @@ def necessary_condition_residual(
     X = final.x.values
     P = final.p.values
     h = grid.h
-    A, B, Bs, g, _ = sample_blocks(prob)
-    U = reconstruct_control(prob, factors, final.x, final.p).values
+    A, B, Bs, g, _ = prob.blocks
+    U = reconstruct_control(prob, final.x, final.p).values
     rhs_x = _sample_field((A, B, Bs, g), X, U)
     rhs_p = _sample_field((-A.swapaxes(1, 2), 0.0 * B, -2.0 * Bs.swapaxes(2, 3), 0.0 * g), P, U)
 

@@ -10,7 +10,8 @@ This module owns the stacked layout: sample j owns state rows j b:(j + 1) b
 and noise columns j k:(j + 1) k, with b = n / q and k = (noise channels) / q.
 `stack_coefficients` (whose problem holds q) and `stack_noise` build it,
 placing the per-sample drift, bilinear maps and noise with `_block_diag`;
-`model.sample_blocks` reads the blocks back and `sample_view` the states.
+the problem keeps the blocks (`BilinearProblem.blocks`) and `sample_view`
+reads the states back.
 """
 
 from __future__ import annotations
@@ -139,18 +140,28 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
+def _inputs(c: SampleCoefficients) -> tuple[int, int]:
+    """A sample's B column count and number of bilinear maps."""
+    B = np.asarray(c.B, dtype=float).reshape(len(np.atleast_1d(c.x0)), -1)
+    return B.shape[1], len(c.Blist)
+
+
 def stack_coefficients(
     coeffs: Sequence[SampleCoefficients],
     tf: float,
     R: np.ndarray,
     terminal_weighting: str = "averaged",
 ) -> BilinearProblem:
-    """Stack explicit per-sample coefficient bundles into one problem."""
+    """Stack explicit per-sample coefficient bundles into one problem; every
+    sample needs sample 0's B column count m of B columns and bilinear maps."""
     q = len(coeffs)
     if q < 1:
         raise ValueError("need at least one sample")
     _check_weighting(terminal_weighting)
-    m = np.atleast_2d(np.asarray(coeffs[0].B, dtype=float).reshape(len(coeffs[0].x0), -1)).shape[1]
+    m = _inputs(coeffs[0])[0]
+    for i, c in enumerate(coeffs):
+        if _inputs(c) != (m, m):
+            raise ValueError(f"sample {i}: (B columns, bilinear maps) {_inputs(c)} != m = {m}")
     A = _block_diag([c.A for c in coeffs])
     B = np.vstack([np.asarray(c.B, dtype=float).reshape(-1, m) for c in coeffs])
     Blist = tuple(_block_diag([c.Blist[i] for c in coeffs]) for i in range(m))
@@ -172,6 +183,9 @@ def stack_problem(spec: EnsembleSpec, samples: Sequence) -> BilinearProblem:
                 f"sample {i}: coefficient state dimension "
                 f"{len(np.atleast_1d(c.x0))} != base_n {spec.base_n}"
             )
+        if _inputs(c)[0] != spec.base_m:
+            raise ValueError(f"sample {i}: coefficient input dimension {_inputs(c)[0]} "
+                             f"!= base_m {spec.base_m}")
     return stack_coefficients(coeffs, spec.tf, spec.R, spec.terminal_weighting)
 
 

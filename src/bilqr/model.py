@@ -20,10 +20,12 @@ with L = B + sum_j x_j N_j and C = L - B.  They satisfy the identity
 for all finite (x, p), which is what makes a fixed point of the iteration
 solve the original necessary conditions.
 
-A problem holds its sample count q, one sample per equal diagonal block.
-`diagonal_blocks` and `sample_blocks` read those blocks, and
-`bilinear_field` is the one right-hand side of the dynamics over them, for
-the resimulation and the Monte Carlo paths.
+A problem holds its sample count q and keeps its q diagonal blocks
+(`BilinearProblem.blocks`), the one form of the bilinear term that the
+solver, diagnostics and simulators read: `input_gain` forms L(x) from
+them and `bilinear_field` is the dynamics over them.  The dense N_j
+(`bilinear_factors`) are the reference form of `frozen_drift`,
+`frozen_gram` and `consistency_residual`.
 
 `NoiseSpec` is the additive noise of the stochastic variants; its
 simulators and the mean reduction live in `bilqr.stochastic`.
@@ -47,7 +49,6 @@ __all__ = [
     "frozen_gram",
     "consistency_residual",
     "diagonal_blocks",
-    "sample_blocks",
     "bilinear_field",
 ]
 
@@ -59,6 +60,8 @@ class BilinearProblem:
     `terminal_weight` is the coefficient w of the terminal penalty: 1 for a
     single system, 1/q for an averaged stack of q samples, one per equal
     diagonal block of A and of every B_i (q = 1: a single system).
+    `blocks` holds those samples' stacks A (q, b, b), B (q, b, m),
+    Bs (q, m, b, b), g (q, b) and x0 (q, b), sliced once here.
     """
 
     A: np.ndarray
@@ -116,7 +119,8 @@ class BilinearProblem:
         q = self.q
         if not (isinstance(q, int) and q >= 1 and n % q == 0):
             raise ValueError(f"q must be a positive integer dividing n = {n}, got {q!r}")
-        if any(np.count_nonzero(diagonal_blocks(M, q)) < np.count_nonzero(M) for M in (A, *Blist)):
+        blocks = [diagonal_blocks(M, q) for M in (A, *Blist)]
+        if any(np.count_nonzero(blk) < np.count_nonzero(M) for blk, M in zip(blocks, (A, *Blist))):
             raise ValueError(f"A or a bilinear map has entries outside its {q} diagonal blocks")
 
         object.__setattr__(self, "A", A)
@@ -127,6 +131,9 @@ class BilinearProblem:
         object.__setattr__(self, "xd", xd)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "_Rinv", np.linalg.inv(R))
+        object.__setattr__(self, "blocks", (blocks[0], B.reshape(q, -1, m),
+                                            np.stack(blocks[1:], axis=1),
+                                            g.reshape(q, -1), x0.reshape(q, -1)))
 
     @property
     def n(self) -> int:
@@ -201,11 +208,17 @@ def bilinear_factors(Blist) -> BilinearFactors:
     return BilinearFactors(np.ascontiguousarray(mats))
 
 
-def input_gain(prob: BilinearProblem, factors: BilinearFactors, x: np.ndarray) -> np.ndarray:
+def input_gain(prob: BilinearProblem, x: np.ndarray) -> np.ndarray:
     """State-dependent input map B + sum_j x_j N_j over the last axis of x:
-    (n, m) for a state, (T, n, m) for a table of states (T, n)."""
+    (n, m) for a state, (T, n, m) for a table of states (T, n).  N_j lives
+    in the rows of state j's sample, so each sample's rows are formed from
+    its own blocks and states, in O(n b m) per state."""
+    _, B, Bs, _, _ = prob.blocks
+    q, m, b, _ = Bs.shape
     x = np.asarray(x, dtype=float)
-    return prob.B + np.tensordot(x, factors.mats, axes=(-1, 0))
+    N = Bs.transpose(0, 3, 2, 1).reshape(q, b, b * m)  # [s, c] = the rows of N_j, j = (s, c)
+    Nx = np.matmul(x.reshape(-1, q, b).swapaxes(0, 1), N).swapaxes(0, 1)
+    return np.add(B, Nx.reshape(-1, q, b, m), order="C").reshape(x.shape[:-1] + (prob.n, m))
 
 
 def frozen_drift(
@@ -215,7 +228,7 @@ def frozen_drift(
     p: np.ndarray,
 ) -> np.ndarray:
     """Drift matrix of the frozen linear subproblem at the iterate (x, p)."""
-    lam = input_gain(prob, factors, x)
+    lam = input_gain(prob, x)
     p = np.asarray(p, dtype=float)
     w = prob.Rinv @ (lam.T @ p)  # R^-1 L' p, shape (m,)
     v = np.einsum("jki,k->ji", factors.mats, p)  # N_j' p, shape (n, m)
@@ -250,7 +263,7 @@ def consistency_residual(
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    lam = input_gain(prob, factors, x)
+    lam = input_gain(prob, x)
     lhs = frozen_drift(prob, factors, x, p) @ x - frozen_gram(prob, factors, x) @ p
     rhs = prob.A @ x - lam @ (prob.Rinv @ (lam.T @ p))
     return vec_norm(lhs - rhs)
@@ -261,14 +274,6 @@ def diagonal_blocks(M: np.ndarray, q: int) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     r, c = M.shape[0] // q, M.shape[1] // q
     return np.ascontiguousarray(M.reshape(q, r, q, c)[np.arange(q), :, np.arange(q), :])
-
-
-def sample_blocks(prob: BilinearProblem):
-    """Per-sample stacks A (q, b, b), B (q, b, m), Bs (q, m, b, b), g (q, b)
-    and x0 (q, b) of a problem of q samples."""
-    Bs = np.stack([diagonal_blocks(Bi, prob.q) for Bi in prob.Blist], axis=1)
-    return (diagonal_blocks(prob.A, prob.q), prob.B.reshape(prob.q, -1, prob.m), Bs,
-            prob.g.reshape(prob.q, -1), prob.x0.reshape(prob.q, -1))
 
 
 def bilinear_field(A, B, Bs, g):

@@ -38,9 +38,10 @@ stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense n x n
 products, and no (T, n, n) gram table is formed.  One (T + 1, n, n) gain
 table is alive per iteration: K midpoints and step maps are formed in
 small blocks, and spent sweeps are released unless the diagnostics need
-them.  The resimulation steps the same sample blocks
-(`model.sample_blocks`) through `model.bilinear_field`, the field of the
-Monte Carlo paths.
+them.  The frozen input map L(x) is `model.input_gain`, formed sample by
+sample from the problem's blocks (`BilinearProblem.blocks`), and the
+resimulation steps the same blocks through `model.bilinear_field`, the
+field of the Monte Carlo paths.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (BilinearFactors, BilinearProblem, bilinear_factors, bilinear_field,
-                    diagonal_blocks, input_gain, sample_blocks)
+from .model import BilinearProblem, bilinear_field, input_gain
 from .numkit import (BlowupError, GriddedTrajectory, TimeGrid, linear_sweep, midpoints,
                      rk4_sweep)
 
@@ -182,18 +182,14 @@ def _block_product(blocks: np.ndarray):
     return lambda y: np.matmul(blocks_t, y.T.reshape(q, b, -1)).reshape(y.T.shape).T
 
 
-def freeze_iteration_fields(
-    prob: BilinearProblem,
-    factors: BilinearFactors,
-    X: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def freeze_iteration_fields(prob: BilinearProblem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor of the input gram L R^-1 L' frozen along X, at the stage times.
 
     Returns W = L C (R^-1 = C C') at the nodes, (T + 1, n, m), and
     [W_i, W_i+1] / sqrt(2) at the interval midpoints, (T, n, 2 m), whose
     gram is the average of the two node grams.
     """
-    W = input_gain(prob, factors, X) @ np.linalg.cholesky(prob.Rinv)
+    W = input_gain(prob, X) @ np.linalg.cholesky(prob.Rinv)
     return W, np.concatenate((W[:-1], W[1:]), axis=2) * np.sqrt(0.5)
 
 
@@ -287,12 +283,11 @@ def closed_loop_forward(
 
 def reconstruct_control(
     prob: BilinearProblem,
-    factors: BilinearFactors,
     xtraj: GriddedTrajectory,
     ptraj: GriddedTrajectory,
 ) -> GriddedTrajectory:
     """Node-wise u = -R^-1 L(x)' p along the given trajectories."""
-    lam = input_gain(prob, factors, xtraj.values)
+    lam = input_gain(prob, xtraj.values)
     rhs = np.einsum("tki,tk->ti", lam, ptraj.values)
     U = -(prob.Rinv @ rhs.T).T
     return GriddedTrajectory(xtraj.grid, U)
@@ -361,12 +356,8 @@ def solve_frozen_boundary_value(
     return GriddedTrajectory(grid, X), GriddedTrajectory(grid, P)
 
 
-def iterate_once(
-    prob: BilinearProblem,
-    factors: BilinearFactors,
-    prev: IterationState,
-    grid: TimeGrid,
-) -> IterationState:
+def iterate_once(prob: BilinearProblem, factors, prev: IterationState,
+                 grid: TimeGrid) -> IterationState:
     """One pass of the frozen-coefficient map applied to `prev`.
 
     The frozen subproblem is a well-posed affine LQR (its input gram is
@@ -376,10 +367,12 @@ def iterate_once(
     pathological data; the iterate then comes from the direct boundary-value
     route, which computes the same iterate wherever both are defined.
     `diff_x` measures how far the map moved the state away from its argument.
+    `factors` is unread (the problem's blocks give L(x)); it stays so that
+    positional callers keep working, and `solve` passes None.
     """
     w = prob.terminal_weight
-    Ab = diagonal_blocks(prob.A, prob.q)
-    Wn, Wm = freeze_iteration_fields(prob, factors, prev.x.values)
+    Ab = prob.blocks[0]
+    Wn, Wm = freeze_iteration_fields(prob, prev.x.values)
     try:
         K = riccati_sweep(Ab, Wn, Wm, 2.0 * w * np.eye(prob.n), grid)
         s = affine_sweep(Ab, Wn, Wm, K, prob.g, -2.0 * w * prob.xd, grid)
@@ -389,7 +382,7 @@ def iterate_once(
     except RiccatiEscapeError:
         x, p = solve_frozen_boundary_value(prob, Ab, Wn, Wm, grid)
         K = s = None
-    u = reconstruct_control(prob, factors, x, p)
+    u = reconstruct_control(prob, x, p)
     cost = evaluate_cost(prob, u, x.values[-1])
     diff = float(np.max(np.sum(np.abs(x.values - prev.x.values), axis=1)))
     return IterationState(k=prev.k + 1, x=x, p=p, u=u, K=K, s=s, cost=cost, diff_x=diff)
@@ -437,7 +430,6 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
     """
     opts = opts or SolveOptions()
     grid = TimeGrid(0.0, prob.tf, opts.steps)
-    factors = bilinear_factors(prob.Blist)
 
     state = _initial_state(prob, grid, probe=opts.init_control)
     frozen_x = state.x.values
@@ -460,14 +452,14 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
         feed = state if theta == 1.0 else dataclasses.replace(
             state, x=GriddedTrajectory(grid, frozen_x))
         try:
-            state = iterate_once(prob, factors, feed, grid)
+            state = iterate_once(prob, None, feed, grid)
         except (RiccatiEscapeError, BoundarySolveError, BlowupError) as exc:
             exc.args = (f"iteration {k}: {exc.args[0]}",) + exc.args[1:]
             raise
         if opts.record_diagnostics:
             reports.append(
                 _diag.contraction_report(
-                    prob, factors, feed, state, grid,
+                    prob, None, feed, state, grid,
                     alpha=opts.alpha, subsample=opts.diag_subsample,
                     strengths=strengths,
                 )
@@ -507,7 +499,7 @@ def simulate_bilinear(
     sample, so no n x n coupling is formed.
     """
     grid = grid or utraj.grid
-    A, B, Bs, g, x0 = sample_blocks(prob)
+    A, B, Bs, g, x0 = prob.blocks
     t = grid.nodes
     u_nodes, u_mids = (utraj.at(s)[:, np.newaxis, np.newaxis] for s in (t, midpoints(t)))
     Y = rk4_sweep(bilinear_field(A, B, Bs, g), x0[:, np.newaxis], grid, (u_nodes,), (u_mids,))

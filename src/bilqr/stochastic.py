@@ -11,7 +11,7 @@ The simulators take the problem as stated, with its own g, and the q =
 `prob.q` samples stacked as in `bilqr.ensemble` (q = 1: a single system);
 they run the paths of the chosen samples in one batched pass.  The state
 has shape (samples, paths, b): each sample keeps its own blocks
-(`model.sample_blocks`) once, and every drift step is one
+(`BilinearProblem.blocks`) once, and every drift step is one
 `numkit.rk4_step` of `model.bilinear_field`, the resimulation's field, a
 matrix product per sample over all its paths (for one sample, the plain
 `Y @ A.T` of a single system).  The Poisson simulator tabulates the
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BilinearProblem, NoiseSpec, bilinear_field, diagonal_blocks, sample_blocks
+from .model import BilinearProblem, NoiseSpec, bilinear_field, diagonal_blocks
 from .numkit import GriddedTrajectory, midpoints, rk4_step
 
 __all__ = [
@@ -91,7 +91,7 @@ def _sample_blocks(prob, noise, samples, M):
     if noise.k % q:
         raise ValueError(f"a stack of {q} samples needs k divisible by {q}")
     chosen = list(samples)
-    *coeffs, x0 = (blocks[chosen] for blocks in sample_blocks(prob))
+    *coeffs, x0 = (blocks[chosen] for blocks in prob.blocks)
     Gt = diagonal_blocks(noise.G, q)[chosen].swapaxes(1, 2)
     lam = None if noise.lam is None else noise.lam.reshape(q, -1)[chosen]
     return samples, coeffs, x0, Gt, lam

@@ -487,6 +487,26 @@ def test_validate_monte_carlo_of_a_problem_with_nonzero_g(tmp_path, payload):
     assert report["mc"]["max_standardized_deviation"] < 4.0
 
 
+def test_solve_and_validate_never_build_the_dense_bilinear_factors(tmp_path, monkeypatch):
+    # the solve, its diagnostics and the Monte Carlo check read the bilinear
+    # term from the problem's sample blocks only
+    from bilqr.model import BilinearFactors
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense BilinearFactors built")
+
+    monkeypatch.setattr(BilinearFactors, "__init__", refuse)
+    sample = {key: TWO_STATE_BILINEAR[key] for key in ("A", "B", "Blist", "g", "x0", "xd")}
+    noise = {"kind": "poisson", "G": [[0.15], [0.0]], "lambda": [2.0]}
+    payload = {"kind": "ensemble", "n": 2, "m": 1, "tf": 2.0, "R": [[2.0]],
+               "samples": [dict(sample, noise=noise), dict(sample, g=[0.0, 0.2], noise=noise)]}
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", str(write_problem(tmp_path, payload)), "--grid", "50",
+                 "--diagnostics", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["diagnostics"] is not None
+    assert main(["validate", "--run", str(out), "--mc-paths", "20"]) == 0
+
+
 def test_boundary_value_route_reports_the_necessary_condition_residuals(tmp_path):
     # the stiff probe escapes every Riccati sweep at 100 steps, so no
     # iterate carries K: the HJB residual and the contraction bounds are

@@ -109,12 +109,11 @@ def test_coupling_strengths_match_the_dense_loop(seed, q, b, m, with_B):
 
 def test_bounds_zero_for_zero_problem():
     prob = zero_problem()
-    factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 100)
     res = solve(prob, SolveOptions(steps=100, tol=1e-14, max_iters=2))
     prev = res.final
-    cur = iterate_once(prob, factors, prev, grid)
-    bounds = bound_coefficients(prob, factors, prev, cur, grid, subsample=10)
+    cur = iterate_once(prob, None, prev, grid)
+    bounds = bound_coefficients(prob, prev, cur, grid, subsample=10)
     # transition of the zero field is the identity: bounds reduce to plain
     # norms, all zero except the K-driven ones fed by the terminal condition
     assert np.all(np.isfinite(bounds))
@@ -124,11 +123,10 @@ def test_bounds_zero_for_zero_problem():
 
 def test_bounds_identity_transition_hand_check(iaf_run):
     prob, res = iaf_run
-    factors = bilinear_factors(prob.Blist)
     grid = res.final.x.grid
     prev = res.final
-    cur = iterate_once(prob, factors, prev, grid)
-    bounds = bound_coefficients(prob, factors, prev, cur, grid, subsample=10)
+    cur = iterate_once(prob, None, prev, grid)
+    bounds = bound_coefficients(prob, prev, cur, grid, subsample=10)
     assert np.all(np.isfinite(bounds))
     assert np.all(bounds >= 0.0)
     # b7 and b9 share one defining expression
@@ -148,10 +146,9 @@ def test_contraction_matrix_column_dominance():
     prob = scalar_iaf(weight=1.0)
     res = solve(prob, SolveOptions(steps=800, tol=1e-12, max_iters=60))
     assert res.converged
-    factors = bilinear_factors(prob.Blist)
     grid = res.final.x.grid
-    rep = contraction_report(prob, factors, res.final,
-                             iterate_once(prob, factors, res.final, grid), grid)
+    rep = contraction_report(prob, None, res.final,
+                             iterate_once(prob, None, res.final, grid), grid)
     M = rep.M
     assert rep.zeta > 0.0
     for i in range(3):
@@ -162,17 +159,15 @@ def test_contraction_matrix_column_dominance():
 def test_contraction_matrix_R_scaling_monotonicity(iaf_run):
     # recompute the full diagnostic chain with scaled R on frozen iterates
     prob, res = iaf_run
-    factors = bilinear_factors(prob.Blist)
     grid = res.final.x.grid
     prev = res.final
-    cur = iterate_once(prob, factors, prev, grid)
+    cur = iterate_once(prob, None, prev, grid)
 
     def M_for(scale):
         import dataclasses
 
         scaled = dataclasses.replace(prob, R=scale * prob.R)
-        sf = bilinear_factors(scaled.Blist)
-        return contraction_report(scaled, sf, prev, cur, grid).M
+        return contraction_report(scaled, None, prev, cur, grid).M
 
     M1 = M_for(1.0)
     for c in (2.0, 10.0):
@@ -196,10 +191,9 @@ def test_criterion_check_values():
 
 def test_criterion_sum_bounds_spectral_radius(iaf_run):
     prob, res = iaf_run
-    factors = bilinear_factors(prob.Blist)
     grid = res.final.x.grid
-    rep = contraction_report(prob, factors, res.final,
-                             iterate_once(prob, factors, res.final, grid), grid)
+    rep = contraction_report(prob, None, res.final,
+                             iterate_once(prob, None, res.final, grid), grid)
     if rep.satisfied:
         assert rep.rho <= rep.criterion_sum + 1e-12
 
@@ -220,37 +214,32 @@ def test_linear_problem_certificate_fires():
 def test_hjb_residual_zero_problem():
     prob = zero_problem()
     res = solve(prob, SolveOptions(steps=100, tol=1e-14, max_iters=2))
-    factors = bilinear_factors(prob.Blist)
-    rep = hjb_residual(prob, factors, res.final, res.final.x.grid)
+    rep = hjb_residual(prob, None, res.final, res.final.x.grid)
     assert rep.sup < 1e-14
 
 
 def test_hjb_residual_linear_problem():
     prob = linear_problem()
     res = solve(prob, SolveOptions(steps=2000, tol=1e-12))
-    factors = bilinear_factors(prob.Blist)
-    rep = hjb_residual(prob, factors, res.final, res.final.x.grid)
+    rep = hjb_residual(prob, None, res.final, res.final.x.grid)
     assert rep.sup < 1e-6
 
 
 def test_hjb_residual_converged_iaf(iaf_run):
     prob, res = iaf_run
-    factors = bilinear_factors(prob.Blist)
-    rep = hjb_residual(prob, factors, res.final, res.final.x.grid)
+    rep = hjb_residual(prob, None, res.final, res.final.x.grid)
     assert rep.relative < 1e-3
 
 
 def test_necessary_condition_residuals():
     prob = zero_problem()
     res = solve(prob, SolveOptions(steps=100, tol=1e-14, max_iters=2))
-    factors = bilinear_factors(prob.Blist)
-    rx, rp = necessary_condition_residual(prob, factors, res.final, res.final.x.grid)
+    rx, rp = necessary_condition_residual(prob, res.final, res.final.x.grid)
     assert rx < 1e-14 and rp < 1e-14
 
     prob = linear_problem()
     res = solve(prob, SolveOptions(steps=2000, tol=1e-12))
-    factors = bilinear_factors(prob.Blist)
-    rx, rp = necessary_condition_residual(prob, factors, res.final, res.final.x.grid)
+    rx, rp = necessary_condition_residual(prob, res.final, res.final.x.grid)
     assert rx < 1e-4 and rp < 1e-4
 
 
@@ -277,7 +266,7 @@ def test_necessary_condition_residuals_match_per_node_frozen_coefficients():
     X = rng.normal(size=(31, n))
     P = rng.normal(size=(31, n))
     final = SimpleNamespace(x=GriddedTrajectory(grid, X), p=GriddedTrajectory(grid, P))
-    rx, rp = necessary_condition_residual(prob, factors, final, grid)
+    rx, rp = necessary_condition_residual(prob, final, grid)
 
     drift = [frozen_drift(prob, factors, x, p) for x, p in zip(X, P)]
     rhs_x = np.stack([D @ x - frozen_gram(prob, factors, x) @ p + prob.g
@@ -295,6 +284,5 @@ def test_necessary_condition_residuals_match_per_node_frozen_coefficients():
 
 def test_necessary_condition_residuals_iaf(iaf_run):
     prob, res = iaf_run
-    factors = bilinear_factors(prob.Blist)
-    rx, rp = necessary_condition_residual(prob, factors, res.final, res.final.x.grid)
+    rx, rp = necessary_condition_residual(prob, res.final, res.final.x.grid)
     assert rx < 1e-3 and rp < 1e-3

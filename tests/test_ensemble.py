@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from bilqr.ensemble import (
     stack_noise,
     stack_problem,
 )
-from bilqr.model import bilinear_factors, consistency_residual, diagonal_blocks, sample_blocks
+from bilqr.model import bilinear_factors, consistency_residual, diagonal_blocks, input_gain
 from bilqr.solver import SolveOptions, solve
 from bilqr.stochastic import NoiseSpec, expected_reduction
 
@@ -205,6 +207,10 @@ def test_duplicated_stack_matches_single_system(seed, q, n, m):
 @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4), b=st.integers(1, 3),
        m=st.integers(1, 2), k=st.integers(1, 2), kind=st.sampled_from(["poisson", "wiener"]))
 def test_sample_blocks_return_every_sample_exactly(seed, q, b, m, k, kind):
+    # the problem's blocks give back every sample, and the input map formed
+    # from them is the dense B + sum_j x_j N_j within 1e-14 of the size of
+    # its terms; not bitwise, as the two sum a sample's b products in
+    # different orders
     rng = np.random.default_rng(seed)
     coeffs = [SampleCoefficients(
         A=rng.normal(size=(b, b)), B=rng.normal(size=(b, m)),
@@ -216,10 +222,12 @@ def test_sample_blocks_return_every_sample_exactly(seed, q, b, m, k, kind):
               for _ in range(q)]
     R = np.diag(rng.uniform(0.5, 2.0, size=m))
     stack = stack_coefficients(coeffs, 1.5, R)
-    A, B, Bs, g, x0 = sample_blocks(stack)
+    A, B, Bs, g, x0 = stack.blocks
+    assert (A.shape, B.shape, Bs.shape, g.shape, x0.shape) == (
+        (q, b, b), (q, b, m), (q, m, b, b), (q, b), (q, b))
     noise_stack = stack_noise(noises)
     G = diagonal_blocks(noise_stack.G, q)
-    assert len(A) == len(B) == len(Bs) == len(g) == len(x0) == len(G) == q
+    assert len(G) == q
     for j, (c, noise) in enumerate(zip(coeffs, noises)):
         for got, want in ((A, c.A), (B, c.B), (g, c.g), (x0, c.x0)):
             assert np.array_equal(got[j], want)
@@ -228,6 +236,36 @@ def test_sample_blocks_return_every_sample_exactly(seed, q, b, m, k, kind):
         assert (noise_stack.lam is None if kind == "wiener"
                 else np.array_equal(noise_stack.lam.reshape(q, k)[j], noise.lam))
     assert stack.q == q
+
+    N = bilinear_factors(stack.Blist).mats
+    for x in (rng.normal(size=stack.n), rng.normal(size=(7, stack.n))):
+        L = input_gain(stack, x)
+        dense = stack.B + np.tensordot(x, N, axes=(-1, 0))
+        assert L.shape == dense.shape and L.flags.c_contiguous
+        terms = np.abs(stack.B) + np.tensordot(np.abs(x), np.abs(N), axes=(-1, 0))
+        assert np.max(np.abs(L - dense)) <= 1e-14 * max(1.0, np.max(terms))
+
+
+def _one_input_sample(Blist=([[0.5]],)):
+    return SampleCoefficients(A=[[-1.0]], B=[[1.0]], Blist=Blist, g=[0.0], x0=[0.0], xd=[1.0])
+
+
+def test_stack_rejects_a_sample_with_other_inputs():
+    two_maps = _one_input_sample(([[0.5]], [[9.0]]))
+    with pytest.raises(ValueError, match="sample 1"):
+        stack_coefficients([_one_input_sample(), two_maps], 1.0, np.eye(1))
+    two_columns = SampleCoefficients(A=[[-1.0]], B=[[1.0, 2.0]], Blist=([[0.5]],),
+                                     g=[0.0], x0=[0.0], xd=[1.0])
+    with pytest.raises(ValueError, match="sample 0"):
+        stack_coefficients([two_columns], 1.0, np.eye(2))
+
+
+def test_stack_problem_checks_base_m():
+    spec = EnsembleSpec(box=((0.0, 1.0),), q=2, coefficients=lambda beta: _one_input_sample(),
+                        base_n=1, base_m=2, tf=1.0, R=np.eye(2))
+    with pytest.raises(ValueError, match="base_m 2"):
+        stack_problem(spec, sample_uniform(spec))
+    assert stack_problem(dataclasses.replace(spec, base_m=1, R=np.eye(1)), [0.0, 1.0]).m == 1
 
 
 def test_stack_holds_its_sample_count():

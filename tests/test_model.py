@@ -117,9 +117,8 @@ def test_factor_identity_randomized():
 
 def test_input_gain_values():
     prob = scalar_iaf()
-    factors = bilinear_factors(prob.Blist)
-    assert input_gain(prob, factors, np.array([0.0]))[0, 0] == 2.0
-    assert input_gain(prob, factors, np.array([0.5]))[0, 0] == 1.0
+    assert input_gain(prob, np.array([0.0]))[0, 0] == 2.0
+    assert input_gain(prob, np.array([0.5]))[0, 0] == 1.0
 
 
 def test_input_gain_degenerates_to_B():
@@ -127,8 +126,7 @@ def test_input_gain_degenerates_to_B():
     prob = random_problem(rng, n=3, m=2)
     zero = BilinearProblem(A=prob.A, B=prob.B, Blist=tuple(np.zeros((3, 3)) for _ in range(2)),
                            g=prob.g, x0=prob.x0, xd=prob.xd, tf=prob.tf, R=prob.R)
-    factors = bilinear_factors(zero.Blist)
-    np.testing.assert_array_equal(input_gain(zero, factors, rng.normal(size=3)), zero.B)
+    np.testing.assert_array_equal(input_gain(zero, rng.normal(size=3)), zero.B)
 
 
 def test_frozen_drift_hand_value():

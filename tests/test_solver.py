@@ -166,15 +166,14 @@ def test_forward_trivial_cases():
 
 def test_reconstruct_control_values():
     prob = scalar_iaf_problem()
-    factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 10)
     x = GriddedTrajectory(grid, np.full((11, 1), 0.5))
     p = GriddedTrajectory(grid, np.full((11, 1), 0.2))
-    u = reconstruct_control(prob, factors, x, p)
+    u = reconstruct_control(prob, x, p)
     # Lambda = 1 at x = 0.5; u = -R^-1 * 1 * 0.2 = -0.04
     assert np.max(np.abs(u.values + 0.04)) < 1e-14
     zero_p = GriddedTrajectory(grid, np.zeros((11, 1)))
-    assert np.all(reconstruct_control(prob, factors, x, zero_p).values == 0.0)
+    assert np.all(reconstruct_control(prob, x, zero_p).values == 0.0)
 
 
 def test_evaluate_cost_cases():
@@ -201,9 +200,8 @@ def test_linear_problem_matches_reference_and_converges_fast():
 def test_iterate_once_idempotent_for_linear_problem():
     prob = make_linear_problem()
     res = solve(prob, SolveOptions(steps=500, tol=1e-12, max_iters=3))
-    factors = bilinear_factors(prob.Blist)
     grid = res.final.x.grid
-    again = iterate_once(prob, factors, res.final, grid)
+    again = iterate_once(prob, None, res.final, grid)
     assert np.max(np.abs(again.x.values - res.final.x.values)) < 1e-10
     assert np.max(np.abs(again.u.values - res.final.u.values)) < 1e-10
 
@@ -292,10 +290,9 @@ def test_boundary_value_route_matches_sweeps():
     from bilqr.solver import solve_frozen_boundary_value
 
     prob = make_linear_problem()
-    factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 1000)
     T = grid.steps + 1
-    arrays = (diagonal_blocks(prob.A, prob.q),) + freeze_iteration_fields(prob, factors, np.zeros((T, 2)))
+    arrays = (prob.blocks[0],) + freeze_iteration_fields(prob, np.zeros((T, 2)))
     w = prob.terminal_weight
     K = riccati_sweep(*arrays, 2 * w * np.eye(2), grid)
     s = affine_sweep(*arrays, K, prob.g, -2 * w * prob.xd, grid)
@@ -379,8 +376,8 @@ def test_factored_sweeps_match_dense_gram_reference(q, b):
     factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 40)
     X = rng.normal(size=(grid.steps + 1, prob.n))
-    W_nodes, W_mids = freeze_iteration_fields(prob, factors, X)
-    arrays = (diagonal_blocks(prob.A, prob.q), W_nodes, W_mids)
+    W_nodes, W_mids = freeze_iteration_fields(prob, X)
+    arrays = (prob.blocks[0], W_nodes, W_mids)
     assert arrays[0].shape == (q, b, b)  # the sweeps step the sample blocks
     w = prob.terminal_weight
     K = riccati_sweep(*arrays, 2 * w * np.eye(prob.n), grid)
@@ -532,14 +529,13 @@ def test_step_map_sweeps_hold_a_few_gain_tables():
     # 4, m = 2) peaks near 2 gain tables, where whole-grid tables took 5.6
     prob = random_bilinear_problem(np.random.default_rng(0), 4, 4, 2)
     assert prob.n == STEP_MAPS_MAX_N
-    factors = bilinear_factors(prob.Blist)
     for steps in (2000, 8000):
         grid = TimeGrid(0.0, prob.tf, steps)
         prev = _initial_state(prob, grid)
         table = (steps + 1) * prob.n * prob.n * 8
         tracemalloc.start()
         try:
-            state = iterate_once(prob, factors, prev, grid)
+            state = iterate_once(prob, None, prev, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -572,16 +568,14 @@ def test_relaxed_diagnostics_describe_the_fed_iterate():
     opts = dataclasses.replace(setup.options, steps=60, max_iters=2, record_diagnostics=True)
     assert opts.relaxation < 1.0
     res = solve(prob, opts)
-
-    factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, opts.steps)
     state0 = _initial_state(prob, grid, probe=opts.init_control)
-    state1 = iterate_once(prob, factors, state0, grid)
+    state1 = iterate_once(prob, None, state0, grid)
     theta = opts.relaxation
     blend = (1.0 - theta) * state0.x.values + theta * state1.x.values
     feed1 = dataclasses.replace(state1, x=GriddedTrajectory(grid, blend))
-    state2 = iterate_once(prob, factors, feed1, grid)
-    expected = contraction_report(prob, factors, feed1, state2, grid, alpha=opts.alpha,
+    state2 = iterate_once(prob, None, feed1, grid)
+    expected = contraction_report(prob, None, feed1, state2, grid, alpha=opts.alpha,
                                   subsample=opts.diag_subsample)
     assert np.array_equal(res.diagnostics.rows[1].bounds, expected.bounds)
 
@@ -644,9 +638,9 @@ def test_iterate_minimizes_its_frozen_subproblem(seed, q, b, m):
     factors = bilinear_factors(prob.Blist)
     grid = TimeGrid(0.0, prob.tf, 400)
     prev = _initial_state(prob, grid)
-    state = iterate_once(prob, factors, prev, grid)
+    state = iterate_once(prob, None, prev, grid)
     L = prob.B + np.einsum("tj,jki->tki", prev.x.values, factors.mats)
-    U = reconstruct_control(prob, factors, prev.x, state.p).values
+    U = reconstruct_control(prob, prev.x, state.p).values
 
     def cost(Uc):
         drive = np.einsum("tki,ti->tk", L, Uc) + prob.g
