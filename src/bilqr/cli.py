@@ -187,9 +187,10 @@ def cmd_solve(args) -> int:
 
 def _read_table(path: Path) -> np.ndarray:
     """Rows below the header of an output CSV; a header-only file has none."""
-    with warnings.catch_warnings():
+    # an open file skips loadtxt's per-path lookup through numpy's datasource
+    with warnings.catch_warnings(), open(path) as fh:
         warnings.simplefilter("ignore", UserWarning)  # numpy's empty-input note
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
 
 
 def _read_control(path: Path, tf: float, m: int) -> GriddedTrajectory:

@@ -278,11 +278,17 @@ def diagonal_blocks(M: np.ndarray, q: int) -> np.ndarray:
 
 def bilinear_field(A, B, Bs, g):
     """Bilinear right-hand side rhs(Y, u) of states Y (S, rows, b) under
-    controls u (S or 1, rows or 1, m), block s under its own A, B, Bs, g."""
+    controls u (S or 1, rows or 1, m), block s under its own A, B, Bs, g;
+    Y and u may carry leading axes beyond S, such as a table's steps."""
+    S, m, b, _ = Bs.shape
     At, Bt, g = A.swapaxes(1, 2), B.swapaxes(1, 2), g[:, np.newaxis]
+    Nt = Bs.transpose(0, 3, 1, 2).reshape(S, b, m * b)  # y @ Nt[s]: each B_i y of block s
 
     def rhs(Y, u):
-        drift = Y @ At + u @ Bt + g
-        return drift + np.einsum("spm,smnk,spk->spn", u, Bs, Y)
+        BY = Y @ Nt
+        out = Y @ At + u @ Bt + g
+        for i in range(m):
+            out += u[..., i:i + 1] * BY[..., i * b:(i + 1) * b]
+        return out
 
     return rhs

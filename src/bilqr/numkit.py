@@ -12,12 +12,15 @@ that picks how to step it: an RK4 step of an affine equation is one affine
 map, so up to STEP_MAPS_MAX_N states it forms the maps of a block of steps
 with one batched `rk4_step` and applies them in sweep order, one small
 product per step, which beats four stage evaluations on small systems;
-above, it is `rk4_sweep`.  There is no
+above, it is `rk4_sweep`.  Axes of y before its last two hold independent
+systems, such as an ensemble's samples (q, rows, b), each stepped by its
+own maps, so the limit applies to b whatever q is.  There is no
 adaptive stepping, so repeated runs produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,29 +220,33 @@ def linear_sweep(
 ) -> GriddedTrajectory:
     """`rk4_sweep` of a right-hand side affine in y, with its signature and
     its results up to round-off: by precomputed RK4 step maps up to
-    STEP_MAPS_MAX_N states, and by `rk4_sweep` itself above.
+    STEP_MAPS_MAX_N states per system, and by `rk4_sweep` itself above.
 
     `rhs` acts on the last axis of y, a row vector (n,) or a stack of rows
-    (rows, n), and broadcasts over leading axes of its arguments.  Unlike
-    `rk4_sweep`, every table's value at a node must have two axes or more,
-    as rhs sees a block of steps at once: a table of vectors enters as
-    (steps + 1, 1, n), one of scalars as (steps + 1, 1, 1); a table of
-    fewer axes raises ValueError at every n.  An RK4 step of an affine
-    equation is one affine map.  For each block of steps, rhs is evaluated
-    once at the nodes and once at the midpoints on the stacked rows
-    0, e_1 ... e_n; that gives the generator Z = [[0, f], [0, L']] with
-    [1, y] Z = [0, rhs(y)], whose `rk4_step` of Y' = Y Z from the identity
-    gives the block's maps P_i.  They are applied in sweep order,
-    [1, y_i+1] = [1, y_i] P_i, one (n + 1) x (n + 1) product per step.
+    (rows, n), and broadcasts over leading axes of its arguments; axes of y
+    before its last two hold separate systems (y (q, rows, n): q systems of
+    n states, each with its own maps).  Unlike `rk4_sweep`, every table's
+    value at a node must have two axes or more, plus one per axis of
+    systems, as rhs sees a block of steps at once: a table of vectors
+    enters as (steps + 1, 1, n), or (steps + 1, q, 1, n) per system; a
+    table of fewer axes raises ValueError at every n.  An RK4 step of an
+    affine equation is one affine map.  For each block of steps, rhs is
+    evaluated once at the nodes and once at the midpoints on the stacked
+    rows 0, e_1 ... e_n, broadcast over the systems; that gives the generator
+    Z = [[0, f], [0, L']] with [1, y] Z = [0, rhs(y)], whose `rk4_step` of
+    Y' = Y Z from the identity gives the block's maps P_i.  They are
+    applied in sweep order, [1, y_i+1] = [1, y_i] P_i, one (n + 1) x (n + 1)
+    product per step and system.
     L' is read as rhs(e_j) - rhs(0), so it carries the forcing's round-off,
     about eps |f| per entry, which each step multiplies by |y|: beside the
     stage sweep's round-off, the maps add up to about eps |f| |y| per unit
     time.  The first non-finite node, in sweep order, raises error(node, t).
     """
-    if any(np.ndim(t) < 3 for t in nodes + mids if t is not None):
-        raise ValueError("linear_sweep tables need two axes per node: a table of vectors "
-                         "enters as (steps + 1, 1, n)")
     y = np.asarray(y_start, dtype=float)
+    systems = y.shape[:-2]
+    if any(np.ndim(t) < len(systems) + 3 for t in nodes + mids if t is not None):
+        raise ValueError("linear_sweep tables need two axes per node, plus one per axis of "
+                         "systems: a table of vectors enters as (steps + 1, 1, n)")
     n = y.shape[-1]
     if n > STEP_MAPS_MAX_N:
         return rk4_sweep(rhs, y, grid, nodes, mids, backward, error)
@@ -249,24 +256,25 @@ def linear_sweep(
     out[T if backward else 0] = y
     z = np.concatenate((np.ones(y.shape[:-1] + (1,)), y), axis=-1)
     eye = np.eye(n + 1)
-    rows = eye[:, 1:]  # 0, e_1 ... e_n
+    rows = eye[:, 1:]  # 0, e_1 ... e_n, which rhs broadcasts over the systems
+    product = np.matmul if systems else np.dot  # dot: half matmul's call time on one system
+    step_bytes = max(eye.nbytes * math.prod(systems), z.nbytes)  # a step's maps, or [1, y]
 
     def generator(args, steps):
-        Z = np.zeros((steps, n + 1, n + 1))
-        Z[:, :, 1:] = rhs(rows, *args)
-        Z[:, 1:, 1:] -= Z[:, :1, 1:]
+        Z = np.zeros((steps,) + systems + (n + 1, n + 1))
+        Z[..., 1:] = rhs(rows, *args)
+        Z[..., 1:, 1:] -= Z[..., :1, 1:]
         return Z
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, node, mid in _stage_blocks(nodes, mids, T, max(eye.nbytes, z.nbytes),
-                                               backward):
+        for lo, hi, node, mid in _stage_blocks(nodes, mids, T, step_bytes, backward):
             Zn = generator(node, hi - lo + 1)
             first, last = (Zn[1:], Zn[:-1]) if backward else (Zn[:-1], Zn[1:])
             maps = rk4_step(np.matmul, eye, h, (first,), (generator(mid, hi - lo),), (last,))
             zs = np.empty((hi - lo + 1,) + z.shape)  # [1, y] at the block's nodes, sweep order
             zs[0] = z
             for P, row in zip(maps[::-1] if backward else maps, zs[1:]):
-                z = np.dot(z, P, out=row)
+                z = product(z, P, out=row)
             if backward:
                 out[lo:hi] = zs[:0:-1, ..., 1:]
             else:

@@ -23,12 +23,13 @@ can be indefinite and makes the backward flow escape in finite time on
 broadcast ensembles (it is kept as a diagnostic quantity, see the model
 module).
 
-The Riccati sweep, both passes of the boundary-value route and the
-bilinear resimulation are each one call of numkit.rk4_sweep; the affine
-and closed-loop sweeps and the initial flow are linear, and each is one
-right-hand side handed to numkit.linear_sweep, which takes rk4_sweep's
-arguments (tables of vectors as (steps + 1, 1, n)) and steps systems of at
-most numkit.STEP_MAPS_MAX_N states by precomputed RK4 step maps.  The right-hand sides act on rows and take the
+The Riccati sweep and both passes of the boundary-value route are each one
+call of numkit.rk4_sweep; the affine and closed-loop sweeps, the initial
+flow and the bilinear resimulation are linear, and each is one right-hand
+side handed to numkit.linear_sweep, which takes rk4_sweep's arguments
+(tables of vectors as (steps + 1, 1, n)) and steps systems of at most
+numkit.STEP_MAPS_MAX_N states by precomputed RK4 step maps; the
+resimulation is a block sweep, one system per sample.  The right-hand sides act on rows and take the
 coefficients as stage tables: arrays at the grid nodes and interval
 midpoints, in the structure the problem has.  The drift A comes as its
 prob.q diagonal blocks (q, b, b), one per sample, and the input gram
@@ -495,12 +496,14 @@ def simulate_bilinear(
 
     `grid` defaults to the control's own grid; a finer grid may be passed
     for refinement checks.  u is tabulated once at the grid's nodes and
-    interval midpoints.  The state steps as blocks (q, 1, b), one per
-    sample, so no n x n coupling is formed.
+    interval midpoints.  Under that fixed control the dynamics are affine
+    in the state, which steps as blocks (q, 1, b), one system per sample,
+    in one numkit.linear_sweep: each sample of up to STEP_MAPS_MAX_N states
+    by its own step maps, and no n x n coupling is formed.
     """
     grid = grid or utraj.grid
     A, B, Bs, g, x0 = prob.blocks
     t = grid.nodes
     u_nodes, u_mids = (utraj.at(s)[:, np.newaxis, np.newaxis] for s in (t, midpoints(t)))
-    Y = rk4_sweep(bilinear_field(A, B, Bs, g), x0[:, np.newaxis], grid, (u_nodes,), (u_mids,))
+    Y = linear_sweep(bilinear_field(A, B, Bs, g), x0[:, np.newaxis], grid, (u_nodes,), (u_mids,))
     return GriddedTrajectory(grid, Y.values.reshape(len(t), prob.n))

@@ -21,8 +21,9 @@ row that jumps steps alone, under its own sample's blocks gathered per
 row; the step closing each grid interval is batched per sample.  The
 Wiener simulator tabulates the control at the nodes and midpoints as the
 resimulation does and adds G sqrt(h) xi after each step; the drift is
-affine in the state, so the mean of its paths is exactly the RK4
-resimulation.  A batch's `states`
+affine in the state, so the mean of its paths is the RK4 resimulation up
+to round-off (the resimulation steps by maps, the paths by stages).  A
+batch's `states`
 has shape (paths, nodes, chosen samples * b), the stacked layout of the
 chosen samples.  Memory is that table plus a few of its rows and the jump
 lists, so a caller bounds it by choosing fewer samples per call.
@@ -232,7 +233,7 @@ def simulate_wiener_paths(
 
     The control is tabulated at the nodes and midpoints as in
     `solver.simulate_bilinear`, so the mean of the paths is its RK4
-    resimulation.  `prob`, `noise` and `samples` as in
+    resimulation up to round-off.  `prob`, `noise` and `samples` as in
     `simulate_poisson_paths`.
     """
     if noise.kind != "wiener":

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bilqr.model import (
     BilinearProblem,
     bilinear_factors,
+    bilinear_field,
     consistency_residual,
     frozen_drift,
     frozen_gram,
@@ -186,3 +187,24 @@ def test_consistency_identity_randomized():
         x = rng.normal(size=prob.n)
         p = rng.normal(size=prob.n)
         assert consistency_residual(prob, factors, x, p) < 1e-10
+
+
+def test_bilinear_field_broadcasts_over_a_leading_table_axis():
+    # a table of states (steps, S, rows, b) under controls (steps, 1, 1, m)
+    # gives, slice by slice, the field of each step's states; each block is
+    # A y + B u + sum_i u_i B_i y + g of its own sample
+    rng = np.random.default_rng(8)
+    S, rows, b, m, steps = 3, 2, 3, 2, 4
+    A, B = rng.normal(size=(S, b, b)), rng.normal(size=(S, b, m))
+    Bs, g = rng.normal(size=(S, m, b, b)), rng.normal(size=(S, b))
+    rhs = bilinear_field(A, B, Bs, g)
+    Y, U = rng.normal(size=(steps, S, rows, b)), rng.normal(size=(steps, 1, 1, m))
+    table = rhs(Y, U)
+    assert table.shape == Y.shape
+    for i in range(steps):
+        assert np.array_equal(table[i], rhs(Y[i], U[i]))
+        for s in range(S):
+            u = U[i, 0, 0]
+            coupled = A[s] + np.tensordot(u, Bs[s], axes=(0, 0))
+            dense = Y[i, s] @ coupled.T + B[s] @ u + g[s]
+            assert np.max(np.abs(table[i, s] - dense)) <= 1e-13

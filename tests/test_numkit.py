@@ -153,6 +153,38 @@ def test_linear_sweep_matches_the_stage_sweep(seed, n, steps, f_scale, y_scale):
             assert np.max(np.abs(maps - stages)) <= tol
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4), rows=st.integers(1, 3),
+       b=st.integers(1, 3), steps=st.integers(2, 40), backward=st.booleans())
+@example(seed=14, q=3, rows=2, b=numkit.STEP_MAPS_MAX_N + 1, steps=9, backward=False)
+@example(seed=15, q=4, rows=1, b=3, steps=_BLOCK_CROSSING_STEPS, backward=True)
+def test_linear_sweep_steps_each_system_alone(seed, q, rows, b, steps, backward):
+    # y (q, rows, b) holds q independent systems, each under its own
+    # coefficients: the same as q separate stage sweeps, within the bound
+    # of the single-system property above; above STEP_MAPS_MAX_N states per
+    # system, the same numbers
+    rng = np.random.default_rng(seed)
+    g = TimeGrid(0.0, 1.0, steps)
+    L_n, L_m = rng.normal(size=(steps + 1, q, b, b)), rng.normal(size=(steps, q, b, b))
+    f_n, f_m = rng.normal(size=(steps + 1, q, 1, b)), rng.normal(size=(steps, q, 1, b))
+    y = rng.normal(size=(q, rows, b))
+
+    def rhs(v, L, f):
+        return v @ L.swapaxes(-1, -2) + f
+
+    maps = linear_sweep(rhs, y, g, (L_n, f_n), (L_m, f_m), backward).values
+    assert maps.shape == (steps + 1,) + y.shape
+    f_max = max(np.max(np.abs(f_n)), np.max(np.abs(f_m)))
+    for s in range(q):
+        alone = rk4_sweep(rhs, y[s], g, (L_n[:, s], f_n[:, s]), (L_m[:, s], f_m[:, s]),
+                          backward).values
+        if b > numkit.STEP_MAPS_MAX_N:
+            assert np.array_equal(maps[:, s], alone)
+        y_max = np.max(np.abs(alone))
+        tol = 1e-12 * y_max + np.finfo(float).eps * f_max * y_max
+        assert np.max(np.abs(maps[:, s] - alone)) <= tol
+
+
 @pytest.mark.parametrize("n", [1, numkit.STEP_MAPS_MAX_N + 1])
 def test_linear_sweep_refuses_a_vector_table_without_its_row_axis(n):
     # a (steps + 1, n) table would broadcast against the stacked probe rows
@@ -163,6 +195,10 @@ def test_linear_sweep_refuses_a_vector_table_without_its_row_axis(n):
     rows = linear_sweep(lambda v, f: v + f, np.zeros(n), g, (f[:, None],), (None,))
     stages = rk4_sweep(lambda v, f: v + f, np.zeros(n), g, (f,), (None,))
     assert np.allclose(rows.values, stages.values, rtol=1e-14)
+    # each axis of systems needs one more: (steps + 1, 1, n) would meet the
+    # probe rows of 2 systems with its steps on their systems axis
+    with pytest.raises(ValueError, match="one per axis of systems"):
+        linear_sweep(lambda v, f: v + f, np.zeros((2, 1, n)), g, (f[:, None],), (None,))
 
 
 def test_interp_exact_at_nodes_and_midpoints():

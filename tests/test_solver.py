@@ -606,6 +606,26 @@ def test_final_iterate_costate_and_gain_invariants(seed, q, b, m):
     assert np.min(np.linalg.eigvalsh(K)) >= -1e-9 * np.max(np.abs(K))
 
 
+def test_gain_table_is_exactly_symmetric_above_the_step_map_size():
+    # the property above draws at most 9 states; on bloch q=27 (81 states)
+    # and on 27 states under 8 channels, whose (K W)(K W)' a GEMM would
+    # leave asymmetric in the last bit, every RK4 step of the Riccati sweep
+    # keeps K symmetric to the last bit
+    from bilqr.scenarios import build
+
+    setup = build("bloch_broadband", {"q": 27})
+    K = solve(setup.problem, dataclasses.replace(setup.options, steps=30, max_iters=2)).final.K
+    assert K.values.shape[1] > STEP_MAPS_MAX_N
+    assert np.array_equal(K.values, K.values.swapaxes(1, 2))
+
+    rng = np.random.default_rng(22)
+    prob = random_bilinear_problem(rng, 9, 3, 8)
+    grid = TimeGrid(0.0, prob.tf, 30)
+    Wn, Wm = freeze_iteration_fields(prob, rng.normal(size=(31, prob.n)))
+    K = riccati_sweep(prob.blocks[0], Wn, Wm, np.eye(prob.n), grid).values
+    assert np.array_equal(K, K.swapaxes(1, 2))
+
+
 def smooth_directions(rng, grid, m, count):
     """Seeded smooth perturbations (steps + 1, m) with max |d| = 1: a few
     sines of low frequency and random phase per channel."""
