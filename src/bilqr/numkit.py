@@ -127,7 +127,7 @@ _CHECK_EVERY = 32
 
 # Bytes of the block of midpoints a sweep forms at a time for a `mids` entry
 # None (a row or two of a large gain table, all of a small one), and of the
-# block of step maps a linear sweep forms at a time.
+# block of step maps a linear sweep or the Monte Carlo paths form at a time.
 _MID_BLOCK_BYTES = 1 << 18
 
 
@@ -209,6 +209,37 @@ def rk4_sweep(
 STEP_MAPS_MAX_N = 16
 
 
+def step_maps(rhs: Callable[..., np.ndarray], n: int, h, nodes: tuple = (), mids: tuple = (),
+              backward: bool = False):
+    """RK4 step maps P_i of y' = rhs(y, *args), affine in y's n states, over
+    the steps between consecutive entries of the node tables:
+    [1, y(t_i+1)] = [1, y(t_i)] P_i with the arguments at node i, midpoint i
+    and node i + 1, or backward [1, y(t_i)] = [1, y(t_i+1)] P_i over -h.
+
+    The tables are stage tables as in `rk4_sweep`, `nodes` with one entry
+    more on their first axis than `mids`; without tables there is one map.
+    h is the step length, a scalar or an array that broadcasts against the
+    maps.  rhs is evaluated once on the node tables and once on the
+    midpoint tables, on the stacked rows 0, e_1 ... e_n, which it broadcasts
+    over the tables' leading axes (steps, independent systems); that gives
+    the generator Z = [[0, f], [0, L']] with [1, y] Z = [0, rhs(y)], and
+    P_i is the `rk4_step` of Y' = Y Z from the identity.
+    """
+    eye = np.eye(n + 1)
+
+    def generator(args):
+        f = rhs(eye[:, 1:], *args)
+        Z = np.zeros(f.shape[:-1] + (n + 1,))
+        Z[..., 1:] = f
+        Z[..., 1:, 1:] -= Z[..., :1, 1:]
+        return Z
+
+    Zn = generator(nodes)
+    lower, upper = (Zn[:-1], Zn[1:]) if nodes else (Zn, Zn)
+    first, last = (upper, lower) if backward else (lower, upper)
+    return rk4_step(np.matmul, eye, -h if backward else h, (first,), (generator(mids),), (last,))
+
+
 def linear_sweep(
     rhs: Callable[..., np.ndarray],
     y_start,
@@ -230,13 +261,11 @@ def linear_sweep(
     systems, as rhs sees a block of steps at once: a table of vectors
     enters as (steps + 1, 1, n), or (steps + 1, q, 1, n) per system; a
     table of fewer axes raises ValueError at every n.  An RK4 step of an
-    affine equation is one affine map.  For each block of steps, rhs is
-    evaluated once at the nodes and once at the midpoints on the stacked
-    rows 0, e_1 ... e_n, broadcast over the systems; that gives the generator
-    Z = [[0, f], [0, L']] with [1, y] Z = [0, rhs(y)], whose `rk4_step` of
-    Y' = Y Z from the identity gives the block's maps P_i.  They are
-    applied in sweep order, [1, y_i+1] = [1, y_i] P_i, one (n + 1) x (n + 1)
-    product per step and system.
+    affine equation is one affine map: `step_maps` forms a block of steps'
+    maps P_i at once, from rhs probed at the block's nodes and midpoints and
+    broadcast over the systems, and they are applied in sweep order,
+    [1, y_i+1] = [1, y_i] P_i, one (n + 1) x (n + 1) product per step and
+    system.
     L' is read as rhs(e_j) - rhs(0), so it carries the forcing's round-off,
     about eps |f| per entry, which each step multiplies by |y|: beside the
     stage sweep's round-off, the maps add up to about eps |f| |y| per unit
@@ -251,26 +280,17 @@ def linear_sweep(
     if n > STEP_MAPS_MAX_N:
         return rk4_sweep(rhs, y, grid, nodes, mids, backward, error)
     T = grid.steps
-    h = -grid.h if backward else grid.h
     out = np.empty((T + 1,) + y.shape)
     out[T if backward else 0] = y
     z = np.concatenate((np.ones(y.shape[:-1] + (1,)), y), axis=-1)
-    eye = np.eye(n + 1)
-    rows = eye[:, 1:]  # 0, e_1 ... e_n, which rhs broadcasts over the systems
     product = np.matmul if systems else np.dot  # dot: half matmul's call time on one system
-    step_bytes = max(eye.nbytes * math.prod(systems), z.nbytes)  # a step's maps, or [1, y]
-
-    def generator(args, steps):
-        Z = np.zeros((steps,) + systems + (n + 1, n + 1))
-        Z[..., 1:] = rhs(rows, *args)
-        Z[..., 1:, 1:] -= Z[..., :1, 1:]
-        return Z
+    step_bytes = max((n + 1) ** 2 * 8 * math.prod(systems), z.nbytes)  # a step's maps, or [1, y]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, node, mid in _stage_blocks(nodes, mids, T, step_bytes, backward):
-            Zn = generator(node, hi - lo + 1)
-            first, last = (Zn[1:], Zn[:-1]) if backward else (Zn[:-1], Zn[1:])
-            maps = rk4_step(np.matmul, eye, h, (first,), (generator(mid, hi - lo),), (last,))
+            maps = step_maps(rhs, n, grid.h, node, mid, backward)
+            if not nodes:  # one map serves every step of the block
+                maps = np.broadcast_to(maps, (hi - lo,) + maps.shape)
             zs = np.empty((hi - lo + 1,) + z.shape)  # [1, y] at the block's nodes, sweep order
             zs[0] = z
             for P, row in zip(maps[::-1] if backward else maps, zs[1:]):

@@ -2,10 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bilqr import stochastic
 from bilqr.ensemble import SampleCoefficients, sample_view, stack_coefficients, stack_noise
-from bilqr.model import BilinearProblem
-from bilqr.numkit import GriddedTrajectory, TimeGrid, integrate_forward, rk4_step
+from bilqr.model import BilinearProblem, bilinear_field
+from bilqr.numkit import (STEP_MAPS_MAX_N, GriddedTrajectory, TimeGrid, integrate_forward,
+                          rk4_step)
+from bilqr.scenarios import build
 from bilqr.solver import simulate_bilinear
 from bilqr.stochastic import (
     NoiseSpec,
@@ -244,9 +249,33 @@ def test_poisson_mean_tracks_expected_reduction():
     assert report.max_standardized_deviation < 4.0
 
 
+def stage_reference(prob, G, u, jumps):
+    """One path stepped node to node, split at its jumps [(time, counter)],
+    with the control interpolated at every RK4 stage time of every sub-step."""
+    grid = u.grid
+
+    def rhs(x, t):
+        ut = u.at(t)
+        return prob.A @ x + prob.B @ ut + sum(c * Bc for c, Bc in zip(ut, prob.Blist)) @ x + prob.g
+
+    def step(x, t, h):
+        return rk4_step(rhs, x, h, (t,), (t + 0.5 * h,), (t + h,))
+
+    jumps = list(jumps)
+    x = prob.x0.copy()
+    path = [x]
+    for i in range(grid.steps):
+        t = grid.nodes[i]
+        while jumps and jumps[0][0] <= grid.nodes[i + 1]:
+            tj, c = jumps.pop(0)
+            x = step(x, t, tj - t) + G[:, c]
+            t = tj
+        x = step(x, t, grid.nodes[i + 1] - t)
+        path.append(x)
+    return np.array(path)
+
+
 def test_poisson_steps_split_at_jumps_read_the_control_at_every_stage():
-    # reference: each path steps node to node, split at its jumps, with the
-    # control interpolated at every RK4 stage time of every sub-step
     prob = BilinearProblem(
         A=[[-1.0, 0.4], [-0.3, -0.8]], B=[[1.0, 0.0], [0.5, -0.7]],
         Blist=([[-0.6, 0.2], [0.0, 0.3]], [[0.1, -0.4], [0.25, -0.2]]),
@@ -261,25 +290,10 @@ def test_poisson_steps_split_at_jumps_read_the_control_at_every_stage():
     times, counters, offsets, _ = _draw_jump_times(
         np.random.Generator(np.random.Philox(seed)), noise.lam, M, grid.tf)
     assert len(times) > 2 * M  # the grid steps are split many times over
-
-    def rhs(x, t):
-        ut = u.at(t)
-        return prob.A @ x + prob.B @ ut + sum(c * Bc for c, Bc in zip(ut, prob.Blist)) @ x + prob.g
-
-    def step(x, t, h):
-        return rk4_step(rhs, x, h, (t,), (t + 0.5 * h,), (t + h,))
-
     for p in range(M):
-        jumps = list(zip(times[offsets[p]:offsets[p + 1]], counters[offsets[p]:offsets[p + 1]]))
-        x = prob.x0.copy()
-        for i in range(grid.steps):
-            t = grid.nodes[i]
-            while jumps and jumps[0][0] <= grid.nodes[i + 1]:
-                tj, c = jumps.pop(0)
-                x = step(x, t, tj - t) + noise.G[:, c]
-                t = tj
-            x = step(x, t, grid.nodes[i + 1] - t)
-            np.testing.assert_allclose(batch.states[p, i + 1], x, rtol=0, atol=1e-12)
+        jumps = zip(times[offsets[p]:offsets[p + 1]], counters[offsets[p]:offsets[p + 1]])
+        ref = stage_reference(prob, noise.G, u, jumps)
+        np.testing.assert_allclose(batch.states[p], ref, rtol=0, atol=1e-12)
 
 
 def sample_stack(b, m, k, kind, q=3, seed=0, rate_scale=1.0):
@@ -337,7 +351,80 @@ def test_stacked_multistate_samples_match_single_system_calls(kind, rate_scale):
     states = sample_view(simulate(stack, noise, u, M=25, seed=40).states, 3)
     for j, (sub, sub_noise) in enumerate(singles):
         single = simulate(sub, sub_noise, u, M=25, seed=40 + j)
-        np.testing.assert_allclose(states[:, :, j], single.states, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(states[:, :, j], single.states)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 3), steps=st.integers(2, 30))
+@example(seed=7, b=STEP_MAPS_MAX_N + 1, steps=12)  # the stage route
+def test_poisson_paths_match_the_stage_reference(seed, b, steps):
+    # two samples of three paths against the stage reference, on jump lists
+    # that put a jump exactly on a node (its zero-length closing step is the
+    # identity) and at tf, three jumps of one row in one grid step and a jump
+    # of the other sample in that step, beside a few anywhere.  The maps' L'
+    # carries the forcing's round-off eps |f|, which each step multiplies by
+    # |y|, as in linear_sweep's property
+    rng = np.random.default_rng(seed)
+    q, M, k = 2, 3, 2
+    stack, noise, singles = sample_stack(b, 2, k, "poisson", q=q, seed=seed)
+    grid = TimeGrid(0.0, stack.tf, steps)
+    nodes = grid.nodes
+    u = GriddedTrajectory(grid, 0.3 * np.sin(np.outer(nodes, [1.0, 2.0]) + rng.uniform(0, 3, 2)))
+    busy = rng.integers(steps)
+    jumps = []  # per sample and path, [(time, counter)] in time order
+    for s in range(q):
+        per_path = []
+        for p in range(M):
+            t = list(rng.uniform(0.0, grid.tf, rng.integers(0, 4)))
+            if p == 0 and s == 0:
+                t += [nodes[rng.integers(1, steps)], grid.tf]
+            if p == 1:
+                t += list(rng.uniform(nodes[busy], nodes[busy + 1], 3 - 2 * s))
+            per_path.append(sorted((ti, int(rng.integers(k))) for ti in t))
+        jumps.append(per_path)
+    draws = iter(jumps)
+
+    def drawn(rng, lam, M, tf):
+        per_path = next(draws)
+        flat = [jump for path in per_path for jump in path]
+        counts = np.array([np.bincount([c for _, c in path], minlength=k) for path in per_path])
+        return (np.array([t for t, _ in flat]), np.array([c for _, c in flat], dtype=int),
+                np.cumsum([0] + [len(path) for path in per_path]), counts.reshape(M, k))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stochastic, "_draw_jump_times", drawn)
+        states = sample_view(simulate_poisson_paths(stack, noise, u, M=M, seed=0).states, q)
+    for s, (sub, sub_noise) in enumerate(singles):
+        ref = np.array([stage_reference(sub, sub_noise.G, u, path) for path in jumps[s]])
+        f_max = np.max(np.abs(u.values @ sub.B.T + sub.g))
+        y_max = np.max(np.abs(ref))
+        tol = 1e-12 * y_max + np.finfo(float).eps * f_max * y_max * grid.tf
+        assert np.max(np.abs(states[:, :, s] - ref)) <= tol
+
+
+def test_poisson_paths_evaluate_the_field_per_block_and_jump_ordinal(monkeypatch):
+    # iaf1's batch (5 samples, 40 paths, 500 steps, about 4000 jumps): the
+    # field is evaluated for each block of grid steps and each jump ordinal,
+    # not for each round of jumps (about 4300 calls when every round stepped
+    # alone)
+    setup = build("iaf_case1", {"q": 5})
+    grid = TimeGrid(0.0, setup.stated.tf, 500)
+    u = GriddedTrajectory(grid, 0.2 + 0.1 * np.sin(grid.nodes)[:, np.newaxis])
+    calls = []
+
+    def counted(*coeffs):
+        rhs = bilinear_field(*coeffs)
+
+        def counting(*args):
+            calls.append(1)
+            return rhs(*args)
+
+        return counting
+
+    monkeypatch.setattr(stochastic, "bilinear_field", counted)
+    batch = simulate_poisson_paths(setup.stated, setup.noise, u, M=40, seed=1185)
+    assert batch.jump_counts.sum() > 3000
+    assert len(calls) < 100
 
 
 @pytest.mark.parametrize("kind", ["poisson", "wiener"])
