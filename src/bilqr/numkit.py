@@ -240,6 +240,17 @@ def step_maps(rhs: Callable[..., np.ndarray], n: int, h, nodes: tuple = (), mids
     return rk4_step(np.matmul, eye, -h if backward else h, (first,), (generator(mids),), (last,))
 
 
+def step_map_blocks(rhs: Callable[..., np.ndarray], n: int, h, T: int, step_bytes: int,
+                    nodes: tuple = (), mids: tuple = (), backward: bool = False):
+    """The `step_maps` of the T steps of stage tables a block of steps at a
+    time, in sweep order: (lo, hi, maps of the steps [lo, hi)), each block
+    of _MID_BLOCK_BYTES at step_bytes a step (at least one step).  Without
+    tables one map serves every step of a block."""
+    for lo, hi, node, mid in _stage_blocks(nodes, mids, T, step_bytes, backward):
+        maps = step_maps(rhs, n, h, node, mid, backward)
+        yield lo, hi, maps if nodes else np.broadcast_to(maps, (hi - lo,) + maps.shape)
+
+
 def linear_sweep(
     rhs: Callable[..., np.ndarray],
     y_start,
@@ -287,10 +298,7 @@ def linear_sweep(
     step_bytes = max((n + 1) ** 2 * 8 * math.prod(systems), z.nbytes)  # a step's maps, or [1, y]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, node, mid in _stage_blocks(nodes, mids, T, step_bytes, backward):
-            maps = step_maps(rhs, n, grid.h, node, mid, backward)
-            if not nodes:  # one map serves every step of the block
-                maps = np.broadcast_to(maps, (hi - lo,) + maps.shape)
+        for lo, hi, maps in step_map_blocks(rhs, n, grid.h, T, step_bytes, nodes, mids, backward):
             zs = np.empty((hi - lo + 1,) + z.shape)  # [1, y] at the block's nodes, sweep order
             zs[0] = z
             for P, row in zip(maps[::-1] if backward else maps, zs[1:]):

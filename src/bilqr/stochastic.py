@@ -12,33 +12,33 @@ The simulators take the problem as stated, with its own g, and the q =
 they run the paths of the chosen samples in one batched pass.  The state
 has shape (samples, paths, b) and each sample keeps its own blocks
 (`BilinearProblem.blocks`) once.  Between jumps and noise the drift is
-affine in the state, so up to `numkit.STEP_MAPS_MAX_N` states per sample
-both simulators step it by RK4 step maps, `numkit.step_maps` of
-`model.bilinear_field` (the resimulation's field): one (b + 1) x (b + 1)
-map per grid step and sample, formed a block of steps at a time and
-applied to all of the sample's paths in one product per step.  Above that
-size every drift step is a `numkit.rk4_step` of the same field.
+affine in the state, so both simulators step it by RK4 step maps,
+`numkit.step_maps` of `model.bilinear_field` (the resimulation's field):
+one (b + 1) x (b + 1) map per grid step and sample, with the control at
+the nodes and midpoints as in the resimulation, formed a block of steps
+at a time by `numkit.step_map_blocks` and applied to all of the sample's
+paths in one product per step.  The Wiener simulator adds G sqrt(h) xi
+after each step, so the mean of its paths is the RK4 resimulation up to
+round-off.
 
-The Poisson simulator tabulates the control once, as its node values and
-the slope of each grid step, and every (sub-)step reads it at its start,
-midpoint and end from the line of its grid step.  Its jumps are grouped
-by (path, grid step).  Before the time loop each group gets one composite
-map: the sub-step maps from t_i to its first jump, between its jumps and
-from its last jump to t_{i+1}, interleaved with the jump translations
-[[1, G_c'], [0, I]], formed for all groups one jump ordinal at a time (a
-block of groups at a time).  Each grid step is then the full-step product
-of every path and one gathered product that overwrites the paths that
-jumped with their composite maps.  Above the map size, a path that jumps
-steps alone to each jump, in rounds, under its own sample's blocks, and
-the step closing each grid interval is batched per sample.  The Wiener
-simulator tabulates the control at the nodes and midpoints as the
-resimulation does and adds G sqrt(h) xi after each step, so the mean of
-its paths is the RK4 resimulation up to round-off.  A batch's `states`
-has shape (paths, nodes, chosen samples * b), the stacked layout of the
-chosen samples.  Memory is that table, a few of its rows, the jump lists,
-a block of step maps and, for Poisson paths up to the map size, the
-composite maps: one (b + 1)^2 map per path and grid step with a jump.  A
-caller bounds it by choosing fewer samples per call.
+The Poisson simulator splits a path's grid step at its jumps.  It
+tabulates the control once, as its node values and the slope of each
+grid step, and every sub-step reads it at its start, midpoint and end
+from the line of its grid step.  Its jumps are grouped by (path, grid
+step), and each group gets one composite map: the sub-step maps from t_i
+to its first jump, between its jumps and from its last jump to t_{i+1},
+interleaved with the jump translations [[1, G_c'], [0, I]].  They are
+formed in step order, a block of groups at a time and within a block one
+jump ordinal at a time.  Each grid step is then the full-step product of
+every path and one gathered product that overwrites the paths that jumped
+with their composite maps.
+
+A batch's `states` has shape (paths, nodes, chosen samples * b), the
+stacked layout of the chosen samples.  Memory is that table, a few of its
+rows, the jump lists and their groups, a few words per jump, and a block
+of full-step maps and one of composite maps, each of
+`numkit._MID_BLOCK_BYTES`, with their RK4 temporaries.  A caller bounds
+it by choosing fewer samples per call.
 
 All sampling uses the counter-based Philox generator: sample j draws from
 the stream keyed by seed + j, so identical (seed, M, grid) inputs reproduce
@@ -53,8 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BilinearProblem, NoiseSpec, bilinear_field, diagonal_blocks
-from .numkit import (_MID_BLOCK_BYTES, STEP_MAPS_MAX_N, GriddedTrajectory, midpoints, rk4_step,
-                     step_maps)
+from .numkit import _MID_BLOCK_BYTES, GriddedTrajectory, midpoints, step_map_blocks, step_maps
 
 __all__ = [
     "NoiseSpec",
@@ -111,15 +110,6 @@ def _sample_blocks(prob, noise, samples, M):
     return samples, coeffs, x0, Gt, lam
 
 
-def _rk4_path_step(rhs, u_i, d_i, Y, dt, h):
-    """One RK4 step of every path over its own step h, from its own time dt
-    past node i, within grid step i; the control at time t_i + s is the
-    line u_i + s d_i through that step's node values."""
-    h, dt = h[..., np.newaxis], dt[..., np.newaxis]
-    return rk4_step(rhs, Y, h, (u_i + dt * d_i,), (u_i + (dt + 0.5 * h) * d_i,),
-                    (u_i + (dt + h) * d_i,))
-
-
 def _raise_blowup(Y, samples, q, i, t):
     """Name the first non-finite (sample, path) row of Y (S, M, b)."""
     s, p = np.argwhere(~np.all(np.isfinite(Y), axis=2))[0]
@@ -163,14 +153,16 @@ def _draw_jump_times(rng, lam: np.ndarray, M: int, tf: float):
     return times, counters, offsets, counts
 
 
-def _grid_maps(rhs, b, S, h, U, Um):
+def _grid_maps(rhs, b, S, utraj):
     """Every grid step's RK4 maps (S, b + 1, b + 1), one per sample, in step
-    order, from the control at the nodes U and midpoints Um (nodes or
-    steps, 1, 1, m), formed a block of steps at a time as in
-    `numkit.linear_sweep`."""
-    block = max(1, _MID_BLOCK_BYTES // (S * (b + 1) ** 2 * 8))
-    for lo in range(0, len(Um), block):
-        yield from step_maps(rhs, b, h, (U[lo:lo + block + 1],), (Um[lo:lo + block],))
+    order, with the control at the nodes and midpoints as in the
+    resimulation, formed a block of steps at a time."""
+    nodes = utraj.grid.nodes
+    # (nodes or steps, 1, 1, m): every path's control at the nodes and midpoints
+    U, Um = (utraj.at(t)[:, np.newaxis, np.newaxis] for t in (nodes, midpoints(nodes)))
+    for _, _, maps in step_map_blocks(rhs, b, utraj.grid.h, utraj.grid.steps,
+                                      S * (b + 1) ** 2 * 8, (U,), (Um,)):
+        yield from maps
 
 
 def _step_paths(Y, steps, samples, q, nodes):
@@ -187,86 +179,63 @@ def _step_paths(Y, steps, samples, q, nodes):
     return states
 
 
-def _jump_rounds(coeffs, utraj, D, Y, jt, jc, offsets, G_cols):
-    """The stage route: each grid step in rounds, every row whose next jump
-    lies in the step stepping to it alone, under its own sample's blocks,
-    and then every row to the step's end, batched per sample."""
-    S, M, b = Y.shape
-    U, nodes = utraj.values, utraj.grid.nodes
-    rhs = bilinear_field(*coeffs)
-    ptr = offsets[:-1].copy()
-    ends = offsets[1:]
-    for i in range(utraj.grid.steps):
-        t_right = nodes[i + 1]
-        tcur = np.full(S * M, nodes[i])
-        while True:
-            next_t = np.where(ptr < ends, jt[ptr], np.inf)
-            rows = np.flatnonzero(next_t <= t_right)
-            if rows.size == 0:
-                break
-            # Each jumping row steps alone, (rows, 1, b), under its own
-            # sample's blocks.
-            s = rows // M
-            Yr = Y.reshape(S * M, b)
-            step = _rk4_path_step(bilinear_field(*(c[s] for c in coeffs)), U[i], D[i],
-                                  Yr[rows, np.newaxis], (tcur[rows] - nodes[i])[:, np.newaxis],
-                                  (next_t[rows] - tcur[rows])[:, np.newaxis])
-            Yr[rows] = step[:, 0] + G_cols[s, jc[ptr[rows]]]
-            tcur[rows] = next_t[rows]
-            ptr[rows] += 1
-        tcur = tcur.reshape(S, M)
-        Y = _rk4_path_step(rhs, U[i], D[i], Y, tcur - nodes[i], t_right - tcur)
-        yield Y
-
-
-def _jump_maps(coeffs, utraj, D, Y, jt, jc, offsets, G_cols):
-    """The map route: every path's full grid step is its sample's RK4 map,
-    with the control at the nodes and midpoints as in the resimulation,
-    and a row that jumps in a grid step takes that step's composite map
-    instead, its sub-step maps between the jumps interleaved with the jump
-    translations [[1, G_c'], [0, I]]."""
-    S, M, b = Y.shape
-    nodes = utraj.grid.nodes
-    # Jumps grouped by (row, grid step), a jump at t_i < t <= t_{i+1} in
-    # step i (at t_0, in step 0), the groups in (step, row) order; a group's
-    # jumps are consecutive in the jump list, which runs by row and time.
-    step_of = np.maximum(np.searchsorted(nodes, jt[:-1]) - 1, 0)
-    key = step_of * (S * M) + np.repeat(np.arange(S * M), np.diff(offsets))
+def _jump_groups(nodes, jt, offsets):
+    """The jumps grouped by (row, grid step), a jump at t_i < t <= t_{i+1}
+    in step i (at t_0, in step 0), the groups in (step, row) order: their
+    steps, rows, first jumps and jump counts.  A group's jumps are
+    consecutive in the jump list, which runs by row and time."""
+    rows = len(offsets) - 1
+    key = (np.maximum(np.searchsorted(nodes, jt[:-1]) - 1, 0) * rows
+           + np.repeat(np.arange(rows), np.diff(offsets)))
     key, first, count = np.unique(key, return_index=True, return_counts=True)
-    g_steps, g_rows = np.divmod(key, S * M)
-    s = g_rows // M
-    u0, d = utraj.values[g_steps, np.newaxis], D[g_steps, np.newaxis]  # (groups, 1, m)
-    t0 = nodes[g_steps]
-    tcur = t0.copy()
-    C = np.empty((first.size, b + 1, b + 1))
-    # Sub-step j of every group with at least j jumps, a block of groups at a
-    # time: it ends at jump j, or at t_{i+1} after the group's last jump.
+    return *np.divmod(key, rows), first, count
+
+
+def _composite_maps(coeffs, utraj, D, M, jt, jc, offsets, G_cols):
+    """Per grid step, the pieces (rows, maps) of the rows r = s M + p that
+    jump in it, each row's composite map taking it across the step: its
+    sub-step maps between the jumps, with the control on the line u_i + s
+    d_i at every sub-step's start, midpoint and end, interleaved with the
+    jump translations [[1, G_c'], [0, I]].  The maps are formed in step
+    order, a block of groups at a time."""
+    S, _, b = G_cols.shape
+    nodes = utraj.grid.nodes
+    g_steps, g_rows, first, count = _jump_groups(nodes, jt, offsets)
+
+    def composite(a):
+        # Sub-step j of every group of a with at least j jumps: it ends at
+        # jump j, or at t_{i+1} after the group's last jump.
+        s, cnt, fst, stp = g_rows[a] // M, count[a], first[a], g_steps[a]
+        u0, d = utraj.values[stp, np.newaxis], D[stp, np.newaxis]  # (groups, 1, m)
+        t0 = nodes[stp]
+        tcur = t0.copy()
+        C = np.empty((a.size, b + 1, b + 1))
+        for j in range(cnt.max() + 1):
+            g = np.flatnonzero(cnt >= j)
+            jumps = cnt[g] > j
+            t_end = np.where(jumps, jt[fst[g] + j], nodes[stp[g] + 1])
+            dt, h = (tcur[g] - t0[g])[:, None, None], (t_end - tcur[g])[:, None, None]
+            ends = np.stack((u0[g] + dt * d[g], u0[g] + (dt + h) * d[g]))
+            P = step_maps(bilinear_field(*(c[s[g]] for c in coeffs)), b, h, (ends,),
+                          ((u0[g] + (dt + 0.5 * h) * d[g])[np.newaxis],))[0]
+            C[g] = P if j == 0 else C[g] @ P
+            g = g[jumps]
+            C[g, 0, 1:] += G_cols[s[g], jc[fst[g] + j]]
+            tcur[g] = t_end[jumps]
+        return C
+
     block = max(1, _MID_BLOCK_BYTES // ((b + 1) ** 2 * 8))
-    for j in range(count.max(initial=-1) + 1):
-        active = np.flatnonzero(count >= j)
-        for a in np.split(active, range(block, active.size, block)):
-            jumps = count[a] > j
-            t_end = np.where(jumps, jt[first[a] + j], nodes[g_steps[a] + 1])
-            dt, h = (tcur[a] - t0[a])[:, None, None], (t_end - tcur[a])[:, None, None]
-            ends = np.stack((u0[a] + dt * d[a], u0[a] + (dt + h) * d[a]))
-            P = step_maps(bilinear_field(*(c[s[a]] for c in coeffs)), b, h, (ends,),
-                          ((u0[a] + (dt + 0.5 * h) * d[a])[np.newaxis],))[0]
-            C[a] = P if j == 0 else C[a] @ P
-            a = a[jumps]
-            C[a, 0, 1:] += G_cols[s[a], jc[first[a] + j]]
-            tcur[a] = t_end[jumps]
-    groups = np.searchsorted(g_steps, np.arange(len(nodes))).tolist()
-    U, Um = (utraj.at(t)[:, np.newaxis, np.newaxis] for t in (nodes, midpoints(nodes)))
-    maps = _grid_maps(bilinear_field(*coeffs), b, S, utraj.grid.h, U, Um)
-    Z = np.concatenate((np.ones((S, M, 1)), Y), axis=-1)
-    for i, P in enumerate(maps):
-        lo, hi = groups[i], groups[i + 1]
-        Zn = Z @ P
-        if hi > lo:
-            r = g_rows[lo:hi]
-            Zn.reshape(S * M, b + 1)[r] = (Z.reshape(S * M, b + 1)[r, None] @ C[lo:hi])[:, 0]
-        Z = Zn
-        yield Z[..., 1:]
+    bounds = np.searchsorted(g_steps, np.arange(len(nodes)))
+    c_lo, C = 0, np.empty((0, b + 1, b + 1))  # the maps of groups [c_lo, c_lo + len(C))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        pieces = []
+        while lo < hi:
+            if lo == c_lo + len(C):
+                c_lo, C = lo, composite(np.arange(lo, min(lo + block, first.size)))
+            top = min(hi, c_lo + len(C))
+            pieces.append((g_rows[lo:top], C[lo - c_lo:top - c_lo]))
+            lo = top
+        yield pieces
 
 
 def simulate_poisson_paths(
@@ -284,7 +253,7 @@ def simulate_poisson_paths(
     of a path is split at each of its jump instants, which removes the O(h)
     placement bias of node-aligned jump handling.  `prob` and `noise` stack
     `prob.q` samples, of which the samples in `samples` (all by default) run;
-    see the module docstring for the layout, the two routes and the streams.
+    see the module docstring for the layout, the maps and the streams.
     `jump_counts` has shape (paths, chosen samples * k).
     """
     if noise.kind != "poisson":
@@ -305,10 +274,22 @@ def simulate_poisson_paths(
     # Every sub-step of grid step i lies in [t_i, t_{i+1}], where the control
     # is the line through its node values U_i, U_{i+1}, of slope D_i.
     D = np.diff(utraj.values, axis=0) / grid.h
+    composites = _composite_maps(coeffs, utraj, D, M, jt, jc, offsets, G_cols)
+    maps = _grid_maps(bilinear_field(*coeffs), b, S, utraj)
+
+    def steps(Z):
+        # Every row's full-step map, then the composite maps of the rows
+        # that jumped overwrite theirs.
+        for P, pieces in zip(maps, composites):
+            Zn = Z @ P
+            for r, C in pieces:
+                Zn.reshape(S * M, b + 1)[r] = (Z.reshape(S * M, b + 1)[r, None] @ C)[:, 0]
+            Z = Zn
+            yield Z[..., 1:]
+
     Y = np.repeat(x0[:, np.newaxis], M, axis=1)
-    route = _jump_rounds if b > STEP_MAPS_MAX_N else _jump_maps
-    steps = route(coeffs, utraj, D, Y, jt, jc, offsets, G_cols)
-    states = _step_paths(Y, steps, samples, prob.q, grid.nodes)
+    Z = np.concatenate((np.ones((S, M, 1)), Y), axis=-1)
+    states = _step_paths(Y, steps(Z), samples, prob.q, grid.nodes)
     return PathBatch(states.reshape(M, grid.steps + 1, S * b), np.hstack(counts))
 
 
@@ -334,27 +315,18 @@ def simulate_wiener_paths(
     S, b = x0.shape
     rngs = [np.random.Generator(np.random.Philox(seed + j)) for j in samples]
     k = Gt.shape[1]
-    rhs = bilinear_field(*coeffs)
-    nodes = grid.nodes
-    h = grid.h
-    sqrt_h = np.sqrt(h)
-    # (nodes or steps, 1, 1, m): every path's control at the nodes and midpoints
-    U, Um = (utraj.at(t)[:, np.newaxis, np.newaxis] for t in (nodes, midpoints(nodes)))
-    maps = _grid_maps(rhs, b, S, h, U, Um) if b <= STEP_MAPS_MAX_N else None
+    sqrt_h = np.sqrt(grid.h)
+    maps = _grid_maps(bilinear_field(*coeffs), b, S, utraj)
 
     def steps(Y):
-        for i in range(grid.steps):
+        for P in maps:
             xi = np.stack([rng.standard_normal((M, k)) for rng in rngs])
-            if maps is None:
-                Y = rk4_step(rhs, Y, h, (U[i],), (Um[i],), (U[i + 1],))
-            else:
-                P = next(maps)
-                Y = Y @ P[..., 1:, 1:] + P[..., :1, 1:]  # [1, y] P without its 1
+            Y = Y @ P[..., 1:, 1:] + P[..., :1, 1:]  # [1, y] P without its 1
             Y = Y + sqrt_h * (xi @ Gt)
             yield Y
 
     Y = np.repeat(x0[:, np.newaxis], M, axis=1)
-    states = _step_paths(Y, steps(Y), samples, prob.q, nodes)
+    states = _step_paths(Y, steps(Y), samples, prob.q, grid.nodes)
     return PathBatch(states.reshape(M, grid.steps + 1, S * b))
 
 

@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bilqr import stochastic
+from bilqr import numkit, stochastic
 from bilqr.ensemble import SampleCoefficients, sample_view, stack_coefficients, stack_noise
 from bilqr.model import BilinearProblem, bilinear_field
 from bilqr.numkit import (STEP_MAPS_MAX_N, GriddedTrajectory, TimeGrid, integrate_forward,
@@ -356,7 +357,7 @@ def test_stacked_multistate_samples_match_single_system_calls(kind, rate_scale):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 3), steps=st.integers(2, 30))
-@example(seed=7, b=STEP_MAPS_MAX_N + 1, steps=12)  # the stage route
+@example(seed=7, b=STEP_MAPS_MAX_N + 1, steps=12)  # above the linear sweeps' map limit
 def test_poisson_paths_match_the_stage_reference(seed, b, steps):
     # two samples of three paths against the stage reference, on jump lists
     # that put a jump exactly on a node (its zero-length closing step is the
@@ -425,6 +426,40 @@ def test_poisson_paths_evaluate_the_field_per_block_and_jump_ordinal(monkeypatch
     batch = simulate_poisson_paths(setup.stated, setup.noise, u, M=40, seed=1185)
     assert batch.jump_counts.sum() > 3000
     assert len(calls) < 100
+
+
+def test_poisson_paths_with_a_jump_in_every_step_hold_a_block_of_composite_maps(monkeypatch):
+    # every path of 16 states jumps in every grid step: the composite maps
+    # of all (row, step) groups would take (b + 1)^2 / b = 18 path tables
+    # (52 MiB here), but they are formed a block at a time, so beside the
+    # path table the peak is the jump lists and groups, a few words per
+    # jump, and the blocks of maps and their RK4 temporaries
+    stack, noise, _ = sample_stack(16, 1, 1, "poisson", q=2)
+    grid = TimeGrid(0.0, stack.tf, 50)
+    u = GriddedTrajectory(grid, 0.3 * np.sin(grid.nodes)[:, np.newaxis])
+    M = 200
+    mids = grid.nodes[:-1] + 0.5 * grid.h
+
+    def one_jump_per_step(rng, lam, M, tf):
+        return (np.tile(mids, M), np.zeros(M * grid.steps, dtype=int),
+                np.arange(M + 1) * grid.steps, np.full((M, 1), grid.steps))
+
+    monkeypatch.setattr(stochastic, "_draw_jump_times", one_jump_per_step)
+    table = M * (grid.steps + 1) * 2 * 16 * 8
+    jumps = 2 * M * grid.steps
+    tracemalloc.start()
+    try:
+        batch = simulate_poisson_paths(stack, noise, u, M=M, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.states.nbytes == table and batch.jump_counts.sum() == jumps
+    assert peak < table + 16 * 8 * jumps + 24 * numkit._MID_BLOCK_BYTES
+    # a step's 400 groups span blocks of 113 groups; the paths are those of
+    # one block that holds every group
+    monkeypatch.setattr(stochastic, "_MID_BLOCK_BYTES", 1 << 40)
+    whole = simulate_poisson_paths(stack, noise, u, M=M, seed=0)
+    np.testing.assert_array_equal(batch.states, whole.states)
 
 
 @pytest.mark.parametrize("kind", ["poisson", "wiener"])
