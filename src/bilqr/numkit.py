@@ -375,10 +375,11 @@ def transition_norms(A_nodes: np.ndarray, grid: TimeGrid, indices) -> np.ndarray
     base = linear_sweep(lambda Y, A: Y @ A.swapaxes(-1, -2), np.eye(A_nodes.shape[1]), grid,
                         (A_nodes,), (None,)).values.swapaxes(1, 2)
     indices = np.asarray(indices, dtype=int)
-    for j in indices:
-        if np.linalg.cond(base[j]) > _COND_LIMIT:
-            raise TransitionInversionError(
-                f"transition inversion failure at node {j} (t={grid.nodes[j]:.6g})")
+    singular = indices[np.linalg.cond(base[indices]) > _COND_LIMIT]
+    if singular.size:
+        j = singular[0]
+        raise TransitionInversionError(
+            f"transition inversion failure at node {j} (t={grid.nodes[j]:.6g})")
     inv = np.linalg.inv(base[indices])
     table = np.empty((len(indices), len(indices)))
     for row, a in enumerate(indices):

@@ -36,7 +36,10 @@ prob.q diagonal blocks (q, b, b), one per sample, and the input gram
 L R^-1 L', whose rank is at most m, as its factor W = L C with
 R^-1 = C C'.  Every product with the gram is taken through W, so an RK4
 stage costs O(n^2 m + n b^2) instead of the O(n^3) of dense n x n
-products, and no (T, n, n) gram table is formed.  One (T + 1, n, n) gain
+products, and no (T, n, n) gram table is formed.  The Riccati right-hand
+side, exactly symmetric, takes the blocks' form (`riccati_sweep`): a
+Hadamard Lyapunov term for 1 x 1 blocks, the dense one for one block and
+a batched block product for larger blocks.  One (T + 1, n, n) gain
 table is alive per iteration: K midpoints and step maps are formed in
 small blocks, and spent sweeps are released unless the diagnostics need
 them.  The frozen input map L(x) is `model.input_gain`, formed sample by
@@ -169,9 +172,7 @@ def _block_product(blocks: np.ndarray):
     """y -> y @ blockdiag(blocks) for a row y (n,) or rows (k, n), taken as
     (blockdiag(blocks') @ y')', which reads the columns of y' in place.
     Blocks of one state are a diagonal, applied as a column scaling: the
-    same numbers as the batched product of 1 x 1 matrices, in about 12% less
-    time for the Riccati sweep of 5 such blocks over 500 steps (one BLAS
-    thread, 2-vCPU VM)."""
+    same numbers as the batched product of 1 x 1 matrices."""
     q, b, _ = blocks.shape
     if q == 1:
         dense = blocks[0]
@@ -215,21 +216,55 @@ def riccati_sweep(
 ) -> GriddedTrajectory:
     """Backward sweep of dK/dt = -K A - A' K + (K W)(K W)' from K(tf) = K_T.
 
-    A is block-diagonal with the given blocks and W W' is the input gram at
-    the stage time.  (K W)(K W)' and K A + (K A)' are symmetric to the last
-    bit, so every RK4 step keeps K exactly symmetric.
+    A is block-diagonal with the given (q, b, b) blocks and W W' is the input
+    gram at the stage time.  The right-hand side takes the blocks' form:
+
+    - one dense block (q = 1): (K W)(K W)' - (K A + (K A)'), numpy's product
+      of K W with its own transpose being symmetric to the last bit;
+    - 1 x 1 blocks (b = 1), a diagonal a: K A + A' K = K * S with
+      S_ij = a_i + a_j, so (K W)(K W)' - K * S, both terms symmetric to the
+      last bit as K and S are;
+    - q > 1 blocks of b > 1: H + H' with H = (K W / 2)(K W)' - A' K, a GEMM
+      of two buffers (faster than the symmetric product and its triangle
+      copy on large ensembles) and one batched product of the blocks with
+      K's row blocks; X + X' is symmetric whatever the GEMM's rounding.
+
+    So every RK4 step keeps K exactly symmetric.  A K_T that is not finite
+    or not symmetric raises ValueError.
     """
     K_T = np.asarray(K_T, dtype=float)
+    if not np.isfinite(K_T).all():
+        raise ValueError("terminal Riccati matrix must be finite")
     if np.max(np.abs(K_T - K_T.T)) > 1e-10 * max(1.0, np.max(np.abs(K_T))):
         raise ValueError("terminal Riccati matrix must be symmetric")
-    times_A = _block_product(A_blocks)
+    q, b, _ = A_blocks.shape
 
-    def rhs(K, W):
-        KW = np.dot(K, W)
-        out = np.dot(KW, KW.T)
-        KA = times_A(K.T)  # K A, as K is exactly symmetric; K' is the layout read fastest
-        out -= KA + KA.T
-        return out
+    if q == 1:
+        dense = A_blocks[0]
+
+        def rhs(K, W):
+            KW = np.dot(K, W)
+            out = np.dot(KW, KW.T)
+            KA = np.dot(K.T, dense)  # K A, as K is exactly symmetric; K' is the layout read fastest
+            out -= KA + KA.T
+            return out
+    elif b == 1:
+        diag = A_blocks[:, 0, 0]
+        S = diag[:, np.newaxis] + diag
+
+        def rhs(K, W):
+            KW = np.dot(K, W)
+            out = np.dot(KW, KW.T)
+            out -= K * S
+            return out
+    else:
+        blocks_t = np.ascontiguousarray(A_blocks.swapaxes(1, 2))
+
+        def rhs(K, W):
+            KW = np.dot(K, W)
+            H = np.dot(0.5 * KW, KW.T)
+            H -= np.matmul(blocks_t, K.reshape(q, b, -1)).reshape(K.shape)
+            return H + H.T
 
     return rk4_sweep(rhs, 0.5 * (K_T + K_T.T), grid, (W_nodes,), (W_mids,), backward=True,
                      error=_riccati_escape)

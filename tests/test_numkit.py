@@ -294,3 +294,11 @@ def test_transition_inversion_failure_detected():
     g = TimeGrid(0.0, 1.0, 200)
     with pytest.raises(TransitionInversionError, match="node 200"):
         transition_norms(np.tile(np.diag([40.0, -40.0]), (201, 1, 1)), g, [0, 200])
+
+
+def test_transition_inversion_failure_names_the_first_failing_index():
+    # nodes past t = 0.37 exceed the condition limit; the error names the
+    # first of them in the order the indices are given
+    g = TimeGrid(0.0, 1.0, 200)
+    with pytest.raises(TransitionInversionError, match="node 200"):
+        transition_norms(np.tile(np.diag([40.0, -40.0]), (201, 1, 1)), g, [0, 200, 150])

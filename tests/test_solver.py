@@ -130,6 +130,61 @@ def test_riccati_symmetry_maintained():
     assert asym < 1e-8
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4), b=st.integers(1, 3),
+       m=st.integers(1, 3))
+def test_riccati_sweep_matches_a_dense_sweep_on_every_block_form(seed, q, b, m):
+    # q = 1 (one dense block), b = 1 (a diagonal) and q > 1 blocks of b > 1
+    # each have their own right-hand side; every form must agree with the
+    # dense one over A = blockdiag(blocks) and keep K symmetric to the last bit
+    from scipy.linalg import block_diag
+
+    rng = np.random.default_rng(seed)
+    n = q * b
+    grid = TimeGrid(0.0, 1.0, 40)
+    blocks = rng.normal(size=(q, b, b))
+    Wn = 0.5 * rng.normal(size=(grid.steps + 1, n, m))
+    Wm = np.concatenate((Wn[:-1], Wn[1:]), axis=2) * np.sqrt(0.5)
+    M = rng.normal(size=(n, n))
+    K_T = M @ M.T + np.eye(n)
+    A = block_diag(*blocks)
+
+    def dense(K, W):
+        KW = K @ W
+        return -K @ A - A.T @ K + KW @ KW.T
+
+    K = riccati_sweep(blocks, Wn, Wm, K_T, grid).values
+    ref = rk4_sweep(dense, K_T, grid, (Wn,), (Wm,), backward=True).values
+    assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(K, K.swapaxes(1, 2))
+
+
+def test_riccati_escape_node_on_every_block_form():
+    # A = 2e4 I at 100 steps: the backward flow overflows at node 66 whether
+    # the drift comes as a diagonal (2, 1), one dense block (1, 2) or blocks
+    # of three states (6, 3)
+    from bilqr.solver import RiccatiEscapeError
+
+    grid = TimeGrid(0.0, 1.0, 100)
+    for q, b in [(2, 1), (1, 2), (6, 3)]:
+        n = q * b
+        fields = const_fields(2e4 * np.eye(n), np.zeros((n, 1)), grid, q=q)
+        with pytest.raises(RiccatiEscapeError) as exc:
+            riccati_sweep(*fields, np.eye(n), grid)
+        assert (exc.value.node_index, exc.value.t) == (66, pytest.approx(0.66))
+
+
+def test_riccati_rejects_a_non_finite_terminal_matrix():
+    # a NaN compares False, so the symmetry check alone would let it through
+    # and the sweep would report an escape at tf
+    grid = TimeGrid(0.0, 1.0, 10)
+    for bad in (np.nan, np.inf):
+        K_T = np.eye(2)
+        K_T[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            riccati_sweep(*const_fields(np.zeros((2, 2)), np.ones((2, 1)), grid, q=2), K_T, grid)
+
+
 def test_affine_sweep_zero_sources():
     grid = TimeGrid(0.0, 1.0, 100)
     Ktraj = GriddedTrajectory(grid, np.tile(np.eye(2), (101, 1, 1)))
