@@ -13,7 +13,11 @@ two-point boundary-value equations.
 The coupling strengths, the frozen input map (`model.input_gain`) and the
 residuals' dynamics (`model.bilinear_field`) read the problem's per-sample
 blocks (`BilinearProblem.blocks`); only the sweep bounds' closed loop
-A - W W' K is dense.
+A - W W' K is dense.  The contraction reports are formed a block of
+iterate pairs at a time (`contraction_reports`): one freeze, one stacked
+closed loop and one `numkit.transition_norms` call with a system per pair,
+and stacked reductions.  `contraction_report` and `bound_coefficients` are
+the block of one; a pair's report does not depend on its block.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import numpy as np
 from .model import BilinearProblem, bilinear_field
 from .numkit import (
     TimeGrid,
-    alpha_norm,
+    TransitionInversionError,
+    alpha_weights,
     node_norms,
     spectral_radius,
     transition_norms,
@@ -42,6 +47,7 @@ __all__ = [
     "contraction_matrix",
     "criterion_check",
     "contraction_report",
+    "contraction_reports",
     "hjb_residual",
     "necessary_condition_residual",
 ]
@@ -112,6 +118,52 @@ def _sub_indices(steps: int, subsample: int) -> np.ndarray:
     return idx
 
 
+def _tables(states, name: str, idx=slice(None)) -> np.ndarray:
+    """The states' `name` tables at the nodes idx, stacked (states, nodes, ...);
+    one state's is a view of its table."""
+    tables = [getattr(state, name).values[idx] for state in states]
+    return tables[0][np.newaxis] if len(tables) == 1 else np.stack(tables)
+
+
+def _block_bounds(prob: BilinearProblem, prevs, curs, grid: TimeGrid, subsample: int):
+    """`bound_coefficients` of the pairs (prevs[i], curs[i]) as a (pairs, 9)
+    array, with the gain tables of curs stacked (pairs, steps + 1, n, n)."""
+    W, _ = freeze_iteration_fields(prob, _tables(prevs, "x"))
+    O_nodes = np.matmul(W, W.swapaxes(-1, -2))
+    K_tables = _tables(curs, "K")
+    closed_loop = prob.A - np.matmul(O_nodes, K_tables)
+    idx = _sub_indices(grid.steps, subsample)
+    try:  # ||Phi(t_a, t_b)||, one system per pair
+        phi = transition_norms(-closed_loop.swapaxes(-1, -2).swapaxes(0, 1), grid, idx)
+    except TransitionInversionError as exc:
+        exc.args = (f"iteration {curs[exc.system].k}: {exc.args[0]}",)
+        raise
+
+    def norms(states, name):  # node norms at the subsampled nodes, per pair
+        return node_norms(_tables(states, name, idx), 2)
+
+    s_prev, s_cur, x_prev = norms(prevs, "s"), norms(curs, "s"), norms(prevs, "x")
+    K_prev, K_cur = norms(prevs, "K"), node_norms(K_tables[:, idx], 2)
+    O_norm = node_norms(O_nodes[:, idx], 2)
+    g_norm = vec_norm(prob.g)
+
+    # Backward bounds propagate data at sigma >= t down to t via Phi(t, sigma);
+    # forward bounds propagate data at sigma <= t up to t, whose factor equals
+    # Phi(sigma, t) of the adjoint system.  Both read phi[a, b] with a <= b,
+    # the decaying direction of a stabilizing closed loop; the integration
+    # variable indexes the column for backward bounds and the row for forward.
+    S = len(idx)
+    pairs = np.triu(np.ones((S, S), dtype=bool))
+    sq = phi * phi
+    backward = np.stack([s_prev, K_cur * s_prev, O_norm * s_prev + g_norm, K_prev + K_cur,
+                         K_prev * K_cur], axis=1)[:, :, np.newaxis, :]
+    forward = np.stack([x_prev, O_norm * x_prev, K_cur * x_prev + s_cur, O_norm * x_prev],
+                       axis=1)[:, :, :, np.newaxis]
+    prods = np.concatenate((np.stack([phi, phi, phi, sq, sq], axis=1) * backward,
+                            phi[:, np.newaxis] * forward), axis=1)
+    return np.max(np.where(pairs, prods, -np.inf), axis=(2, 3)), K_tables
+
+
 def bound_coefficients(
     prob: BilinearProblem,
     prev: IterationState,
@@ -126,49 +178,9 @@ def bound_coefficients(
     coefficients; each entry of the norm table maps data at the integration
     variable to the evaluation time, so backward bounds read pairs with
     sigma >= t and forward bounds pairs with sigma <= t.  Node pairs are
-    subsampled to bound the quadratic pair cost.
+    subsampled to bound the quadratic pair cost; the block of one pair.
     """
-    W, _ = freeze_iteration_fields(prob, prev.x.values)
-    O_nodes = np.matmul(W, np.transpose(W, (0, 2, 1)))
-    closed_loop = prob.A - np.matmul(O_nodes, cur.K.values)
-    idx = _sub_indices(grid.steps, subsample)
-    phi = transition_norms(-np.transpose(closed_loop, (0, 2, 1)), grid, idx)  # ||Phi(t_a, t_b)||
-
-    s_prev = node_norms(prev.s.values)[idx]
-    s_cur = node_norms(cur.s.values)[idx]
-    x_prev = node_norms(prev.x.values)[idx]
-    K_prev = node_norms(prev.K.values)[idx]
-    K_cur = node_norms(cur.K.values)[idx]
-    O_norm = node_norms(O_nodes)[idx]
-    g_norm = vec_norm(prob.g)
-
-    S = len(idx)
-    # Backward bounds propagate data at sigma >= t down to t via Phi(t, sigma);
-    # forward bounds propagate data at sigma <= t up to t, whose factor equals
-    # Phi(sigma, t) of the adjoint system.  Both read phi[a, b] with a <= b,
-    # the decaying direction of a stabilizing closed loop; the integration
-    # variable indexes the column for backward bounds and the row for forward.
-    pairs = np.triu(np.ones((S, S), dtype=bool))
-
-    def sup_backward(sigma_values, squared=False):
-        factor = phi * phi if squared else phi
-        prod = factor * sigma_values[np.newaxis, :]
-        return float(np.max(np.where(pairs, prod, -np.inf)))
-
-    def sup_forward(sigma_values):
-        prod = phi * sigma_values[:, np.newaxis]
-        return float(np.max(np.where(pairs, prod, -np.inf)))
-
-    b1 = sup_backward(s_prev)
-    b2 = sup_backward(K_cur * s_prev)
-    b3 = sup_backward(O_norm * s_prev + g_norm)
-    b4 = sup_backward(K_prev + K_cur, squared=True)
-    b5 = sup_backward(K_prev * K_cur, squared=True)
-    b6 = sup_forward(x_prev)
-    b7 = sup_forward(O_norm * x_prev)
-    b8 = sup_forward(K_cur * x_prev + s_cur)
-    b9 = sup_forward(O_norm * x_prev)
-    return np.array([b1, b2, b3, b4, b5, b6, b7, b8, b9])
+    return _block_bounds(prob, [prev], [cur], grid, subsample)[0][0]
 
 
 def contraction_matrix(
@@ -184,9 +196,10 @@ def contraction_matrix(
     """Assemble the 3x3 bound matrix with proportionality constant tf.
 
     The scalar arguments are the sup-norms of the current state, previous
-    state, current gain, and current affine term.
+    state, current gain, and current affine term.  Stacks broadcast: bounds
+    (..., 9) and norms (...) give matrices (..., 3, 3).
     """
-    b1, b2, b3, b4, b5, b6, b7, b8, b9 = bounds
+    b1, b2, b3, b4, b5, b6, b7, b8, b9 = np.moveaxis(np.asarray(bounds), -1, 0)
     s1 = delta + x_prev * zeta
     col1_core = s1 * K_cur + zeta * (K_cur * x_cur + s_cur)
     gx = zeta * (x_cur + x_prev)
@@ -196,21 +209,63 @@ def contraction_matrix(
     f_s = b1 + b3 * b4
     g_s = b2 + b3 * b5
 
-    M = np.array(
-        [
-            [f_x * col1_core + gx * g_x, f_x * s1 * x_prev, f_x * s1],
-            [b4 * col1_core + b5 * gx, b4 * s1 * x_prev, b4 * s1],
-            [f_s * col1_core + gx * g_s, f_s * s1 * x_prev, f_s * s1],
-        ]
-    )
+    M = np.stack([np.stack(row, axis=-1) for row in (
+        [f_x * col1_core + gx * g_x, f_x * s1 * x_prev, f_x * s1],
+        [b4 * col1_core + b5 * gx, b4 * s1 * x_prev, b4 * s1],
+        [f_s * col1_core + gx * g_s, f_s * s1 * x_prev, f_s * s1],
+    )], axis=-2)
     return tf * M
 
 
-def criterion_check(M: np.ndarray) -> tuple[float, bool, float]:
-    """First-column sum test: (|m11|+|m21|+|m31|, sum < 1, spectral radius)."""
+def criterion_check(M: np.ndarray) -> tuple:
+    """First-column sum test: (|m11|+|m21|+|m31|, sum < 1, spectral radius),
+    arrays over the leading axes of a stack of matrices (..., 3, 3)."""
     M = np.asarray(M, dtype=float)
-    criterion_sum = float(np.sum(np.abs(M[:, 0])))
+    criterion_sum = np.sum(np.abs(M[..., :, 0]), axis=-1)
     return criterion_sum, criterion_sum < 1.0, spectral_radius(M)
+
+
+def contraction_reports(
+    prob: BilinearProblem,
+    pairs,
+    grid: TimeGrid,
+    alpha: float = 0.0,
+    subsample: int = 10,
+    strengths: tuple[float, float] | None = None,
+) -> list[ContractionReport]:
+    """Full contraction diagnostics of a block of (previous, current)
+    iterate pairs, formed at once.  `strengths` may carry precomputed
+    coupling_strengths (they depend only on the problem).  When either
+    iterate of a pair lacks gain/affine sweeps (Riccati escape in its frozen
+    subproblem) the bound machinery is undefined; the pair's report then
+    carries an infinite criterion sum, since contraction is certainly not
+    certified there.  A transition inversion failure names the iteration of
+    the first failing pair.
+    """
+    delta, zeta = strengths if strengths is not None else coupling_strengths(prob)
+    live = [(prev, cur) for prev, cur in pairs if prev.K is not None and cur.K is not None]
+    rows = iter(())
+    if live:
+        prevs, curs = zip(*live)
+        bounds, K_tables = _block_bounds(prob, prevs, curs, grid, subsample)
+        forward, backward = (alpha_weights(grid, alpha, d) for d in ("forward", "backward"))
+
+        def sup(tables, weights):
+            return np.max(node_norms(tables, 2) * weights, axis=1)
+
+        M = contraction_matrix(
+            bounds, delta, zeta, x_cur=sup(_tables(curs, "x"), forward),
+            x_prev=sup(_tables(prevs, "x"), forward), K_cur=sup(K_tables, backward),
+            s_cur=sup(_tables(curs, "s"), backward), tf=grid.tf - grid.t0)
+        rows = zip(bounds, M, *criterion_check(M))
+    reports = []
+    for prev, cur in pairs:
+        b, m, crit, ok, rho = (next(rows) if prev.K is not None and cur.K is not None else
+                               (np.full(9, np.nan), np.full((3, 3), np.nan), np.inf, False, np.inf))
+        reports.append(ContractionReport(iteration=cur.k, bounds=b, delta=delta, zeta=zeta, M=m,
+                                         criterion_sum=float(crit), rho=float(rho),
+                                         satisfied=bool(ok)))
+    return reports
 
 
 def contraction_report(
@@ -223,49 +278,9 @@ def contraction_report(
     subsample: int = 10,
     strengths: tuple[float, float] | None = None,
 ) -> ContractionReport:
-    """Full contraction diagnostics for one consecutive iterate pair.
-
-    `strengths` may carry precomputed coupling_strengths (they depend only
-    on the problem).  When either iterate lacks gain/affine sweeps (Riccati
-    escape in its frozen subproblem) the bound machinery is undefined; the
-    report then carries an infinite criterion sum, since contraction is
-    certainly not certified there.  `factors` is unread (the problem's
-    blocks give L(x)); it stays so that positional callers keep working.
-    """
-    delta, zeta = strengths if strengths is not None else coupling_strengths(prob)
-    if cur.K is None or prev.K is None:
-        return ContractionReport(
-            iteration=cur.k,
-            bounds=np.full(9, np.nan),
-            delta=delta,
-            zeta=zeta,
-            M=np.full((3, 3), np.nan),
-            criterion_sum=float("inf"),
-            rho=float("inf"),
-            satisfied=False,
-        )
-    bounds = bound_coefficients(prob, prev, cur, grid, subsample=subsample)
-    M = contraction_matrix(
-        bounds,
-        delta,
-        zeta,
-        x_cur=alpha_norm(cur.x, alpha, "forward"),
-        x_prev=alpha_norm(prev.x, alpha, "forward"),
-        K_cur=alpha_norm(cur.K, alpha, "backward"),
-        s_cur=alpha_norm(cur.s, alpha, "backward"),
-        tf=grid.tf - grid.t0,
-    )
-    criterion_sum, satisfied, rho = criterion_check(M)
-    return ContractionReport(
-        iteration=cur.k,
-        bounds=bounds,
-        delta=delta,
-        zeta=zeta,
-        M=M,
-        criterion_sum=criterion_sum,
-        rho=rho,
-        satisfied=satisfied,
-    )
+    """`contraction_reports` of the block of one pair.  `factors` is unread
+    (the problem's blocks give L(x)); it stays for positional callers."""
+    return contraction_reports(prob, [(prev, cur)], grid, alpha, subsample, strengths)[0]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,11 @@ class BlowupError(RuntimeError):
 
 
 class TransitionInversionError(RuntimeError):
-    """Transition inversion failure: a transition matrix is numerically singular."""
+    """A transition matrix is numerically singular, in the stack's system `system`."""
+
+    def __init__(self, message: str, system: int = 0):
+        super().__init__(message)
+        self.system = system
 
 
 @dataclass(frozen=True)
@@ -330,32 +334,35 @@ def mat_norm(D: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(D), axis=0)))
 
 
-def node_norms(values: np.ndarray) -> np.ndarray:
-    """Node-wise l1 (vector) or max-column-sum (matrix) norms of a table."""
-    if values.ndim <= 1:
-        return np.abs(values)
-    if values.ndim == 2:
-        return np.sum(np.abs(values), axis=1)
-    return np.max(np.sum(np.abs(values), axis=1), axis=1)
+def node_norms(values: np.ndarray, lead: int = 1) -> np.ndarray:
+    """Node-wise l1 (vector) or max-column-sum (matrix) norms of a table,
+    whose first `lead` axes index the nodes (and a stack of tables)."""
+    norms = np.abs(values)
+    if values.ndim > lead:
+        norms = np.sum(norms, axis=lead)
+    if values.ndim > lead + 1:
+        norms = np.max(norms, axis=lead)
+    return norms
+
+
+def alpha_weights(grid: TimeGrid, alpha: float, direction: str) -> np.ndarray:
+    """Node weights exp(-alpha (t - t0)) ("forward") or exp(-alpha (tf - t))
+    ("backward") of the weighted sup-norm."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    if direction == "forward":
+        return np.exp(-alpha * (grid.nodes - grid.t0))
+    if direction == "backward":
+        return np.exp(-alpha * (grid.tf - grid.nodes))
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def alpha_norm(traj: GriddedTrajectory, alpha: float, direction: str) -> float:
-    """Weighted sup-norm over grid nodes.
-
-    `direction` is "forward" for weight exp(-alpha (t - t0)) or "backward"
-    for weight exp(-alpha (tf - t)).  At alpha = 0 this is the plain sup of
-    the node-wise l1 (vector) or max-column-sum (matrix) norm.
+    """Weighted sup-norm over grid nodes, with the `alpha_weights` of the
+    direction.  At alpha = 0 this is the plain sup of the node-wise l1
+    (vector) or max-column-sum (matrix) norm.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    g = traj.grid
-    if direction == "forward":
-        weights = np.exp(-alpha * (g.nodes - g.t0))
-    elif direction == "backward":
-        weights = np.exp(-alpha * (g.tf - g.nodes))
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return float(np.max(node_norms(traj.values) * weights))
+    return float(np.max(node_norms(traj.values) * alpha_weights(traj.grid, alpha, direction)))
 
 
 _COND_LIMIT = 1e13
@@ -365,31 +372,39 @@ def transition_norms(A_nodes: np.ndarray, grid: TimeGrid, indices) -> np.ndarray
     """Table of mat_norm(Phi(t_a, t_b)) over the given node indices.
 
     Phi solves dPhi/dt = A(t) Phi, with A given at the grid nodes,
-    (steps + 1, n, n), and blended linearly between them.  Phi(., t0) is
-    integrated once with RK4 and Phi(t_a, t_b) = Phi(t_a, t0) Phi(t_b, t0)^-1;
-    only the indexed nodes are inverted, and the products are formed one
-    row of the table at a time.  A numerically singular Phi(t_b, t0) raises
-    TransitionInversionError naming the node.
+    (steps + 1, n, n), and blended linearly between them.  Axes between the
+    first and the last two hold independent systems, as in `linear_sweep`:
+    A_nodes (steps + 1, q, n, n) gives a (q, S, S) table, one per system.
+    Phi(., t0) is integrated once with RK4 and
+    Phi(t_a, t_b) = Phi(t_a, t0) Phi(t_b, t0)^-1; only the indexed nodes are
+    inverted, and the products are formed one row of the tables at a time.
+    A numerically singular Phi(t_b, t0) raises TransitionInversionError
+    naming the node: of the first failing system (its flat index is the
+    error's `system`), the first failing index in the order given.
     """
+    systems, n = A_nodes.shape[1:-2], A_nodes.shape[-1]
     # Phi' steps as a stack of rows: (Phi')' = Phi' A'
-    base = linear_sweep(lambda Y, A: Y @ A.swapaxes(-1, -2), np.eye(A_nodes.shape[1]), grid,
-                        (A_nodes,), (None,)).values.swapaxes(1, 2)
+    base = linear_sweep(lambda Y, A: Y @ A.swapaxes(-1, -2),
+                        np.broadcast_to(np.eye(n), systems + (n, n)), grid,
+                        (A_nodes,), (None,)).values.swapaxes(-1, -2)
     indices = np.asarray(indices, dtype=int)
-    singular = indices[np.linalg.cond(base[indices]) > _COND_LIMIT]
-    if singular.size:
-        j = singular[0]
+    S = len(indices)
+    singular = np.moveaxis(np.linalg.cond(base[indices]) > _COND_LIMIT, 0, -1).reshape(-1, S)
+    if singular.any():
+        system, col = divmod(int(np.flatnonzero(singular)[0]), S)
+        j = indices[col]
         raise TransitionInversionError(
-            f"transition inversion failure at node {j} (t={grid.nodes[j]:.6g})")
+            f"transition inversion failure at node {j} (t={grid.nodes[j]:.6g})", system)
     inv = np.linalg.inv(base[indices])
-    table = np.empty((len(indices), len(indices)))
+    table = np.empty(systems + (S, S))
     for row, a in enumerate(indices):
-        table[row] = node_norms(base[a] @ inv)
+        table[..., row, :] = np.moveaxis(node_norms(base[a] @ inv, 1 + len(systems)), 0, -1)
     return table
 
 
-def spectral_radius(M: np.ndarray) -> float:
-    """Largest eigenvalue magnitude."""
+def spectral_radius(M: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue magnitude, per matrix of a stack (..., n, n)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("spectral_radius expects a square matrix")
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError("spectral_radius expects square matrices")
+    return np.max(np.abs(np.linalg.eigvals(M)), axis=-1)

@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BilinearProblem, bilinear_field, input_gain
-from .numkit import (BlowupError, GriddedTrajectory, TimeGrid, linear_sweep, midpoints,
-                     rk4_sweep)
+from .numkit import (_MID_BLOCK_BYTES, BlowupError, GriddedTrajectory, TimeGrid, linear_sweep,
+                     midpoints, rk4_sweep)
 
 __all__ = [
     "IterationState",
@@ -189,10 +189,11 @@ def freeze_iteration_fields(prob: BilinearProblem, X: np.ndarray) -> tuple[np.nd
 
     Returns W = L C (R^-1 = C C') at the nodes, (T + 1, n, m), and
     [W_i, W_i+1] / sqrt(2) at the interval midpoints, (T, n, 2 m), whose
-    gram is the average of the two node grams.
+    gram is the average of the two node grams; a stack of tables X
+    (..., T + 1, n) gives stacks of both.
     """
     W = input_gain(prob, X) @ np.linalg.cholesky(prob.Rinv)
-    return W, np.concatenate((W[:-1], W[1:]), axis=2) * np.sqrt(0.5)
+    return W, np.concatenate((W[..., :-1, :, :], W[..., 1:, :, :]), axis=-1) * np.sqrt(0.5)
 
 
 def _riccati_escape(node: int, t: float) -> Exception:
@@ -460,9 +461,14 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
 
     With relaxation < 1 the trajectory fed to the freeze is a running blend
     of past iterates (the fixed points are unchanged), and the contraction
-    diagnostics pair each iterate with that blend.  Non-convergence is
-    a result (converged=False), not an error; sweep blow-ups raise with the
-    iteration index attached.
+    diagnostics pair each iterate with that blend.  The pairs are queued and
+    their reports formed a block at a time by
+    `diagnostics.contraction_reports`: numkit._MID_BLOCK_BYTES of pairs at
+    six gain tables a pair, at least one, and the rest after the loop.
+    Non-convergence is a result (converged=False), not an error; sweep
+    blow-ups and transition inversion failures raise with the iteration index
+    attached, and the queued reports are formed before a sweep error is
+    re-raised, so an earlier iteration's failure is raised first.
     """
     opts = opts or SolveOptions()
     grid = TimeGrid(0.0, prob.tf, opts.steps)
@@ -470,7 +476,7 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
     state = _initial_state(prob, grid, probe=opts.init_control)
     frozen_x = state.x.values
     history = [(0, state.diff_x, state.cost)]
-    reports = []
+    reports, queue = [], []
     converged = False
     iterations = 0
     theta = opts.relaxation
@@ -479,27 +485,32 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
         from . import diagnostics as _diag
 
         strengths = _diag.coupling_strengths(prob)
+        # a block's reports form about six arrays of a gain table's size per pair
+        block = max(1, _MID_BLOCK_BYTES // (6 * state.K.values.nbytes))
+
+    def report_queued():
+        if queue:
+            reports.extend(_diag.contraction_reports(prob, queue, grid, opts.alpha,
+                                                     opts.diag_subsample, strengths))
+            queue.clear()
 
     for k in range(1, opts.max_iters + 1):
         if not opts.record_diagnostics:
-            # only contraction_report reads spent sweeps; `state` holds the
-            # last reference, so the gain table is freed before the next one
+            # only the contraction reports read spent sweeps; `state` holds
+            # the last reference, so the gain table is freed before the next one
             state = dataclasses.replace(state, K=None, s=None)
         feed = state if theta == 1.0 else dataclasses.replace(
             state, x=GriddedTrajectory(grid, frozen_x))
         try:
             state = iterate_once(prob, None, feed, grid)
         except (RiccatiEscapeError, BoundarySolveError, BlowupError) as exc:
+            report_queued()  # an earlier iteration's diagnostics error comes first
             exc.args = (f"iteration {k}: {exc.args[0]}",) + exc.args[1:]
             raise
         if opts.record_diagnostics:
-            reports.append(
-                _diag.contraction_report(
-                    prob, None, feed, state, grid,
-                    alpha=opts.alpha, subsample=opts.diag_subsample,
-                    strengths=strengths,
-                )
-            )
+            queue.append((feed, state))
+            if len(queue) == block:
+                report_queued()
         history.append((k, state.diff_x, state.cost))
         frozen_x = state.x.values if theta == 1.0 else (
             (1.0 - theta) * frozen_x + theta * state.x.values)
@@ -507,12 +518,11 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
         if _stop_satisfied(prob, state, opts):
             converged = True
             break
+    report_queued()
 
     diagnostics = None
     if opts.record_diagnostics:
-        from .diagnostics import ConvergenceReport
-
-        diagnostics = ConvergenceReport(rows=tuple(reports))
+        diagnostics = _diag.ConvergenceReport(rows=tuple(reports))
     return SolveResult(
         final=state,
         converged=converged,

@@ -297,6 +297,18 @@ def test_validate_malformed_run_exit_one(tmp_path, capsys, name, text):
     one_error_line(capsys)
 
 
+def test_diagnostics_transition_failure_names_iteration_and_node(tmp_path, capsys):
+    # a stiff two-state drift: the closed-loop transition of the first
+    # iterate pair is numerically singular from node 10 (t = 0.5) on
+    stiff = dict(LINEAR_PROBLEM, A=[[40.0, 0.0], [0.0, -40.0]], B=[[0.0], [0.0]],
+                 g=[0.0, 0.0], x0=[0.0, 0.0], xd=[1.0, 0.0], tf=1.0, R=[[1.0]])
+    prob = write_problem(tmp_path, stiff)
+    assert main(["solve", "--problem", str(prob), "--out", str(tmp_path / "run"),
+                 "--grid", "20", "--diagnostics"]) == 1
+    assert one_error_line(capsys) == (
+        "error: iteration 1: transition inversion failure at node 10 (t=0.5)")
+
+
 def test_solver_errors_exit_one_without_traceback(tmp_path, capsys, monkeypatch):
     import numpy as np
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,15 @@ from bilqr.diagnostics import (
     bound_coefficients,
     contraction_matrix,
     contraction_report,
+    contraction_reports,
     coupling_strengths,
     criterion_check,
     hjb_residual,
     necessary_condition_residual,
 )
 from bilqr.model import BilinearProblem, bilinear_factors
-from bilqr.numkit import TimeGrid
-from bilqr.solver import SolveOptions, iterate_once, solve
+from bilqr.numkit import BlowupError, GriddedTrajectory, TimeGrid, TransitionInversionError
+from bilqr.solver import SolveOptions, _initial_state, iterate_once, solve
 
 
 def scalar_iaf(weight=0.05):
@@ -198,6 +201,107 @@ def test_criterion_sum_bounds_spectral_radius(iaf_run):
         assert rep.rho <= rep.criterion_sum + 1e-12
 
 
+def random_problem(rng, q, b, m):
+    """q samples of b states: block-diagonal drift and bilinear maps, a
+    shared dense input map."""
+    from scipy.linalg import block_diag
+
+    n = q * b
+    C = rng.normal(size=(m, m))
+    return BilinearProblem(
+        A=block_diag(*rng.normal(size=(q, b, b))), B=rng.normal(size=(n, m)),
+        Blist=tuple(block_diag(*rng.normal(size=(q, b, b))) for _ in range(m)),
+        g=rng.normal(size=n), x0=rng.normal(size=n), xd=rng.normal(size=n),
+        tf=0.5, R=C @ C.T + m * np.eye(m), q=q,
+    )
+
+
+def stiff_problem():
+    """Two uncontrolled states at rates 40 and -40: every closed-loop
+    transition is numerically singular past t = 0.37."""
+    return BilinearProblem(
+        A=np.diag([40.0, -40.0]), B=np.zeros((2, 1)), Blist=(np.zeros((2, 2)),),
+        g=np.zeros(2), x0=np.zeros(2), xd=[1.0, 0.0], tf=1.0, R=[[1.0]],
+    )
+
+
+def iterate_pairs(prob, steps, theta, count):
+    """The (fed iterate, new iterate) pairs of `count` iterations, fed as
+    `solve` feeds them under relaxation theta."""
+    grid = TimeGrid(0.0, prob.tf, steps)
+    state = _initial_state(prob, grid)
+    frozen = state.x.values
+    pairs = []
+    for _ in range(count):
+        feed = dataclasses.replace(state, x=GriddedTrajectory(grid, frozen))
+        state = iterate_once(prob, None, feed, grid)
+        pairs.append((feed, state))
+        frozen = (1.0 - theta) * frozen + theta * state.x.values
+    return grid, pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3), b=st.integers(1, 3),
+       m=st.integers(1, 2), theta=st.sampled_from([1.0, 0.5]),
+       alpha=st.sampled_from([0.0, 0.5]), data=st.data())
+def test_batched_reports_equal_one_pair_reports(seed, q, b, m, theta, alpha, data):
+    # blocks of any split give each pair its own report to the last bit; a
+    # pair without gain sweeps (the boundary-value route) gets the infinite row
+    prob = random_problem(np.random.default_rng(seed), q, b, m)
+    grid, pairs = iterate_pairs(prob, 30, theta, 4)
+    feed, state = pairs[1]
+    pairs.insert(2, (feed, dataclasses.replace(state, K=None, s=None)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(pairs) - 1))))
+    strengths = coupling_strengths(prob)
+    batched = [report for lo, hi in zip([0] + cuts, cuts + [len(pairs)])
+               for report in contraction_reports(prob, pairs[lo:hi], grid, alpha=alpha,
+                                                 subsample=7, strengths=strengths)]
+    assert len(batched) == len(pairs)
+    for (prev, cur), got in zip(pairs, batched):
+        want = contraction_report(prob, None, prev, cur, grid, alpha=alpha, subsample=7)
+        assert np.array_equal(got.bounds, want.bounds, equal_nan=True)
+        assert np.array_equal(got.M, want.M, equal_nan=True)
+        assert (got.iteration, got.delta, got.zeta, got.criterion_sum, got.rho, got.satisfied) == (
+            want.iteration, want.delta, want.zeta, want.criterion_sum, want.rho, want.satisfied)
+    assert batched[2].criterion_sum == float("inf")
+
+
+def test_transition_failure_names_the_iteration_of_the_failing_pair():
+    # the block's first pair has no gain sweeps and its second is regular;
+    # a gain that makes the third pair's closed loop stiff (rates near 0 and
+    # -83) makes its transitions singular from node 10 (t = 0.5) on
+    prob = linear_problem()
+    grid, pairs = iterate_pairs(prob, 40, 1.0, 3)
+    (feed0, state0), _, (feed2, state2) = pairs
+    stiff_gain = np.zeros((41, 2, 2))
+    stiff_gain[:, 1, 1] = 160.0
+    pairs[0] = (feed0, dataclasses.replace(state0, K=None, s=None))
+    pairs[2] = (feed2, dataclasses.replace(state2, K=GriddedTrajectory(grid, stiff_gain)))
+    with pytest.raises(TransitionInversionError,
+                       match=r"^iteration 3: transition inversion failure at node 10 \(t=0.5\)$"):
+        contraction_reports(prob, pairs, grid)
+    assert np.isfinite(contraction_reports(prob, pairs[:2], grid)[1].criterion_sum)
+
+
+def test_solve_raises_a_queued_transition_failure_before_a_later_sweep_error(monkeypatch):
+    # the reports of iteration 1 are still queued when iteration 2's sweep
+    # fails; they are formed first, so the error names iteration 1
+    import bilqr.solver as solver_module
+
+    calls = iter(range(10))
+    original = solver_module.iterate_once
+
+    def fail_second(*args):
+        if next(calls) == 1:
+            raise BlowupError("numerical blow-up at node 3 (t=0.15)", node_index=3, t=0.15)
+        return original(*args)
+
+    monkeypatch.setattr(solver_module, "iterate_once", fail_second)
+    opts = SolveOptions(steps=20, max_iters=5, stop_rule="target", record_diagnostics=True)
+    with pytest.raises(TransitionInversionError, match="^iteration 1: transition inversion"):
+        solve(stiff_problem(), opts)
+
+
 def test_linear_problem_certificate_fires():
     # no bilinear coupling: the bound matrix vanishes and the certificate holds
     prob = linear_problem()
@@ -250,7 +354,6 @@ def test_necessary_condition_residuals_match_per_node_frozen_coefficients():
     from scipy.linalg import block_diag
 
     from bilqr.model import frozen_drift, frozen_gram
-    from bilqr.numkit import GriddedTrajectory
 
     rng = np.random.default_rng(11)
     q, b, m = 3, 2, 2

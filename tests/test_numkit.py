@@ -302,3 +302,29 @@ def test_transition_inversion_failure_names_the_first_failing_index():
     g = TimeGrid(0.0, 1.0, 200)
     with pytest.raises(TransitionInversionError, match="node 200"):
         transition_norms(np.tile(np.diag([40.0, -40.0]), (201, 1, 1)), g, [0, 200, 150])
+
+
+@pytest.mark.parametrize("n, steps", [(4, 30), (numkit.STEP_MAPS_MAX_N + 1, 12)])
+def test_transition_norms_of_stacked_systems_equal_each_systems_table(n, steps):
+    # an axis of independent systems gives each system's own table to the
+    # last bit, on the step-map path and on the stage path
+    rng = np.random.default_rng(n)
+    g = TimeGrid(0.0, 0.5, steps)
+    A = rng.normal(size=(steps + 1, 2, 3, n, n))
+    idx = [0, steps // 3, steps // 2, steps]
+    tables = transition_norms(A, g, idx)
+    assert tables.shape == (2, 3, 4, 4)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(tables[i, j], transition_norms(A[:, i, j], g, idx))
+
+
+def test_transition_inversion_failure_names_the_first_failing_system():
+    # systems 1 and 2 of three are numerically singular past t = 0.37; the
+    # error names system 1 and its first failing index in the order given
+    g = TimeGrid(0.0, 1.0, 200)
+    A = np.zeros((201, 3, 2, 2))
+    A[:, 1:] = np.diag([40.0, -40.0])
+    with pytest.raises(TransitionInversionError, match="node 200") as exc:
+        transition_norms(A, g, [0, 200, 150, 100])
+    assert exc.value.system == 1

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bilqr.model import BilinearProblem, bilinear_factors, diagonal_blocks
-from bilqr.numkit import STEP_MAPS_MAX_N, GriddedTrajectory, TimeGrid, midpoints, rk4_sweep
+from bilqr.numkit import (STEP_MAPS_MAX_N, BlowupError, GriddedTrajectory, TimeGrid, midpoints,
+                          rk4_sweep)
 from bilqr.solver import (
+    RiccatiEscapeError,
     SolveOptions,
     _initial_state,
     affine_sweep,
@@ -133,10 +135,12 @@ def test_riccati_symmetry_maintained():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4), b=st.integers(1, 3),
        m=st.integers(1, 3))
+@example(seed=1, q=4, b=3, m=3)  # the flow escapes on this grid
 def test_riccati_sweep_matches_a_dense_sweep_on_every_block_form(seed, q, b, m):
     # q = 1 (one dense block), b = 1 (a diagonal) and q > 1 blocks of b > 1
     # each have their own right-hand side; every form must agree with the
-    # dense one over A = blockdiag(blocks) and keep K symmetric to the last bit
+    # dense one over A = blockdiag(blocks) and keep K symmetric to the last
+    # bit, or, where the dense sweep escapes, escape at the same node
     from scipy.linalg import block_diag
 
     rng = np.random.default_rng(seed)
@@ -153,8 +157,14 @@ def test_riccati_sweep_matches_a_dense_sweep_on_every_block_form(seed, q, b, m):
         KW = K @ W
         return -K @ A - A.T @ K + KW @ KW.T
 
+    try:
+        ref = rk4_sweep(dense, K_T, grid, (Wn,), (Wm,), backward=True).values
+    except BlowupError as blowup:
+        with pytest.raises(RiccatiEscapeError) as escape:
+            riccati_sweep(blocks, Wn, Wm, K_T, grid)
+        assert escape.value.node_index == blowup.node_index
+        return
     K = riccati_sweep(blocks, Wn, Wm, K_T, grid).values
-    ref = rk4_sweep(dense, K_T, grid, (Wn,), (Wm,), backward=True).values
     assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(K, K.swapaxes(1, 2))
 
@@ -163,8 +173,6 @@ def test_riccati_escape_node_on_every_block_form():
     # A = 2e4 I at 100 steps: the backward flow overflows at node 66 whether
     # the drift comes as a diagonal (2, 1), one dense block (1, 2) or blocks
     # of three states (6, 3)
-    from bilqr.solver import RiccatiEscapeError
-
     grid = TimeGrid(0.0, 1.0, 100)
     for q, b in [(2, 1), (1, 2), (6, 3)]:
         n = q * b
@@ -470,9 +478,6 @@ def test_sweep_blowup_names_first_nonfinite_node():
     # each error names the first node, in sweep order, that is not finite,
     # although each sweep stops at a later periodic check.  n = 2 takes step
     # maps in the affine and forward sweeps, n = 18 the stage path
-    from bilqr.numkit import BlowupError
-    from bilqr.solver import RiccatiEscapeError
-
     grid = TimeGrid(0.0, 1.0, 100)
     for q, b in [(2, 1), (6, 3)]:
         n = q * b
@@ -633,6 +638,28 @@ def test_relaxed_diagnostics_describe_the_fed_iterate():
     expected = contraction_report(prob, None, feed1, state2, grid, alpha=opts.alpha,
                                   subsample=opts.diag_subsample)
     assert np.array_equal(res.diagnostics.rows[1].bounds, expected.bounds)
+
+
+def test_solve_diagnostics_rows_equal_one_pair_reports():
+    # solve forms the reports a block of pairs at a time; each row equals the
+    # one-pair report of the iterate it was fed and the iterate it made
+    from bilqr.diagnostics import contraction_report
+    from bilqr.scenarios import build
+
+    setup = build("twospin_coherence", {"steps": 20})
+    prob, opts = setup.problem, setup.options
+    assert opts.record_diagnostics and opts.relaxation == 1.0
+    res = solve(prob, opts)
+    grid = TimeGrid(0.0, prob.tf, opts.steps)
+    state = _initial_state(prob, grid, probe=opts.init_control)
+    assert len(res.diagnostics.rows) == res.iterations_used > 100
+    for row in res.diagnostics.rows:
+        feed, state = state, iterate_once(prob, None, state, grid)
+        want = contraction_report(prob, None, feed, state, grid, alpha=opts.alpha,
+                                  subsample=opts.diag_subsample)
+        assert np.array_equal(row.bounds, want.bounds) and np.array_equal(row.M, want.M)
+        assert (row.iteration, row.criterion_sum, row.rho, row.satisfied) == (
+            want.iteration, want.criterion_sum, want.rho, want.satisfied)
 
 
 @settings(max_examples=25, deadline=None)
