@@ -14,10 +14,12 @@ The coupling strengths, the frozen input map (`model.input_gain`) and the
 residuals' dynamics (`model.bilinear_field`) read the problem's per-sample
 blocks (`BilinearProblem.blocks`); only the sweep bounds' closed loop
 A - W W' K is dense.  The contraction reports are formed a block of
-iterate pairs at a time (`contraction_reports`): one freeze, one stacked
-closed loop and one `numkit.transition_norms` call with a system per pair,
-and stacked reductions.  `contraction_report` and `bound_coefficients` are
-the block of one; a pair's report does not depend on its block.
+iterate pairs at a time (`contraction_reports`): one freeze (none for
+`solve`'s pairs, whose iterates carry the W they were formed with), one
+stacked closed loop and one `numkit.transition_norms` call with a system
+per pair, and stacked reductions.  `contraction_report` and
+`bound_coefficients` are the block of one; a pair's report does not
+depend on its block.
 """
 
 from __future__ import annotations
@@ -125,10 +127,14 @@ def _tables(states, name: str, idx=slice(None)) -> np.ndarray:
     return tables[0][np.newaxis] if len(tables) == 1 else np.stack(tables)
 
 
-def _block_bounds(prob: BilinearProblem, prevs, curs, grid: TimeGrid, subsample: int):
+def _block_bounds(prob: BilinearProblem, prevs, curs, grid: TimeGrid, subsample: int,
+                  reuse_fields: bool = False):
     """`bound_coefficients` of the pairs (prevs[i], curs[i]) as a (pairs, 9)
-    array, with the gain tables of curs stacked (pairs, steps + 1, n, n)."""
-    W, _ = freeze_iteration_fields(prob, _tables(prevs, "x"))
+    array, with the gain tables of curs stacked (pairs, steps + 1, n, n).
+    The input factors W come from curs when `reuse_fields` is set, else they
+    are frozen along the states of prevs."""
+    W = (_tables(curs, "W") if reuse_fields else
+         freeze_iteration_fields(prob, _tables(prevs, "x"))[0])
     O_nodes = np.matmul(W, W.swapaxes(-1, -2))
     K_tables = _tables(curs, "K")
     closed_loop = prob.A - np.matmul(O_nodes, K_tables)
@@ -232,10 +238,14 @@ def contraction_reports(
     alpha: float = 0.0,
     subsample: int = 10,
     strengths: tuple[float, float] | None = None,
+    reuse_fields: bool = False,
 ) -> list[ContractionReport]:
     """Full contraction diagnostics of a block of (previous, current)
     iterate pairs, formed at once.  `strengths` may carry precomputed
-    coupling_strengths (they depend only on the problem).  When either
+    coupling_strengths (they depend only on the problem).  With
+    `reuse_fields` each pair's input factor is cur.W, which `iterate_once`
+    froze along prev's state under `prob` (as in `solve`'s pairs), instead
+    of a second freeze of that state.  When either
     iterate of a pair lacks gain/affine sweeps (Riccati escape in its frozen
     subproblem) the bound machinery is undefined; the pair's report then
     carries an infinite criterion sum, since contraction is certainly not
@@ -247,7 +257,7 @@ def contraction_reports(
     rows = iter(())
     if live:
         prevs, curs = zip(*live)
-        bounds, K_tables = _block_bounds(prob, prevs, curs, grid, subsample)
+        bounds, K_tables = _block_bounds(prob, prevs, curs, grid, subsample, reuse_fields)
         forward, backward = (alpha_weights(grid, alpha, d) for d in ("forward", "backward"))
 
         def sup(tables, weights):

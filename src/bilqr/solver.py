@@ -105,9 +105,12 @@ class IterationState:
     semidefinite, so the exact backward Riccati flow does not escape, but its
     RK4 sweep does on a grid too coarse for a stiff drift (and on
     pathological data); then the linear boundary-value route computes the
-    iterate and K, s are None: K None marks that route.  Without recorded
-    diagnostics only `SolveResult.final` carries K, s: `solve` drops them
-    from spent iterates.  x, p, u, cost are always present.
+    iterate and K, s are None: K None marks that route.  W is the input
+    factor (T + 1, n, m) frozen along the fed state to make the iterate
+    (None on iteration 0), which `solve`'s contraction reports read.
+    Without recorded diagnostics only `SolveResult.final` carries K, s, W:
+    `solve` drops them from spent iterates.  x, p, u, cost are always
+    present.
     """
 
     k: int
@@ -118,6 +121,7 @@ class IterationState:
     s: GriddedTrajectory | None
     cost: float
     diff_x: float
+    W: GriddedTrajectory | None = None
 
 
 @dataclass(frozen=True)
@@ -422,7 +426,8 @@ def iterate_once(prob: BilinearProblem, factors, prev: IterationState,
     u = reconstruct_control(prob, x, p)
     cost = evaluate_cost(prob, u, x.values[-1])
     diff = float(np.max(np.sum(np.abs(x.values - prev.x.values), axis=1)))
-    return IterationState(k=prev.k + 1, x=x, p=p, u=u, K=K, s=s, cost=cost, diff_x=diff)
+    return IterationState(k=prev.k + 1, x=x, p=p, u=u, K=K, s=s, cost=cost, diff_x=diff,
+                          W=GriddedTrajectory(grid, Wn))
 
 
 def _initial_state(prob: BilinearProblem, grid: TimeGrid, probe: float = 0.0) -> IterationState:
@@ -464,11 +469,13 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
     diagnostics pair each iterate with that blend.  The pairs are queued and
     their reports formed a block at a time by
     `diagnostics.contraction_reports`: numkit._MID_BLOCK_BYTES of pairs at
-    six gain tables a pair, at least one, and the rest after the loop.
-    Non-convergence is a result (converged=False), not an error; sweep
-    blow-ups and transition inversion failures raise with the iteration index
-    attached, and the queued reports are formed before a sweep error is
-    re-raised, so an earlier iteration's failure is raised first.
+    six gain tables a pair, at least one, and the rest after the loop; they
+    read the W each new iterate was formed with instead of freezing the fed
+    state again.  Non-convergence is a result (converged=False), not an
+    error; sweep blow-ups and transition inversion failures raise with the
+    iteration index attached, and the queued reports are formed before a
+    sweep error is re-raised, so an earlier iteration's failure is raised
+    first.
     """
     opts = opts or SolveOptions()
     grid = TimeGrid(0.0, prob.tf, opts.steps)
@@ -491,14 +498,15 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
     def report_queued():
         if queue:
             reports.extend(_diag.contraction_reports(prob, queue, grid, opts.alpha,
-                                                     opts.diag_subsample, strengths))
+                                                     opts.diag_subsample, strengths,
+                                                     reuse_fields=True))
             queue.clear()
 
     for k in range(1, opts.max_iters + 1):
         if not opts.record_diagnostics:
             # only the contraction reports read spent sweeps; `state` holds
             # the last reference, so the gain table is freed before the next one
-            state = dataclasses.replace(state, K=None, s=None)
+            state = dataclasses.replace(state, K=None, s=None, W=None)
         feed = state if theta == 1.0 else dataclasses.replace(
             state, x=GriddedTrajectory(grid, frozen_x))
         try:

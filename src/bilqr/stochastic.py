@@ -16,10 +16,11 @@ affine in the state, so both simulators step it by RK4 step maps,
 `numkit.step_maps` of `model.bilinear_field` (the resimulation's field):
 one (b + 1) x (b + 1) map per grid step and sample, with the control at
 the nodes and midpoints as in the resimulation, formed a block of steps
-at a time by `numkit.step_map_blocks` and applied to all of the sample's
-paths in one product per step.  The Wiener simulator adds G sqrt(h) xi
-after each step, so the mean of its paths is the RK4 resimulation up to
-round-off.
+at a time by `numkit.step_map_blocks`.  The Wiener simulator adds
+G sqrt(h) xi after each step, so the mean of its paths is the RK4
+resimulation up to round-off; it draws a sample's normals a block of
+steps at a time, which Philox turns into the same numbers as one draw
+per step.
 
 The Poisson simulator splits a path's grid step at its jumps.  It
 tabulates the control once, as its node values and the slope of each
@@ -29,14 +30,24 @@ step), and each group gets one composite map: the sub-step maps from t_i
 to its first jump, between its jumps and from its last jump to t_{i+1},
 interleaved with the jump translations [[1, G_c'], [0, I]].  They are
 formed in step order, a block of groups at a time and within a block one
-jump ordinal at a time.  Each grid step is then the full-step product of
-every path and one gathered product that overwrites the paths that jumped
-with their composite maps.
+jump ordinal at a time.
+
+Both simulators step their paths in one loop (`_step_paths`) over the
+rows [1, y] of every path, (samples, paths, b + 1), and a second buffer
+of that shape: each grid step is one product by the step's full-step
+maps into the other buffer, then the rows that jumped in the step are
+overwritten from their composite maps (Poisson) or every row gains its
+noise (Wiener), and the node is copied into the path table.  Finiteness
+is tested every `numkit._CHECK_EVERY` steps and after the last, as a
+non-finite row stays non-finite; a failed test scans the table for the
+first non-finite node, and the error names it and its first non-finite
+sample and path.
 
 A batch's `states` has shape (paths, nodes, chosen samples * b), the
-stacked layout of the chosen samples.  Memory is that table, a few of its
-rows, the jump lists and their groups, a few words per jump, and a block
-of full-step maps and one of composite maps, each of
+stacked layout of the chosen samples.  Memory is that table, the two
+buffers, the jump lists and their groups, a few words per jump, and a
+block of full-step maps (with the Wiener simulator's normals and
+increments of its steps) and one of composite maps, each of
 `numkit._MID_BLOCK_BYTES`, with their RK4 temporaries.  A caller bounds
 it by choosing fewer samples per call.
 
@@ -53,7 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BilinearProblem, NoiseSpec, bilinear_field, diagonal_blocks
-from .numkit import _MID_BLOCK_BYTES, GriddedTrajectory, midpoints, step_map_blocks, step_maps
+from .numkit import (_CHECK_EVERY, _MID_BLOCK_BYTES, GriddedTrajectory, midpoints,
+                     step_map_blocks, step_maps)
 
 __all__ = [
     "NoiseSpec",
@@ -110,11 +122,14 @@ def _sample_blocks(prob, noise, samples, M):
     return samples, coeffs, x0, Gt, lam
 
 
-def _raise_blowup(Y, samples, q, i, t):
-    """Name the first non-finite (sample, path) row of Y (S, M, b)."""
-    s, p = np.argwhere(~np.all(np.isfinite(Y), axis=2))[0]
+def _raise_blowup(states, samples, q, nodes):
+    """Name the first non-finite (sample, path) row at the first non-finite
+    node of a path table (paths, nodes, S, b)."""
+    bad = ~np.isfinite(states).all(axis=3)
+    i = np.flatnonzero(bad.any(axis=(0, 2)))[0]
+    s, p = np.argwhere(bad[:, i].T)[0]
     path = f"path {p}" if q == 1 else f"sample {samples[s]} path {p}"
-    raise RuntimeError(f"{path} blew up at node {i} (t={t:.6g})")
+    raise RuntimeError(f"{path} blew up at node {i} (t={nodes[i]:.6g})")
 
 
 def _draw_jump_times(rng, lam: np.ndarray, M: int, tf: float):
@@ -153,29 +168,54 @@ def _draw_jump_times(rng, lam: np.ndarray, M: int, tf: float):
     return times, counters, offsets, counts
 
 
-def _grid_maps(rhs, b, S, utraj):
-    """Every grid step's RK4 maps (S, b + 1, b + 1), one per sample, in step
-    order, with the control at the nodes and midpoints as in the
-    resimulation, formed a block of steps at a time."""
+def _grid_maps(rhs, b, utraj, step_bytes):
+    """Blocks (lo, hi, maps (hi - lo, S, b + 1, b + 1)) of every grid step's
+    RK4 maps, one per sample, in step order, with the control at the nodes
+    and midpoints as in the resimulation, of `numkit._MID_BLOCK_BYTES` at
+    step_bytes a step."""
     nodes = utraj.grid.nodes
     # (nodes or steps, 1, 1, m): every path's control at the nodes and midpoints
     U, Um = (utraj.at(t)[:, np.newaxis, np.newaxis] for t in (nodes, midpoints(nodes)))
-    for _, _, maps in step_map_blocks(rhs, b, utraj.grid.h, utraj.grid.steps,
-                                      S * (b + 1) ** 2 * 8, (U,), (Um,)):
-        yield from maps
+    return step_map_blocks(rhs, b, utraj.grid.h, utraj.grid.steps, step_bytes, (U,), (Um,))
 
 
-def _step_paths(Y, steps, samples, q, nodes):
-    """The path table (paths, nodes, S, b) of the states Y (S, paths, b)
-    after each grid step that `steps` yields; the first non-finite row
-    raises, naming its sample, path and node."""
-    states = np.empty((Y.shape[1], len(nodes), *Y.shape[::2]))
-    states[:, 0] = Y.swapaxes(0, 1)
+def _step_paths(x0, M, maps, samples, q, nodes, jumps=None, noise=None):
+    """The path table (M, nodes, S, b) of M paths from each sample's x0
+    (S, b), stepped by the blocks `maps` of full-step maps and either the
+    composite maps `jumps` of `_composite_maps` or the increments
+    `noise(lo, hi)` (S, hi - lo, M, b) of a block's steps; the module
+    docstring describes the loop and its checks."""
+    S, b = x0.shape
+    Z = np.concatenate((np.ones((S, M, 1)), np.repeat(x0[:, np.newaxis], M, axis=1)), axis=-1)
+    states = np.empty((M, len(nodes), S, b))
+    states[:, 0] = x0
+    bufs = [(Y, Y.reshape(S * M, b + 1)) for Y in (Z, np.empty_like(Z))]
+    if jumps is not None:
+        bounds, rows, composites = jumps
+        c_lo, C = 0, np.empty((0, b + 1, b + 1))  # the maps of groups [c_lo, c_lo + len(C))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, Y in enumerate(steps, 1):
-            if not np.all(np.isfinite(Y)):
-                _raise_blowup(Y, samples, q, i, nodes[i])
-            states[:, i] = Y.swapaxes(0, 1)
+        for lo, hi, block in maps:
+            dY = None if noise is None else noise(lo, hi)
+            for i, P in enumerate(block, lo):
+                (Z, flat), (Zn, flat_n) = bufs
+                np.matmul(Z, P, out=Zn)
+                if dY is not None:
+                    Zn[..., 1:] += dY[:, i - lo]
+                else:
+                    g, end = bounds[i], bounds[i + 1]
+                    while g < end:
+                        if g == c_lo + len(C):
+                            c_lo, C = next(composites)
+                        top = min(end, c_lo + len(C))
+                        r = rows[g:top]
+                        flat_n[r] = (flat[r, None] @ C[g - c_lo:top - c_lo])[:, 0]
+                        g = top
+                bufs.reverse()
+                states[:, i + 1] = Zn[..., 1:].swapaxes(0, 1)
+                if (i + 1) % _CHECK_EVERY == 0 and not np.isfinite(Zn).all():
+                    _raise_blowup(states[:, :i + 2], samples, q, nodes)
+    if not np.isfinite(Zn).all():
+        _raise_blowup(states, samples, q, nodes)
     return states
 
 
@@ -192,12 +232,13 @@ def _jump_groups(nodes, jt, offsets):
 
 
 def _composite_maps(coeffs, utraj, D, M, jt, jc, offsets, G_cols):
-    """Per grid step, the pieces (rows, maps) of the rows r = s M + p that
-    jump in it, each row's composite map taking it across the step: its
-    sub-step maps between the jumps, with the control on the line u_i + s
-    d_i at every sub-step's start, midpoint and end, interleaved with the
-    jump translations [[1, G_c'], [0, I]].  The maps are formed in step
-    order, a block of groups at a time."""
+    """The (row, grid step) groups of the rows r = s M + p that jump, and
+    each group's composite map taking its row across the step: its sub-step
+    maps between the jumps, with the control on the line u_i + s d_i at
+    every sub-step's start, midpoint and end, interleaved with the jump
+    translations [[1, G_c'], [0, I]].  Returns the groups' bounds per step
+    (those of step i are [bounds[i], bounds[i + 1])), their rows, and the
+    maps in blocks (first group, maps) in group order, formed on demand."""
     S, _, b = G_cols.shape
     nodes = utraj.grid.nodes
     g_steps, g_rows, first, count = _jump_groups(nodes, jt, offsets)
@@ -225,17 +266,9 @@ def _composite_maps(coeffs, utraj, D, M, jt, jc, offsets, G_cols):
         return C
 
     block = max(1, _MID_BLOCK_BYTES // ((b + 1) ** 2 * 8))
-    bounds = np.searchsorted(g_steps, np.arange(len(nodes)))
-    c_lo, C = 0, np.empty((0, b + 1, b + 1))  # the maps of groups [c_lo, c_lo + len(C))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        pieces = []
-        while lo < hi:
-            if lo == c_lo + len(C):
-                c_lo, C = lo, composite(np.arange(lo, min(lo + block, first.size)))
-            top = min(hi, c_lo + len(C))
-            pieces.append((g_rows[lo:top], C[lo - c_lo:top - c_lo]))
-            lo = top
-        yield pieces
+    blocks = ((lo, composite(np.arange(lo, min(lo + block, first.size))))
+              for lo in range(0, first.size, block))
+    return np.searchsorted(g_steps, np.arange(len(nodes))).tolist(), g_rows, blocks
 
 
 def simulate_poisson_paths(
@@ -274,22 +307,9 @@ def simulate_poisson_paths(
     # Every sub-step of grid step i lies in [t_i, t_{i+1}], where the control
     # is the line through its node values U_i, U_{i+1}, of slope D_i.
     D = np.diff(utraj.values, axis=0) / grid.h
-    composites = _composite_maps(coeffs, utraj, D, M, jt, jc, offsets, G_cols)
-    maps = _grid_maps(bilinear_field(*coeffs), b, S, utraj)
-
-    def steps(Z):
-        # Every row's full-step map, then the composite maps of the rows
-        # that jumped overwrite theirs.
-        for P, pieces in zip(maps, composites):
-            Zn = Z @ P
-            for r, C in pieces:
-                Zn.reshape(S * M, b + 1)[r] = (Z.reshape(S * M, b + 1)[r, None] @ C)[:, 0]
-            Z = Zn
-            yield Z[..., 1:]
-
-    Y = np.repeat(x0[:, np.newaxis], M, axis=1)
-    Z = np.concatenate((np.ones((S, M, 1)), Y), axis=-1)
-    states = _step_paths(Y, steps(Z), samples, prob.q, grid.nodes)
+    jumps = _composite_maps(coeffs, utraj, D, M, jt, jc, offsets, G_cols)
+    maps = _grid_maps(bilinear_field(*coeffs), b, utraj, S * (b + 1) ** 2 * 8)
+    states = _step_paths(x0, M, maps, samples, prob.q, grid.nodes, jumps=jumps)
     return PathBatch(states.reshape(M, grid.steps + 1, S * b), np.hstack(counts))
 
 
@@ -316,17 +336,16 @@ def simulate_wiener_paths(
     rngs = [np.random.Generator(np.random.Philox(seed + j)) for j in samples]
     k = Gt.shape[1]
     sqrt_h = np.sqrt(grid.h)
-    maps = _grid_maps(bilinear_field(*coeffs), b, S, utraj)
+    # a block of steps holds its maps, normals and increments
+    maps = _grid_maps(bilinear_field(*coeffs), b, utraj, S * ((b + 1) ** 2 + M * (k + b)) * 8)
 
-    def steps(Y):
-        for P in maps:
-            xi = np.stack([rng.standard_normal((M, k)) for rng in rngs])
-            Y = Y @ P[..., 1:, 1:] + P[..., :1, 1:]  # [1, y] P without its 1
-            Y = Y + sqrt_h * (xi @ Gt)
-            yield Y
+    def increments(lo, hi):
+        # a sample's normals of a block of steps in one draw, the same
+        # numbers as one (M, k) draw per step
+        xi = np.stack([rng.standard_normal((hi - lo, M, k)) for rng in rngs])
+        return sqrt_h * (xi @ Gt[:, np.newaxis])
 
-    Y = np.repeat(x0[:, np.newaxis], M, axis=1)
-    states = _step_paths(Y, steps(Y), samples, prob.q, grid.nodes)
+    states = _step_paths(x0, M, maps, samples, prob.q, grid.nodes, noise=increments)
     return PathBatch(states.reshape(M, grid.steps + 1, S * b))
 
 

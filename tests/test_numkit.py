@@ -185,6 +185,54 @@ def test_linear_sweep_steps_each_system_alone(seed, q, rows, b, steps, backward)
         assert np.max(np.abs(maps[:, s] - alone)) <= tol
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), steps=st.integers(2, 12),
+       backward=st.booleans(), array_h=st.booleans())
+def test_step_maps_equal_the_rk4_step_from_the_identity(seed, n, steps, backward, array_h):
+    # step_maps takes the first stage I Z as Z itself; the maps must equal
+    # rk4_step(np.matmul, I, ...) of the same generators to the bit.  The
+    # rhs sums its products from the first one, not from +0, so a zero of
+    # either sign reaches the generators; column 1 of their row 0 is always
+    # -0, where I Z holds +0
+    rng = np.random.default_rng(seed)
+
+    def signed(shape):
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.25] = 0.0
+        x[rng.random(shape) < 0.25] = -0.0
+        return x
+
+    L_n, L_m = signed((steps + 1, 1, n, n)), signed((steps, 1, n, n))
+    f_n, f_m = signed((steps + 1, 1, n)), signed((steps, 1, n))
+    for L, f in ((L_n, f_n), (L_m, f_m)):
+        L[..., 0] = -np.abs(L[..., 0])
+        f[..., 0] = -0.0
+    h = rng.uniform(0.01, 0.2, size=(steps, 1, 1)) if array_h else 0.1
+
+    def rhs(v, L, f):
+        out = v[..., :1] * L[..., 0, :]
+        for k in range(1, n):
+            out = out + v[..., k:k + 1] * L[..., k, :]
+        return out + f
+
+    calls = []
+    rk4_step = numkit.rk4_step
+
+    def spy(*args):
+        calls.append(args)
+        return rk4_step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkit, "rk4_step", spy)
+        maps = numkit.step_maps(rhs, n, h, (L_n, f_n), (L_m, f_m), backward)
+    (_, eye, h_used, start, mid, end), = calls
+    assert np.array_equal(eye, np.eye(n + 1))
+    assert np.all(np.signbit(start[0][:, 0, 1])) and np.all(start[0][:, 0, 1] == 0.0)
+    want = rk4_step(np.matmul, eye, h_used, start, mid, end)
+    assert maps.shape == (steps, n + 1, n + 1)
+    assert maps.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, numkit.STEP_MAPS_MAX_N + 1])
 def test_linear_sweep_refuses_a_vector_table_without_its_row_axis(n):
     # a (steps + 1, n) table would broadcast against the stacked probe rows

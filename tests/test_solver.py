@@ -662,6 +662,27 @@ def test_solve_diagnostics_rows_equal_one_pair_reports():
             want.iteration, want.criterion_sum, want.rho, want.satisfied)
 
 
+def test_solve_diagnostics_freeze_each_fed_state_once(monkeypatch):
+    # the reports read the W each iterate was formed with, so a solve with
+    # diagnostics freezes once per iteration, in iterate_once alone
+    import bilqr.diagnostics as diagnostics_module
+    import bilqr.solver as solver_module
+    from bilqr.scenarios import build
+
+    freeze, calls = solver_module.freeze_iteration_fields, []
+
+    def counted(prob, X):
+        calls.append(X.shape)
+        return freeze(prob, X)
+
+    monkeypatch.setattr(solver_module, "freeze_iteration_fields", counted)
+    monkeypatch.setattr(diagnostics_module, "freeze_iteration_fields", counted)
+    setup = build("twospin_coherence", {"steps": 20})
+    res = solve(setup.problem, dataclasses.replace(setup.options, max_iters=12))
+    assert len(res.diagnostics.rows) == res.iterations_used == 12
+    assert calls == [(21, 6)] * 12
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3), b=st.integers(1, 3),
        m=st.integers(1, 2))

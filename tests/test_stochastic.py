@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from bilqr import numkit, stochastic
 from bilqr.ensemble import SampleCoefficients, sample_view, stack_coefficients, stack_noise
-from bilqr.model import BilinearProblem, bilinear_field
+from bilqr.model import BilinearProblem, bilinear_field, diagonal_blocks
 from bilqr.numkit import (STEP_MAPS_MAX_N, GriddedTrajectory, TimeGrid, integrate_forward,
-                          rk4_step)
+                          midpoints, rk4_step)
 from bilqr.scenarios import build
 from bilqr.solver import simulate_bilinear
 from bilqr.stochastic import (
@@ -479,6 +479,88 @@ def test_blowup_names_the_sample_and_path(kind):
     with pytest.raises(RuntimeError, match=r"^path 0 blew up at node \d+ \(t="):
         simulate(sub, sub_noise, u, M=10, seed=3)
     simulate(stack, noise, u, M=10, seed=2, samples=range(1))  # sample 0 alone is finite
+
+
+def wiener_reference(stack, noise, u, M, seed):
+    """Wiener paths of every sample of a stack, (M, nodes, q * b), stepped
+    one grid step at a time with no finiteness checks: [1, y] P_i by each
+    sample's RK4 map, plus sqrt(h) xi G' with one (M, k) draw of normals xi
+    per step and sample."""
+    grid, q = u.grid, stack.q
+    A, B, Bs, g, x0 = stack.blocks
+    b, k = x0.shape[1], noise.k // q
+    U, Um = (u.at(t)[:, np.newaxis, np.newaxis] for t in (grid.nodes, midpoints(grid.nodes)))
+    maps = numkit.step_maps(bilinear_field(A, B, Bs, g), b, grid.h, (U,), (Um,))
+    Gt = diagonal_blocks(noise.G, q).swapaxes(1, 2)
+    rngs = [np.random.Generator(np.random.Philox(seed + j)) for j in range(q)]
+    z = np.concatenate((np.ones((q, M, 1)), np.repeat(x0[:, np.newaxis], M, axis=1)), axis=-1)
+    rows = [z[..., 1:]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for P in maps:
+            xi = np.stack([rng.standard_normal((M, k)) for rng in rngs])
+            z = z @ P
+            z[..., 1:] += np.sqrt(grid.h) * (xi @ Gt)
+            rows.append(z[..., 1:].copy())
+    return np.stack(rows, axis=2).transpose(1, 2, 0, 3).reshape(M, grid.steps + 1, q * b)
+
+
+@pytest.mark.parametrize("b,m,k,q,steps", [(1, 1, 1, 3, 40), (2, 2, 3, 2, 97), (3, 1, 2, 1, 12)])
+def test_wiener_batch_equals_per_step_draws(monkeypatch, b, m, k, q, steps):
+    # the simulator draws a sample's normals a block of steps at a time;
+    # Philox gives the same numbers as one draw per step, so the batch is the
+    # per-step reference to the bit, with blocks of one step and of many
+    stack, noise, _ = sample_stack(b, m, k, "wiener", q=q, seed=b)
+    grid = TimeGrid(0.0, stack.tf, steps)
+    u = GriddedTrajectory(grid, 0.3 * np.sin(np.outer(grid.nodes, np.arange(1, m + 1))))
+    want = wiener_reference(stack, noise, u, M=9, seed=7)
+    assert np.array_equal(simulate_wiener_paths(stack, noise, u, M=9, seed=7).states, want)
+    monkeypatch.setattr(numkit, "_MID_BLOCK_BYTES", 1)
+    assert np.array_equal(simulate_wiener_paths(stack, noise, u, M=9, seed=7).states, want)
+
+
+def first_blowup(states, q, b):
+    """The first non-finite node of a path table (M, nodes, q * b) and its
+    first non-finite (sample, path) row, by a direct scan."""
+    bad = ~np.isfinite(sample_view(states, q)).all(axis=-1)  # (M, nodes, q)
+    node = next(i for i in range(states.shape[1]) if bad[:, i].any())
+    sample, path = next((s, p) for s in range(q) for p in range(len(states)) if bad[p, node, s])
+    return node, sample, path
+
+
+@pytest.mark.parametrize("kind,rate,steps,seed", [("poisson", 1e4, 100, 4),
+                                                   ("wiener", 300.0, 400, 3)])
+def test_blowup_between_checks_names_the_first_non_finite_node(kind, rate, steps, seed):
+    # sample 1 starts at rest, so its paths stay at 0 until noise kicks them
+    # (a jump, or the first normals) and then grow by the rate: a path
+    # overflows at a node that depends on its kicks, after the first
+    # finiteness check and between two of them.  The error names the first
+    # non-finite node and its first non-finite row, as a direct scan of a
+    # reference table finds them
+    stack, noise, singles = sample_stack(1, 1, 1, kind, q=2)
+    A, g, x0 = stack.A.copy(), stack.g.copy(), stack.x0.copy()
+    A[1, 1], g[1], x0[1] = rate, 0.0, 0.0
+    stack = dataclasses.replace(stack, A=A, g=g, x0=x0)
+    grid = TimeGrid(0.0, stack.tf, steps)
+    u = zero_control(grid)
+    M = 10
+    if kind == "wiener":
+        table = wiener_reference(stack, noise, u, M, seed)
+    else:  # sample 0 decays; sample 1's paths by the stage reference
+        sub, (G, lam) = dataclasses.replace(singles[1][0], A=[[rate]], g=[0.0], x0=[0.0]), (
+            singles[1][1].G, singles[1][1].lam)
+        times, counters, offsets, _ = _draw_jump_times(
+            np.random.Generator(np.random.Philox(seed + 1)), lam, M, grid.tf)
+        table = np.zeros((M, steps + 1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in range(M):
+                jumps = zip(times[offsets[p]:offsets[p + 1]], counters[offsets[p]:offsets[p + 1]])
+                table[p, :, 1] = stage_reference(sub, G, u, jumps)[:, 0]
+    node, sample, path = first_blowup(table, 2, 1)
+    assert (sample, path > 0) == (1, True)
+    assert node > numkit._CHECK_EVERY and node % numkit._CHECK_EVERY
+    with pytest.raises(RuntimeError, match=rf"^sample 1 path {path} blew up at node {node} "
+                                           rf"\(t={grid.nodes[node]:.6g}\)$"):
+        SIMULATORS[kind](stack, noise, u, M=M, seed=seed)
 
 
 @pytest.mark.parametrize("kind", ["poisson", "wiener"])
