@@ -46,21 +46,19 @@ SOLVER_ERRORS = (RiccatiEscapeError, BoundarySolveError, BlowupError,
                  TransitionInversionError, np.linalg.LinAlgError)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _json_safe(x):
     if isinstance(x, float) and not np.isfinite(x):
         return None
     return x
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], table: np.ndarray, int_cols: int = 0) -> None:
+    """A table (rows, len(header)) as CSV under its header, one format string
+    per row: the first int_cols columns as integers, the others as %.17g."""
+    fmt = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write("".join(fmt % tuple(row) for row in table.tolist()))
 
 
 def _load_setup(args) -> RunSetup:
@@ -115,17 +113,11 @@ def _write_outputs(out: Path, setup: RunSetup, result, config: dict) -> None:
     m = setup.problem.m
     states = sample_view(final.x.values, setup.q)
 
-    _write_csv(
-        out / "control.csv",
-        ["t"] + [f"u{i + 1}" for i in range(m)],
-        ([float(t)] + [float(v) for v in final.u.values[i]] for i, t in enumerate(nodes)),
-    )
+    _write_csv(out / "control.csv", ["t"] + [f"u{i + 1}" for i in range(m)],
+               np.column_stack((nodes, final.u.values)))
+    header = ["t"] + [f"x{i + 1}" for i in range(states.shape[-1])]
     for j in range(setup.q):
-        _write_csv(
-            out / f"state_{j + 1}.csv",
-            ["t"] + [f"x{i + 1}" for i in range(states.shape[-1])],
-            ([float(t)] + [float(v) for v in states[i, j]] for i, t in enumerate(nodes)),
-        )
+        _write_csv(out / f"state_{j + 1}.csv", header, np.column_stack((nodes, states[:, j])))
 
     diag_rows = {r.iteration: r for r in (result.diagnostics.rows if result.diagnostics else ())}
     conv_rows = []
@@ -133,8 +125,9 @@ def _write_outputs(out: Path, setup: RunSetup, result, config: dict) -> None:
         row = diag_rows.get(k)
         crit = row.criterion_sum if row else float("nan")
         rho = row.rho if row else float("nan")
-        conv_rows.append([int(k), float(diff), float(cost), float(crit), float(rho)])
-    _write_csv(out / "convergence.csv", ["k", "diff_x", "cost", "criterion_sum", "rho"], conv_rows)
+        conv_rows.append([k, diff, cost, crit, rho])
+    _write_csv(out / "convergence.csv", ["k", "diff_x", "cost", "criterion_sum", "rho"],
+               np.array(conv_rows, dtype=float), int_cols=1)
 
     summary = {
         "config": config,

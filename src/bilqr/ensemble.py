@@ -8,8 +8,9 @@ Riemann-sum average of the per-sample errors.
 
 This module owns the stacked layout: sample j owns state rows j b:(j + 1) b
 and noise columns j k:(j + 1) k, with b = n / q and k = (noise channels) / q.
-`stack_coefficients` (whose problem holds q) and `stack_noise` build it,
-placing the per-sample drift, bilinear maps and noise with `_block_diag`;
+`stack_coefficients` (whose problem holds q) and `stack_noise` build it:
+the samples' drifts, bilinear maps and noise matrices are stacked in one
+pass and each placed on the diagonal with one assignment (`_place_blocks`);
 the problem keeps the blocks (`BilinearProblem.blocks`) and `sample_view`
 reads the states back.
 """
@@ -124,26 +125,45 @@ def sample_uniform(spec: EnsembleSpec) -> list:
     return [tuple(float(v) for v in combo) for combo in itertools.product(*axes)]
 
 
-def _block_diag(blocks) -> np.ndarray:
-    """Dense matrix with the blocks on its diagonal in order, zeros elsewhere.
-
-    A 1-D block is one row and a 0-d block is 1 x 1; blocks need not be
-    square.  The dtype is the blocks' result type.
-    """
-    blocks = [np.atleast_2d(blk) for blk in blocks]
-    rows, cols = np.sum([blk.shape for blk in blocks], axis=0)
-    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
-    r = c = 0
-    for blk in blocks:
-        out[r:r + blk.shape[0], c:c + blk.shape[1]] = blk
-        r, c = r + blk.shape[0], c + blk.shape[1]
-    return out
+def _dims(c: SampleCoefficients) -> tuple[int, int]:
+    """A sample's state count b and B column count."""
+    b = np.size(c.x0)
+    return b, np.size(c.B) // max(b, 1)
 
 
-def _inputs(c: SampleCoefficients) -> tuple[int, int]:
-    """A sample's B column count and number of bilinear maps."""
-    B = np.asarray(c.B, dtype=float).reshape(len(np.atleast_1d(c.x0)), -1)
-    return B.shape[1], len(c.Blist)
+def _sample_stacks(coeffs: Sequence[SampleCoefficients]):
+    """The samples' A (q, b, b), B (q, b, m), Bs (q, m, b, b) and g, x0, xd
+    (3, q, b), each stacked in one call.  Every sample needs sample 0's B
+    column count m of B columns and bilinear maps, and b x b matrices A and
+    B_i and vectors of length b, b = sample 0's state count; the first
+    sample that has not is named."""
+    q, (b, m) = len(coeffs), _dims(coeffs[0])
+    for i, c in enumerate(coeffs):
+        inputs = (_dims(c)[1], len(c.Blist))
+        if inputs != (m, m):
+            raise ValueError(f"sample {i}: (B columns, bilinear maps) {inputs} != m = {m}")
+    try:
+        A, Bs, vecs = (np.array(x, dtype=float) for x in (
+            [c.A for c in coeffs], [c.Blist for c in coeffs], [(c.g, c.x0, c.xd) for c in coeffs]))
+    except ValueError:  # shapes that differ between samples
+        A = Bs = vecs = np.empty(0)
+    if A.shape != (q, b, b) or Bs.shape != (q, m, b, b) or vecs.shape != (q, 3, b):
+        i = next(i for i, c in enumerate(coeffs)
+                 if any(np.shape(M) != (b, b) for M in (c.A, *c.Blist))
+                 or any(np.shape(v) != (b,) for v in (c.g, c.x0, c.xd)))
+        raise ValueError(f"sample {i}: coefficient shapes differ from sample 0's (b = {b})")
+    B = np.array([c.B for c in coeffs], dtype=float).reshape(q, b, m)
+    return A, B, Bs, vecs.swapaxes(0, 1)
+
+
+def _place_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Dense matrices (..., q r, q c) with the q blocks (q, ..., r, c) on their
+    diagonals in order, zeros elsewhere; the inverse of
+    `model.diagonal_blocks`."""
+    q, *lead, r, c = blocks.shape
+    out = np.zeros((*lead, q, r, q, c))
+    out[..., np.arange(q), :, np.arange(q), :] = blocks
+    return out.reshape(*lead, q * r, q * c)
 
 
 def stack_coefficients(
@@ -153,38 +173,31 @@ def stack_coefficients(
     terminal_weighting: str = "averaged",
 ) -> BilinearProblem:
     """Stack explicit per-sample coefficient bundles into one problem; every
-    sample needs sample 0's B column count m of B columns and bilinear maps."""
+    sample needs sample 0's state count b and its B column count m of B
+    columns and bilinear maps."""
     q = len(coeffs)
     if q < 1:
         raise ValueError("need at least one sample")
     _check_weighting(terminal_weighting)
-    m = _inputs(coeffs[0])[0]
-    for i, c in enumerate(coeffs):
-        if _inputs(c) != (m, m):
-            raise ValueError(f"sample {i}: (B columns, bilinear maps) {_inputs(c)} != m = {m}")
-    A = _block_diag([c.A for c in coeffs])
-    B = np.vstack([np.asarray(c.B, dtype=float).reshape(-1, m) for c in coeffs])
-    Blist = tuple(_block_diag([c.Blist[i] for c in coeffs]) for i in range(m))
-    g = np.concatenate([np.atleast_1d(c.g) for c in coeffs])
-    x0 = np.concatenate([np.atleast_1d(c.x0) for c in coeffs])
-    xd = np.concatenate([np.atleast_1d(c.xd) for c in coeffs])
+    A, B, Bs, (g, x0, xd) = _sample_stacks(coeffs)
     weight = 1.0 / q if terminal_weighting == "averaged" else 1.0
     return BilinearProblem(
-        A=A, B=B, Blist=Blist, g=g, x0=x0, xd=xd, tf=tf, R=R, terminal_weight=weight, q=q
+        A=_place_blocks(A), B=B.reshape(-1, B.shape[2]), Blist=tuple(_place_blocks(Bs)),
+        g=g.ravel(), x0=x0.ravel(), xd=xd.ravel(), tf=tf, R=R, terminal_weight=weight, q=q
     )
 
 
 def stack_problem(spec: EnsembleSpec, samples: Sequence) -> BilinearProblem:
-    """Evaluate the coefficient map at the samples and stack the results."""
+    """Evaluate the coefficient map at the samples and stack the results;
+    sample 0 must have the spec's base_n states and base_m inputs, the
+    others sample 0's."""
     coeffs = [spec.coefficients(beta) for beta in samples]
-    for i, c in enumerate(coeffs):
-        if len(np.atleast_1d(c.x0)) != spec.base_n:
-            raise ValueError(
-                f"sample {i}: coefficient state dimension "
-                f"{len(np.atleast_1d(c.x0))} != base_n {spec.base_n}"
-            )
-        if _inputs(c)[0] != spec.base_m:
-            raise ValueError(f"sample {i}: coefficient input dimension {_inputs(c)[0]} "
+    if coeffs:
+        b, m = _dims(coeffs[0])
+        if b != spec.base_n:
+            raise ValueError(f"sample 0: coefficient state dimension {b} != base_n {spec.base_n}")
+        if m != spec.base_m:
+            raise ValueError(f"sample 0: coefficient input dimension {m} "
                              f"!= base_m {spec.base_m}")
     return stack_coefficients(coeffs, spec.tf, spec.R, spec.terminal_weighting)
 
@@ -192,13 +205,14 @@ def stack_problem(spec: EnsembleSpec, samples: Sequence) -> BilinearProblem:
 def stack_noise(specs: Sequence[NoiseSpec]) -> NoiseSpec:
     """Independent per-sample copies: block-diagonal G, concatenated rates.
 
-    Every sample must carry the same kind and the same channel count k.
+    Every sample must carry the same kind and the same G shape (states,
+    channel count k).
     """
-    kinds = sorted({(s.kind, s.k) for s in specs})
+    kinds = sorted({(s.kind, s.G.shape) for s in specs})
     if len(kinds) != 1:
-        raise ValueError(f"every sample needs the same noise kind and number of noise "
-                         f"channels, got {kinds}")
-    G = _block_diag([s.G for s in specs])
+        raise ValueError(f"every sample needs the same noise kind and G shape (states, number "
+                         f"of noise channels), got {kinds}")
+    G = _place_blocks(np.array([s.G for s in specs]))
     if specs[0].kind == "poisson":
         return NoiseSpec("poisson", G, np.concatenate([s.lam for s in specs]))
     return NoiseSpec("wiener", G)

@@ -23,7 +23,8 @@ solve the original necessary conditions.
 A problem holds its sample count q and keeps its q diagonal blocks
 (`BilinearProblem.blocks`), the one form of the bilinear term that the
 solver, diagnostics and simulators read: `input_gain` forms L(x) from
-them and `bilinear_field` is the dynamics over them.  The dense N_j
+them and `bilinear_field` is the dynamics over them, with its constant
+generator stack (`bilinear_generators`) for step maps.  The dense N_j
 (`bilinear_factors`) are the reference form of `frozen_drift`,
 `frozen_gram` and `consistency_residual`.
 
@@ -34,6 +35,7 @@ simulators and the mean reduction live in `bilqr.stochastic`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +52,8 @@ __all__ = [
     "consistency_residual",
     "diagonal_blocks",
     "bilinear_field",
+    "bilinear_generators",
+    "bilinear_generator",
 ]
 
 
@@ -279,8 +283,14 @@ def diagonal_blocks(M: np.ndarray, q: int) -> np.ndarray:
 def bilinear_field(A, B, Bs, g):
     """Bilinear right-hand side rhs(Y, u) of states Y (S, rows, b) under
     controls u (S or 1, rows or 1, m), block s under its own A, B, Bs, g;
-    Y and u may carry leading axes beyond S, such as a table's steps."""
+    Y and u may carry leading axes beyond S, such as a table's steps.
+
+    The field is affine in Y and in u, and brings its generator:
+    `rhs.generator(u)` is `bilinear_generator` of the field's constant stack
+    (`bilinear_generators`), which `numkit.step_maps` reads instead of
+    probing the field."""
     S, m, b, _ = Bs.shape
+    stack = bilinear_generators(A, B, Bs, g)
     At, Bt, g = A.swapaxes(1, 2), B.swapaxes(1, 2), g[:, np.newaxis]
     Nt = Bs.transpose(0, 3, 1, 2).reshape(S, b, m * b)  # y @ Nt[s]: each B_i y of block s
 
@@ -291,4 +301,42 @@ def bilinear_field(A, B, Bs, g):
             out += u[..., i:i + 1] * BY[..., i * b:(i + 1) * b]
         return out
 
+    rhs.generator = partial(bilinear_generator, stack)
     return rhs
+
+
+def bilinear_generators(A, B, Bs, g) -> np.ndarray:
+    """The constant generator stack (m + 1, S, b + 1, b + 1) of
+    `bilinear_field` over the blocks A (S, b, b), B (S, b, m),
+    Bs (S, m, b, b), g (S, b): Z_0 = [[0, g'], [0, A']] and
+    Z_i = [[0, (B e_i)'], [0, B_i']] per block, so that under a control u
+    [1, y] (Z_0 + sum_i u_i Z_i) = [0, rhs(y, u)]."""
+    S, m, b, _ = Bs.shape
+    stack = np.zeros((m + 1, S, b + 1, b + 1))
+    stack[0, :, 0, 1:] = g
+    stack[0, :, 1:, 1:] = A.swapaxes(1, 2)
+    stack[1:, :, 0, 1:] = B.transpose(2, 0, 1)
+    stack[1:, :, 1:, 1:] = Bs.transpose(1, 0, 3, 2)
+    return stack
+
+
+def bilinear_generator(stack: np.ndarray, u) -> np.ndarray:
+    """The generators Z(u) = Z_0 + sum_i u_i Z_i (..., S, b + 1, b + 1) of a
+    stack (m + 1, S, b + 1, b + 1) under controls u (..., S or 1, 1, m).
+    A control shared by the blocks makes one (., m + 1) x (m + 1, S (b + 1)^2)
+    contraction; one row per block, as a Poisson group's control is when
+    the stack holds each group's sample, makes m scaled sums.  Both add the
+    terms in order with separate roundings, as `bilinear_field` adds its
+    u_i B_i y terms (a BLAS GEMM may fuse them), so with B = 0 and g = 0 the
+    generators are the probed ones to the bit."""
+    u = np.asarray(u, dtype=float)[..., 0, :]  # (..., S or 1, m)
+    m1, S = stack.shape[:2]
+    if u.shape[-2] == 1:
+        c = np.concatenate((np.ones(u.shape[:-1] + (1,)), u), axis=-1)
+        Z = np.einsum("ki,in->kn", c.reshape(-1, m1), stack.reshape(m1, -1))
+    else:
+        flat = stack.reshape(m1, S, -1)
+        Z = flat[0] + u[..., :1] * flat[1]
+        for i in range(2, m1):
+            Z += u[..., i - 1:i] * flat[i]
+    return Z.reshape(u.shape[:-2] + stack.shape[1:])

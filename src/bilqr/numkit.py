@@ -10,7 +10,8 @@ midpoints.  `linear_sweep` takes its arguments, with tables of vectors as
 (steps + 1, 1, n), for a right-hand side affine in y and is the one place
 that picks how to step it: an RK4 step of an affine equation is one affine
 map, so up to STEP_MAPS_MAX_N states it forms the maps of a block of steps
-with one batched `rk4_step` and applies them in sweep order, one small
+with one batched `rk4_step`, from the generator the right-hand side brings
+or else from probing it, and applies them in sweep order, one small
 product per step, which beats four stage evaluations on small systems;
 above, it is `rk4_sweep`.  Axes of y before its last two hold independent
 systems, such as an ensemble's samples (q, rows, b), each stepped by its
@@ -223,32 +224,46 @@ def step_maps(rhs: Callable[..., np.ndarray], n: int, h, nodes: tuple = (), mids
     The tables are stage tables as in `rk4_sweep`, `nodes` with one entry
     more on their first axis than `mids`; without tables there is one map.
     h is the step length, a scalar or an array that broadcasts against the
-    maps.  rhs is evaluated once on the node tables and once on the
-    midpoint tables, on the stacked rows 0, e_1 ... e_n, which it broadcasts
-    over the tables' leading axes (steps, independent systems); that gives
-    the generator Z = [[0, f], [0, L']] with [1, y] Z = [0, rhs(y)], and
-    P_i is the `rk4_step` of Y' = Y Z from the identity.  Its first stage
-    I Z is taken as Z itself, so a map costs three stacked products, not
-    four; for a finite Z the map is the same to the bit, as I Z differs
-    from Z at most in the sign of a zero, which the step's sums with I
-    erase.
+    maps.  The maps are `generator_maps` of the generator
+    Z = [[0, f], [0, L']] with [1, y] Z = [0, rhs(y)], the right-hand
+    side's own `rhs.generator(*args)` when it brings one (as
+    `model.bilinear_field` does), else the probe: rhs evaluated once on the
+    node tables and once on the midpoint tables, on the stacked rows
+    0, e_1 ... e_n, which it broadcasts over the tables' leading axes
+    (steps, independent systems), with L' read as rhs(e_j) - rhs(0).
     """
-    eye = np.eye(n + 1)
+    generator = getattr(rhs, "generator", None)
+    if generator is None:
+        rows = np.eye(n + 1)[:, 1:]
+
+        def generator(*args):
+            f = rhs(rows, *args)
+            Z = np.zeros(f.shape[:-1] + (n + 1,))
+            Z[..., 1:] = f
+            Z[..., 1:, 1:] -= Z[..., :1, 1:]
+            return Z
+
+    return generator_maps(generator, h, nodes, mids, backward)
+
+
+def generator_maps(generator: Callable[..., np.ndarray], h, nodes: tuple = (), mids: tuple = (),
+                   backward: bool = False):
+    """The `step_maps` of the generator tables generator(*nodes) and
+    generator(*mids) (..., n + 1, n + 1): each P_i is the `rk4_step` of
+    Y' = Y Z from the identity.  Its first stage I Z is taken as Z itself,
+    so a map costs three stacked products, not four; for a finite Z the map
+    is the same to the bit, as I Z differs from Z at most in the sign of a
+    zero, which the step's sums with I erase.
+    """
+    Zn = generator(*nodes)
+    eye = np.eye(Zn.shape[-1])
 
     def product(Y, Z):
         return Z if Y is eye else Y @ Z
 
-    def generator(args):
-        f = rhs(eye[:, 1:], *args)
-        Z = np.zeros(f.shape[:-1] + (n + 1,))
-        Z[..., 1:] = f
-        Z[..., 1:, 1:] -= Z[..., :1, 1:]
-        return Z
-
-    Zn = generator(nodes)
     lower, upper = (Zn[:-1], Zn[1:]) if nodes else (Zn, Zn)
     first, last = (upper, lower) if backward else (lower, upper)
-    return rk4_step(product, eye, -h if backward else h, (first,), (generator(mids),), (last,))
+    return rk4_step(product, eye, -h if backward else h, (first,), (generator(*mids),), (last,))
 
 
 def step_map_blocks(rhs: Callable[..., np.ndarray], n: int, h, T: int, step_bytes: int,
@@ -256,7 +271,9 @@ def step_map_blocks(rhs: Callable[..., np.ndarray], n: int, h, T: int, step_byte
     """The `step_maps` of the T steps of stage tables a block of steps at a
     time, in sweep order: (lo, hi, maps of the steps [lo, hi)), each block
     of _MID_BLOCK_BYTES at step_bytes a step (at least one step).  Without
-    tables one map serves every step of a block."""
+    tables one map serves every step of a block.  A right-hand side that
+    brings its generator has it read on each block's tables; any other is
+    probed there."""
     for lo, hi, node, mid in _stage_blocks(nodes, mids, T, step_bytes, backward):
         maps = step_maps(rhs, n, h, node, mid, backward)
         yield lo, hi, maps if nodes else np.broadcast_to(maps, (hi - lo,) + maps.shape)
@@ -284,14 +301,17 @@ def linear_sweep(
     enters as (steps + 1, 1, n), or (steps + 1, q, 1, n) per system; a
     table of fewer axes raises ValueError at every n.  An RK4 step of an
     affine equation is one affine map: `step_maps` forms a block of steps'
-    maps P_i at once, from rhs probed at the block's nodes and midpoints and
-    broadcast over the systems, and they are applied in sweep order,
+    maps P_i at once, from the generator rhs brings
+    (`rhs.generator(*args)`, as `model.bilinear_field` does) or else from
+    rhs probed at the block's nodes and midpoints and broadcast over the
+    systems, and they are applied in sweep order,
     [1, y_i+1] = [1, y_i] P_i, one (n + 1) x (n + 1) product per step and
     system.
-    L' is read as rhs(e_j) - rhs(0), so it carries the forcing's round-off,
-    about eps |f| per entry, which each step multiplies by |y|: beside the
-    stage sweep's round-off, the maps add up to about eps |f| |y| per unit
-    time.  The first non-finite node, in sweep order, raises error(node, t).
+    A probed L' is read as rhs(e_j) - rhs(0), so it carries the forcing's
+    round-off, about eps |f| per entry, which each step multiplies by |y|:
+    beside the stage sweep's round-off, probed maps add up to about
+    eps |f| |y| per unit time; a generator brought by rhs has no such term.
+    The first non-finite node, in sweep order, raises error(node, t).
     """
     y = np.asarray(y_start, dtype=float)
     systems = y.shape[:-2]

@@ -13,10 +13,13 @@ they run the paths of the chosen samples in one batched pass.  The state
 has shape (samples, paths, b) and each sample keeps its own blocks
 (`BilinearProblem.blocks`) once.  Between jumps and noise the drift is
 affine in the state, so both simulators step it by RK4 step maps,
-`numkit.step_maps` of `model.bilinear_field` (the resimulation's field):
-one (b + 1) x (b + 1) map per grid step and sample, with the control at
-the nodes and midpoints as in the resimulation, formed a block of steps
-at a time by `numkit.step_map_blocks`.  The Wiener simulator adds
+`numkit.step_maps` of `model.bilinear_field` (the resimulation's field),
+which brings its generator, so no map probes the field: one
+(b + 1) x (b + 1) map per grid step and sample, with the control at the
+nodes and midpoints as in the resimulation, formed a block of steps at a
+time by `numkit.step_map_blocks` from the samples' constant generator
+stack (`model.bilinear_generators`) and the shared control table in one
+contraction.  The Wiener simulator adds
 G sqrt(h) xi after each step, so the mean of its paths is the RK4
 resimulation up to round-off; it draws a sample's normals a block of
 steps at a time, which Philox turns into the same numbers as one draw
@@ -30,7 +33,8 @@ step), and each group gets one composite map: the sub-step maps from t_i
 to its first jump, between its jumps and from its last jump to t_{i+1},
 interleaved with the jump translations [[1, G_c'], [0, I]].  They are
 formed in step order, a block of groups at a time and within a block one
-jump ordinal at a time.
+jump ordinal at a time, by `numkit.generator_maps` of each group's
+generators, gathered from its sample's stack under the group's control.
 
 Both simulators step their paths in one loop (`_step_paths`) over the
 rows [1, y] of every path, (samples, paths, b + 1), and a second buffer
@@ -60,12 +64,14 @@ depends on which other samples run beside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .model import BilinearProblem, NoiseSpec, bilinear_field, diagonal_blocks
-from .numkit import (_CHECK_EVERY, _MID_BLOCK_BYTES, GriddedTrajectory, midpoints,
-                     step_map_blocks, step_maps)
+from .model import (BilinearProblem, NoiseSpec, bilinear_field, bilinear_generator,
+                    bilinear_generators, diagonal_blocks)
+from .numkit import (_CHECK_EVERY, _MID_BLOCK_BYTES, GriddedTrajectory, generator_maps,
+                     midpoints, step_map_blocks)
 
 __all__ = [
     "NoiseSpec",
@@ -231,12 +237,14 @@ def _jump_groups(nodes, jt, offsets):
     return *np.divmod(key, rows), first, count
 
 
-def _composite_maps(coeffs, utraj, D, M, jt, jc, offsets, G_cols):
+def _composite_maps(stack, utraj, D, M, jt, jc, offsets, G_cols):
     """The (row, grid step) groups of the rows r = s M + p that jump, and
     each group's composite map taking its row across the step: its sub-step
     maps between the jumps, with the control on the line u_i + s d_i at
     every sub-step's start, midpoint and end, interleaved with the jump
-    translations [[1, G_c'], [0, I]].  Returns the groups' bounds per step
+    translations [[1, G_c'], [0, I]].  Each sub-step's generators are
+    gathered from its group's sample in the generator stack of the chosen
+    samples (`model.bilinear_generators`).  Returns the groups' bounds per step
     (those of step i are [bounds[i], bounds[i + 1])), their rows, and the
     maps in blocks (first group, maps) in group order, formed on demand."""
     S, _, b = G_cols.shape
@@ -257,8 +265,8 @@ def _composite_maps(coeffs, utraj, D, M, jt, jc, offsets, G_cols):
             t_end = np.where(jumps, jt[fst[g] + j], nodes[stp[g] + 1])
             dt, h = (tcur[g] - t0[g])[:, None, None], (t_end - tcur[g])[:, None, None]
             ends = np.stack((u0[g] + dt * d[g], u0[g] + (dt + h) * d[g]))
-            P = step_maps(bilinear_field(*(c[s[g]] for c in coeffs)), b, h, (ends,),
-                          ((u0[g] + (dt + 0.5 * h) * d[g])[np.newaxis],))[0]
+            P = generator_maps(partial(bilinear_generator, stack[:, s[g]]), h, (ends,),
+                               ((u0[g] + (dt + 0.5 * h) * d[g])[np.newaxis],))[0]
             C[g] = P if j == 0 else C[g] @ P
             g = g[jumps]
             C[g, 0, 1:] += G_cols[s[g], jc[fst[g] + j]]
@@ -307,7 +315,7 @@ def simulate_poisson_paths(
     # Every sub-step of grid step i lies in [t_i, t_{i+1}], where the control
     # is the line through its node values U_i, U_{i+1}, of slope D_i.
     D = np.diff(utraj.values, axis=0) / grid.h
-    jumps = _composite_maps(coeffs, utraj, D, M, jt, jc, offsets, G_cols)
+    jumps = _composite_maps(bilinear_generators(*coeffs), utraj, D, M, jt, jc, offsets, G_cols)
     maps = _grid_maps(bilinear_field(*coeffs), b, utraj, S * (b + 1) ** 2 * 8)
     states = _step_paths(x0, M, maps, samples, prob.q, grid.nodes, jumps=jumps)
     return PathBatch(states.reshape(M, grid.steps + 1, S * b), np.hstack(counts))

@@ -618,3 +618,19 @@ def test_commands_load_no_scipy(tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_csv_rows_keep_their_bytes(tmp_path):
+    # one format string per row: %d for the integer columns, %.17g for the
+    # others, the bytes f"{x:.17g}" and str(k) gave value by value
+    from bilqr.cli import _write_csv
+
+    table = np.array([[3, 0.0, -0.0, 1 / 3, 1e22],
+                      [4, 5e-324, np.inf, -np.inf, np.nan]])
+    _write_csv(tmp_path / "t.csv", ["k", "a", "b", "c", "d"], table, int_cols=1)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"k,a,b,c,d\n"
+        b"3,0,-0,0.33333333333333331,1e+22\n"
+        b"4,4.9406564584124654e-324,inf,-inf,nan\n")
+    assert [f"{x:.17g}" for x in table[:, 1:].ravel()] == [
+        "0", "-0", "0.33333333333333331", "1e+22", "4.9406564584124654e-324", "inf", "-inf", "nan"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bilqr.ensemble import (
     EnsembleSpec,
     SampleCoefficients,
-    _block_diag,
+    _place_blocks,
     averaged_terminal_cost,
     refinement_study,
     sample_uniform,
@@ -283,18 +283,19 @@ def test_stack_noise_rejects_unequal_channel_counts():
         stack_noise([NoiseSpec("wiener", [[0.1]]), NoiseSpec("wiener", [[0.1, 0.2]])])
 
 
-# 0-d, 1-D and 2-D blocks, square or not
-_BLOCK_SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 3)),
-                          st.tuples(st.integers(1, 3), st.integers(1, 3)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), shapes=st.lists(_BLOCK_SHAPES, min_size=1, max_size=4))
-def test_block_diag_matches_scipy(seed, shapes):
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4), lead=st.integers(0, 2),
+       r=st.integers(1, 3), c=st.integers(1, 3))
+def test_place_blocks_matches_scipy(seed, q, lead, r, c):
+    # q blocks (q, [lead,] r, c), square or not, on the diagonal of each
+    # leading slice; model.diagonal_blocks reads them back
     from scipy.linalg import block_diag
 
     rng = np.random.default_rng(seed)
-    blocks = [rng.normal(size=shape) for shape in shapes]
-    got, want = _block_diag(blocks), block_diag(*blocks)
-    assert got.shape == want.shape
+    blocks = rng.normal(size=(q,) + (lead,) * bool(lead) + (r, c))
+    got = _place_blocks(blocks)
+    slices = np.moveaxis(blocks, 0, -3) if lead else blocks[np.newaxis]
+    want = np.stack([block_diag(*s) for s in slices]).reshape(got.shape)
     assert np.array_equal(got, want)
+    for s, dense in zip(slices, got.reshape((-1,) + got.shape[-2:])):
+        assert np.array_equal(diagonal_blocks(dense, q), s)

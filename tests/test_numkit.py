@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from bilqr import numkit
+from bilqr.model import bilinear_field, bilinear_generator, bilinear_generators
 from bilqr.numkit import (
     BlowupError,
     GriddedTrajectory,
@@ -231,6 +234,43 @@ def test_step_maps_equal_the_rk4_step_from_the_identity(seed, n, steps, backward
     want = rk4_step(np.matmul, eye, h_used, start, mid, end)
     assert maps.shape == (steps, n + 1, n + 1)
     assert maps.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 4), b=st.integers(1, 5),
+       m=st.integers(1, 3), steps=st.integers(1, 6), backward=st.booleans(),
+       per_row=st.booleans(), affine=st.booleans())
+def test_bilinear_generator_maps_equal_the_probed_maps(seed, S, b, m, steps, backward, per_row,
+                                                       affine):
+    # bilinear_field brings its generator, which step_maps reads; wrapped in
+    # a plain function the same field is probed.  Controls are shared by the
+    # samples, or one row per sample gathered from the stack as the Poisson
+    # composite maps gather a group's sample.  The maps agree to round-off,
+    # and to the bit without B and g, where the probe's rhs(e_j) - rhs(0)
+    # is exact
+    rng = np.random.default_rng(seed)
+    A, Bs = rng.normal(size=(S, b, b)), rng.normal(size=(S, m, b, b))
+    B, g = rng.normal(size=(S, b, m)), rng.normal(size=(S, b))
+    if not affine:
+        B, g = 0.0 * B, 0.0 * g
+    h = rng.uniform(0.01, 0.3)
+    if per_row:
+        rows = rng.integers(0, S, size=rng.integers(1, 7))
+        U, Um = (rng.normal(size=(k, rows.size, 1, m)) for k in (steps + 1, steps))
+        field = bilinear_field(A[rows], B[rows], Bs[rows], g[rows])
+        gathered = partial(bilinear_generator, bilinear_generators(A, B, Bs, g)[:, rows])
+        maps = numkit.generator_maps(gathered, h, (U,), (Um,), backward)
+        assert maps.tobytes() == numkit.step_maps(field, b, h, (U,), (Um,), backward).tobytes()
+    else:
+        U, Um = rng.normal(size=(steps + 1, 1, 1, m)), rng.normal(size=(steps, 1, 1, m))
+        field = bilinear_field(A, B, Bs, g)
+        maps = numkit.step_maps(field, b, h, (U,), (Um,), backward)
+    probed = numkit.step_maps(lambda Y, u: field(Y, u), b, h, (U,), (Um,), backward)
+    assert maps.shape == probed.shape == (steps, len(U[0]) if per_row else S, b + 1, b + 1)
+    if affine:
+        assert np.max(np.abs(maps - probed)) <= 1e-13 * np.max(np.abs(probed))
+    else:
+        assert maps.tobytes() == probed.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, numkit.STEP_MAPS_MAX_N + 1])
