@@ -133,26 +133,20 @@ def _dims(c: SampleCoefficients) -> tuple[int, int]:
 
 def _sample_stacks(coeffs: Sequence[SampleCoefficients]):
     """The samples' A (q, b, b), B (q, b, m), Bs (q, m, b, b) and g, x0, xd
-    (3, q, b), each stacked in one call.  Every sample needs sample 0's B
-    column count m of B columns and bilinear maps, and b x b matrices A and
-    B_i and vectors of length b, b = sample 0's state count; the first
-    sample that has not is named."""
+    (3, q, b), each stacked in one call.  Every sample needs the shapes of
+    sample 0's b states and m B columns: b x b matrices A and B_1 ... B_m,
+    a b x m matrix B and vectors g, x0, xd of length b, so a 0-d
+    coefficient is refused; the first sample that has not is named."""
     q, (b, m) = len(coeffs), _dims(coeffs[0])
+    want = ((b, b), (b, m), *[(b, b)] * m, (b,), (b,), (b,))
     for i, c in enumerate(coeffs):
-        inputs = (_dims(c)[1], len(c.Blist))
-        if inputs != (m, m):
-            raise ValueError(f"sample {i}: (B columns, bilinear maps) {inputs} != m = {m}")
-    try:
-        A, Bs, vecs = (np.array(x, dtype=float) for x in (
-            [c.A for c in coeffs], [c.Blist for c in coeffs], [(c.g, c.x0, c.xd) for c in coeffs]))
-    except ValueError:  # shapes that differ between samples
-        A = Bs = vecs = np.empty(0)
-    if A.shape != (q, b, b) or Bs.shape != (q, m, b, b) or vecs.shape != (q, 3, b):
-        i = next(i for i, c in enumerate(coeffs)
-                 if any(np.shape(M) != (b, b) for M in (c.A, *c.Blist))
-                 or any(np.shape(v) != (b,) for v in (c.g, c.x0, c.xd)))
-        raise ValueError(f"sample {i}: coefficient shapes differ from sample 0's (b = {b})")
-    B = np.array([c.B for c in coeffs], dtype=float).reshape(q, b, m)
+        shapes = tuple(map(np.shape, (c.A, c.B, *c.Blist, c.g, c.x0, c.xd)))
+        if shapes != want:
+            raise ValueError(f"sample {i}: shapes of (A, B, B_1 ... B_m, g, x0, xd) {shapes} "
+                             f"!= {want} of b = {b} states and m = {m} inputs")
+    A, B, Bs, vecs = (np.array(x, dtype=float) for x in (
+        [c.A for c in coeffs], [c.B for c in coeffs], [c.Blist for c in coeffs],
+        [(c.g, c.x0, c.xd) for c in coeffs]))
     return A, B, Bs, vecs.swapaxes(0, 1)
 
 

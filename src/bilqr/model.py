@@ -35,7 +35,6 @@ simulators and the mean reduction live in `bilqr.stochastic`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -280,28 +279,35 @@ def diagonal_blocks(M: np.ndarray, q: int) -> np.ndarray:
     return np.ascontiguousarray(M.reshape(q, r, q, c)[np.arange(q), :, np.arange(q), :])
 
 
-def bilinear_field(A, B, Bs, g):
+def bilinear_field(A, B, Bs, g, stack=None):
     """Bilinear right-hand side rhs(Y, u) of states Y (S, rows, b) under
     controls u (S or 1, rows or 1, m), block s under its own A, B, Bs, g;
     Y and u may carry leading axes beyond S, such as a table's steps.
 
     The field is affine in Y and in u, and brings its generator:
-    `rhs.generator(u)` is `bilinear_generator` of the field's constant stack
-    (`bilinear_generators`), which `numkit.step_maps` reads instead of
-    probing the field."""
+    `rhs.generator(u)` is `bilinear_generator` of the field's constant
+    stack, which `numkit.step_maps` reads instead of probing the field.
+    The stack is `stack` when given (`bilinear_generators` of the same
+    blocks), else formed on the first generator call, so a field that is
+    only evaluated never forms it."""
     S, m, b, _ = Bs.shape
-    stack = bilinear_generators(A, B, Bs, g)
-    At, Bt, g = A.swapaxes(1, 2), B.swapaxes(1, 2), g[:, np.newaxis]
+    At, Bt, gr = A.swapaxes(1, 2), B.swapaxes(1, 2), g[:, np.newaxis]
     Nt = Bs.transpose(0, 3, 1, 2).reshape(S, b, m * b)  # y @ Nt[s]: each B_i y of block s
 
     def rhs(Y, u):
         BY = Y @ Nt
-        out = Y @ At + u @ Bt + g
+        out = Y @ At + u @ Bt + gr
         for i in range(m):
             out += u[..., i:i + 1] * BY[..., i * b:(i + 1) * b]
         return out
 
-    rhs.generator = partial(bilinear_generator, stack)
+    def generator(u):
+        nonlocal stack
+        if stack is None:
+            stack = bilinear_generators(A, B, Bs, g)
+        return bilinear_generator(stack, u)
+
+    rhs.generator = generator
     return rhs
 
 
@@ -322,21 +328,16 @@ def bilinear_generators(A, B, Bs, g) -> np.ndarray:
 
 def bilinear_generator(stack: np.ndarray, u) -> np.ndarray:
     """The generators Z(u) = Z_0 + sum_i u_i Z_i (..., S, b + 1, b + 1) of a
-    stack (m + 1, S, b + 1, b + 1) under controls u (..., S or 1, 1, m).
-    A control shared by the blocks makes one (., m + 1) x (m + 1, S (b + 1)^2)
-    contraction; one row per block, as a Poisson group's control is when
-    the stack holds each group's sample, makes m scaled sums.  Both add the
-    terms in order with separate roundings, as `bilinear_field` adds its
-    u_i B_i y terms (a BLAS GEMM may fuse them), so with B = 0 and g = 0 the
-    generators are the probed ones to the bit."""
+    stack (m + 1, S, b + 1, b + 1) under controls u (..., S or 1, 1, m): a
+    control shared by the blocks broadcasts over them, one row per block
+    (as a Poisson group's control, when the stack holds each group's
+    sample) scales its own block.  The terms are added in order with
+    separate roundings, as `bilinear_field` adds its u_i B_i y terms, so
+    with B = 0 and g = 0 the generators are the probed ones to the bit."""
     u = np.asarray(u, dtype=float)[..., 0, :]  # (..., S or 1, m)
-    m1, S = stack.shape[:2]
-    if u.shape[-2] == 1:
-        c = np.concatenate((np.ones(u.shape[:-1] + (1,)), u), axis=-1)
-        Z = np.einsum("ki,in->kn", c.reshape(-1, m1), stack.reshape(m1, -1))
-    else:
-        flat = stack.reshape(m1, S, -1)
-        Z = flat[0] + u[..., :1] * flat[1]
-        for i in range(2, m1):
-            Z += u[..., i - 1:i] * flat[i]
+    flat = stack.reshape(stack.shape[:2] + (-1,))
+    Z = u[..., :1] * flat[1]
+    Z += flat[0]
+    for i in range(2, len(flat)):
+        Z += u[..., i - 1:i] * flat[i]
     return Z.reshape(u.shape[:-2] + stack.shape[1:])

@@ -554,9 +554,9 @@ def simulate_bilinear(
     in one numkit.linear_sweep: each sample of up to STEP_MAPS_MAX_N states
     by its own step maps, and no n x n coupling is formed.  The field
     `model.bilinear_field` brings its generator, so the maps are formed
-    from the constant per-sample generators (one contraction of the control
-    table with the stack), not by probing the field; the solver's affine,
-    closed-loop, transition and initial-flow sweeps are probed.
+    from the constant per-sample generators scaled by the control table,
+    not by probing the field; the solver's affine, closed-loop, transition
+    and initial-flow sweeps are probed.
     """
     grid = grid or utraj.grid
     A, B, Bs, g, x0 = prob.blocks

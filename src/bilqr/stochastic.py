@@ -18,8 +18,8 @@ which brings its generator, so no map probes the field: one
 (b + 1) x (b + 1) map per grid step and sample, with the control at the
 nodes and midpoints as in the resimulation, formed a block of steps at a
 time by `numkit.step_map_blocks` from the samples' constant generator
-stack (`model.bilinear_generators`) and the shared control table in one
-contraction.  The Wiener simulator adds
+stack (`model.bilinear_generators`), scaled by the shared control table.
+The Wiener simulator adds
 G sqrt(h) xi after each step, so the mean of its paths is the RK4
 resimulation up to round-off; it draws a sample's normals a block of
 steps at a time, which Philox turns into the same numbers as one draw
@@ -34,7 +34,8 @@ to its first jump, between its jumps and from its last jump to t_{i+1},
 interleaved with the jump translations [[1, G_c'], [0, I]].  They are
 formed in step order, a block of groups at a time and within a block one
 jump ordinal at a time, by `numkit.generator_maps` of each group's
-generators, gathered from its sample's stack under the group's control.
+generators, gathered from its sample's stack under the group's control;
+the stack is formed once and serves the full-step maps too.
 
 Both simulators step their paths in one loop (`_step_paths`) over the
 rows [1, y] of every path, (samples, paths, b + 1), and a second buffer
@@ -315,8 +316,9 @@ def simulate_poisson_paths(
     # Every sub-step of grid step i lies in [t_i, t_{i+1}], where the control
     # is the line through its node values U_i, U_{i+1}, of slope D_i.
     D = np.diff(utraj.values, axis=0) / grid.h
-    jumps = _composite_maps(bilinear_generators(*coeffs), utraj, D, M, jt, jc, offsets, G_cols)
-    maps = _grid_maps(bilinear_field(*coeffs), b, utraj, S * (b + 1) ** 2 * 8)
+    stack = bilinear_generators(*coeffs)
+    jumps = _composite_maps(stack, utraj, D, M, jt, jc, offsets, G_cols)
+    maps = _grid_maps(bilinear_field(*coeffs, stack), b, utraj, S * (b + 1) ** 2 * 8)
     states = _step_paths(x0, M, maps, samples, prob.q, grid.nodes, jumps=jumps)
     return PathBatch(states.reshape(M, grid.steps + 1, S * b), np.hstack(counts))
 

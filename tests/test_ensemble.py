@@ -260,6 +260,15 @@ def test_stack_rejects_a_sample_with_other_inputs():
         stack_coefficients([two_columns], 1.0, np.eye(2))
 
 
+def test_stack_names_the_first_sample_of_other_shapes():
+    # equal sizes are not enough: a flat B or a 0-d A is refused, by sample
+    flat_B = dataclasses.replace(_one_input_sample(), B=[1.0])
+    scalar_A = dataclasses.replace(_one_input_sample(), A=-1.0)
+    for odd in (flat_B, scalar_A):
+        with pytest.raises(ValueError, match="sample 2: shapes"):
+            stack_coefficients([_one_input_sample(), _one_input_sample(), odd], 1.0, np.eye(1))
+
+
 def test_stack_problem_checks_base_m():
     spec = EnsembleSpec(box=((0.0, 1.0),), q=2, coefficients=lambda beta: _one_input_sample(),
                         base_n=1, base_m=2, tf=1.0, R=np.eye(2))

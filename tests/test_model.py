@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilqr import model
 from bilqr.model import (
     BilinearProblem,
     bilinear_factors,
@@ -208,3 +209,31 @@ def test_bilinear_field_broadcasts_over_a_leading_table_axis():
             coupled = A[s] + np.tensordot(u, Bs[s], axes=(0, 0))
             dense = Y[i, s] @ coupled.T + B[s] @ u + g[s]
             assert np.max(np.abs(table[i, s] - dense)) <= 1e-13
+
+
+def test_bilinear_field_forms_its_generator_stack_once_and_only_for_a_generator(monkeypatch):
+    # evaluating the field forms no stack; its generator forms the stack on
+    # the first call only, and a stack handed to the field is the one read
+    rng = np.random.default_rng(9)
+    S, b, m = 2, 3, 2
+    A, B = rng.normal(size=(S, b, b)), rng.normal(size=(S, b, m))
+    Bs, g = rng.normal(size=(S, m, b, b)), rng.normal(size=(S, b))
+    stack = model.bilinear_generators(A, B, Bs, g)
+    calls = []
+
+    def counted(*blocks):
+        calls.append(1)
+        return stack
+
+    monkeypatch.setattr(model, "bilinear_generators", counted)
+    rhs = bilinear_field(A, B, Bs, g)
+    rhs(rng.normal(size=(S, 1, b)), rng.normal(size=(1, 1, m)))
+    assert calls == []
+    u = rng.normal(size=(4, 1, 1, m))
+    Z = rhs.generator(u)
+    rhs.generator(u)
+    assert len(calls) == 1
+    assert np.array_equal(Z, model.bilinear_generator(stack, u))
+    given = bilinear_field(A, B, Bs, g, np.zeros_like(stack))
+    assert not given.generator(u).any()
+    assert len(calls) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bilqr import numkit, stochastic
+from bilqr import model, numkit, stochastic
 from bilqr.ensemble import SampleCoefficients, sample_view, stack_coefficients, stack_noise
 from bilqr.model import BilinearProblem, bilinear_field, diagonal_blocks
 from bilqr.numkit import (STEP_MAPS_MAX_N, GriddedTrajectory, TimeGrid, integrate_forward,
@@ -426,6 +426,32 @@ def test_poisson_paths_evaluate_the_field_per_block_and_jump_ordinal(monkeypatch
     batch = simulate_poisson_paths(setup.stated, setup.noise, u, M=40, seed=1185)
     assert batch.jump_counts.sum() > 3000
     assert len(calls) < 100
+
+
+def test_poisson_composite_maps_are_formed_per_block_and_jump_ordinal(monkeypatch):
+    # the same batch: the composite maps' RK4 maps are formed for each block
+    # of groups and each jump ordinal, not for each round of jumps, from one
+    # generator stack that the full-step maps share
+    setup = build("iaf_case1", {"q": 5})
+    grid = TimeGrid(0.0, setup.stated.tf, 500)
+    u = GriddedTrajectory(grid, 0.2 + 0.1 * np.sin(grid.nodes)[:, np.newaxis])
+    maps, stacks = [], []
+
+    def counting(calls, f):
+        def counted(*args):
+            calls.append(1)
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(stochastic, "generator_maps", counting(maps, numkit.generator_maps))
+    for module in (stochastic, model):
+        monkeypatch.setattr(module, "bilinear_generators",
+                            counting(stacks, model.bilinear_generators))
+    batch = simulate_poisson_paths(setup.stated, setup.noise, u, M=40, seed=1185)
+    assert batch.jump_counts.sum() > 3000
+    assert 0 < len(maps) < 100
+    assert len(stacks) == 1
 
 
 def test_poisson_paths_with_a_jump_in_every_step_hold_a_block_of_composite_maps(monkeypatch):
