@@ -16,10 +16,11 @@ blocks (`BilinearProblem.blocks`); only the sweep bounds' closed loop
 A - W W' K is dense.  The contraction reports are formed a block of
 iterate pairs at a time (`contraction_reports`): one freeze (none for
 `solve`'s pairs, whose iterates carry the W they were formed with), one
-stacked closed loop and one `numkit.transition_norms` call with a system
-per pair, and stacked reductions.  `contraction_report` and
-`bound_coefficients` are the block of one; a pair's report does not
-depend on its block.
+stacked closed loop, formed negated in place, one `numkit.transition_norms`
+call with a system per pair, and stacked reductions; a pair holds at most
+four arrays of its gain table's size, and `solve` sizes its blocks by
+that.  `contraction_report` and `bound_coefficients` are the block of one;
+a pair's report does not depend on its block.
 """
 
 from __future__ import annotations
@@ -132,25 +133,35 @@ def _block_bounds(prob: BilinearProblem, prevs, curs, grid: TimeGrid, subsample:
     """`bound_coefficients` of the pairs (prevs[i], curs[i]) as a (pairs, 9)
     array, with the gain tables of curs stacked (pairs, steps + 1, n, n).
     The input factors W come from curs when `reuse_fields` is set, else they
-    are frozen along the states of prevs."""
+    are frozen along the states of prevs.
+
+    A pair holds at most four arrays of its gain table's size: the stacked
+    gains, the gram O = W W' and the product O K, which becomes minus the
+    closed loop, O K - A, in place once the gram is released, and the
+    transition sweep's table.  O K - A has the bits of -(A - O K) up to the
+    sign of exact zeros, which the norms do not see, and its swapped view
+    has the layout of the negated copy it replaces."""
     W = (_tables(curs, "W") if reuse_fields else
          freeze_iteration_fields(prob, _tables(prevs, "x"))[0])
     O_nodes = np.matmul(W, W.swapaxes(-1, -2))
-    K_tables = _tables(curs, "K")
-    closed_loop = prob.A - np.matmul(O_nodes, K_tables)
     idx = _sub_indices(grid.steps, subsample)
+    O_norm = node_norms(O_nodes[:, idx], 2)
+    K_tables = _tables(curs, "K")
+    anti_closed = np.matmul(O_nodes, K_tables)
+    del W, O_nodes
+    anti_closed -= prob.A
     try:  # ||Phi(t_a, t_b)||, one system per pair
-        phi = transition_norms(-closed_loop.swapaxes(-1, -2).swapaxes(0, 1), grid, idx)
+        phi = transition_norms(anti_closed.swapaxes(-1, -2).swapaxes(0, 1), grid, idx)
     except TransitionInversionError as exc:
         exc.args = (f"iteration {curs[exc.system].k}: {exc.args[0]}",)
         raise
+    del anti_closed
 
     def norms(states, name):  # node norms at the subsampled nodes, per pair
         return node_norms(_tables(states, name, idx), 2)
 
     s_prev, s_cur, x_prev = norms(prevs, "s"), norms(curs, "s"), norms(prevs, "x")
     K_prev, K_cur = norms(prevs, "K"), node_norms(K_tables[:, idx], 2)
-    O_norm = node_norms(O_nodes[:, idx], 2)
     g_norm = vec_norm(prob.g)
 
     # Backward bounds propagate data at sigma >= t down to t via Phi(t, sigma);

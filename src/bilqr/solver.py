@@ -56,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BilinearProblem, bilinear_field, input_gain
-from .numkit import (_MID_BLOCK_BYTES, BlowupError, GriddedTrajectory, TimeGrid, linear_sweep,
-                     midpoints, rk4_sweep)
+from .numkit import BlowupError, GriddedTrajectory, TimeGrid, linear_sweep, midpoints, rk4_sweep
 
 __all__ = [
     "IterationState",
@@ -77,6 +76,12 @@ __all__ = [
 ]
 
 STOP_RULES = ("diff", "target", "both")
+
+# Bytes of the block of contraction reports `solve` forms at a time, at four
+# gain tables a pair: 57 pairs of 6 KB gain tables (n = 6, 20 steps), and
+# one pair of any gain table above 350 KB.  Larger blocks save little more
+# time and cost memory (CHANGES.md has the measured trade).
+_REPORT_BLOCK_BYTES = 1_400_000
 
 
 class RiccatiEscapeError(RuntimeError):
@@ -468,8 +473,8 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
     of past iterates (the fixed points are unchanged), and the contraction
     diagnostics pair each iterate with that blend.  The pairs are queued and
     their reports formed a block at a time by
-    `diagnostics.contraction_reports`: numkit._MID_BLOCK_BYTES of pairs at
-    six gain tables a pair, at least one, and the rest after the loop; they
+    `diagnostics.contraction_reports`: _REPORT_BLOCK_BYTES of pairs at
+    four gain tables a pair, at least one, and the rest after the loop; they
     read the W each new iterate was formed with instead of freezing the fed
     state again.  Non-convergence is a result (converged=False), not an
     error; sweep blow-ups and transition inversion failures raise with the
@@ -492,8 +497,7 @@ def solve(prob: BilinearProblem, opts: SolveOptions | None = None) -> SolveResul
         from . import diagnostics as _diag
 
         strengths = _diag.coupling_strengths(prob)
-        # a block's reports form about six arrays of a gain table's size per pair
-        block = max(1, _MID_BLOCK_BYTES // (6 * state.K.values.nbytes))
+        block = max(1, _REPORT_BLOCK_BYTES // (4 * state.K.values.nbytes))
 
     def report_queued():
         if queue:

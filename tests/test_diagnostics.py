@@ -266,6 +266,52 @@ def test_batched_reports_equal_one_pair_reports(seed, q, b, m, theta, alpha, dat
     assert batched[2].criterion_sum == float("inf")
 
 
+@pytest.mark.parametrize("case, count", [("random", 1), ("random", 2), ("random", 7),
+                                         ("twospin", 7)])
+def test_block_bounds_equal_the_negated_closed_loop_reference(monkeypatch, case, count):
+    # the transition sweep gets minus the closed loop formed in place, O K - A;
+    # the reference forms closed = A - O K and passes its negated swapped view.
+    # The arrays are equal (a zero's sign aside, which the exact zeros of
+    # twospin's A - O K flip) and laid out alike, and every report is the
+    # same to the bit
+    import bilqr.diagnostics as diagnostics_module
+    from bilqr.scenarios import build
+
+    prob = (random_problem(np.random.default_rng(count), 2, 3, 2) if case == "random" else
+            build("twospin_coherence").problem)
+    grid, pairs = iterate_pairs(prob, 30, 1.0, count)
+    curs = [cur for _, cur in pairs]
+    W = np.stack([cur.W.values for cur in curs])
+    K = np.stack([cur.K.values for cur in curs])
+    closed = prob.A - np.matmul(np.matmul(W, W.swapaxes(-1, -2)), K)
+    reference = -closed.swapaxes(-1, -2).swapaxes(0, 1)
+    original, seen = diagnostics_module.transition_norms, []
+
+    def spied(A_nodes, grid, idx):
+        seen.append((A_nodes.copy(), A_nodes.strides))
+        return original(A_nodes, grid, idx)
+
+    def negated_copy(A_nodes, grid, idx):
+        return original(reference, grid, idx)
+
+    strengths = coupling_strengths(prob)
+    monkeypatch.setattr(diagnostics_module, "transition_norms", spied)
+    got = contraction_reports(prob, pairs, grid, alpha=0.5, subsample=3, strengths=strengths,
+                              reuse_fields=True)
+    (A_nodes, strides), = seen
+
+    def stepped(strides):  # a length-one axis's stride is never stepped
+        return [step for step, size in zip(strides, reference.shape) if size > 1]
+
+    assert np.array_equal(A_nodes, reference) and stepped(strides) == stepped(reference.strides)
+    monkeypatch.setattr(diagnostics_module, "transition_norms", negated_copy)
+    want = contraction_reports(prob, pairs, grid, alpha=0.5, subsample=3, strengths=strengths,
+                               reuse_fields=True)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.bounds, w.bounds) and np.array_equal(g.M, w.M)
+        assert (g.criterion_sum, g.rho, g.satisfied) == (w.criterion_sum, w.rho, w.satisfied)
+
+
 def test_transition_failure_names_the_iteration_of_the_failing_pair():
     # the block's first pair has no gain sweeps and its second is regular;
     # a gain that makes the third pair's closed loop stiff (rates near 0 and

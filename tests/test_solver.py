@@ -662,6 +662,29 @@ def test_solve_diagnostics_rows_equal_one_pair_reports():
             want.iteration, want.criterion_sum, want.rho, want.satisfied)
 
 
+def test_solve_forms_reports_in_blocks_of_the_report_budget(monkeypatch):
+    # twospin's 6 KB gain tables batch 57 pairs a block at four gain tables
+    # a pair; a budget below one gain table reports one pair per block
+    import bilqr.diagnostics as diagnostics_module
+    import bilqr.solver as solver_module
+    from bilqr.scenarios import build
+
+    reports, blocks = diagnostics_module.contraction_reports, []
+
+    def counted(prob, pairs, *args, **kwargs):
+        blocks.append(len(pairs))
+        return reports(prob, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics_module, "contraction_reports", counted)
+    setup = build("twospin_coherence", {"steps": 20})
+    res = solve(setup.problem, setup.options)
+    assert res.iterations_used == 331 and blocks == [57] * 5 + [46]
+    blocks.clear()
+    monkeypatch.setattr(solver_module, "_REPORT_BLOCK_BYTES", res.final.K.values.nbytes - 1)
+    res = solve(setup.problem, dataclasses.replace(setup.options, max_iters=12))
+    assert len(res.diagnostics.rows) == 12 and blocks == [1] * 12
+
+
 def test_solve_diagnostics_freeze_each_fed_state_once(monkeypatch):
     # the reports read the W each iterate was formed with, so a solve with
     # diagnostics freezes once per iteration, in iterate_once alone
