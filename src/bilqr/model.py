@@ -134,6 +134,7 @@ class BilinearProblem:
         object.__setattr__(self, "xd", xd)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "_Rinv", np.linalg.inv(R))
+        object.__setattr__(self, "_Rinv_factor", np.linalg.cholesky(self._Rinv))
         object.__setattr__(self, "blocks", (blocks[0], B.reshape(q, -1, m),
                                             np.stack(blocks[1:], axis=1),
                                             g.reshape(q, -1), x0.reshape(q, -1)))
@@ -149,6 +150,11 @@ class BilinearProblem:
     @property
     def Rinv(self) -> np.ndarray:
         return self._Rinv
+
+    @property
+    def Rinv_factor(self) -> np.ndarray:
+        """The lower Cholesky factor C of R^-1 = C C', formed once."""
+        return self._Rinv_factor
 
     def with_g(self, g: np.ndarray) -> "BilinearProblem":
         return replace(self, g=np.asarray(g, dtype=float))

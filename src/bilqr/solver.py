@@ -24,7 +24,9 @@ broadcast ensembles (it is kept as a diagnostic quantity, see the model
 module).
 
 The Riccati sweep and both passes of the boundary-value route are each one
-call of numkit.rk4_sweep; the affine and closed-loop sweeps, the initial
+call of numkit.rk4_sweep, the Riccati sweep with its right-hand side's
+in-place form, which steps gain tables within numkit._STAGE_STACK_BYTES
+on one stage stack (4, n, n); the affine and closed-loop sweeps, the initial
 flow and the bilinear resimulation are linear, and each is one right-hand
 side handed to numkit.linear_sweep, which takes rk4_sweep's arguments
 (tables of vectors as (steps + 1, 1, n)) and steps systems of at most
@@ -196,12 +198,12 @@ def _block_product(blocks: np.ndarray):
 def freeze_iteration_fields(prob: BilinearProblem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor of the input gram L R^-1 L' frozen along X, at the stage times.
 
-    Returns W = L C (R^-1 = C C') at the nodes, (T + 1, n, m), and
-    [W_i, W_i+1] / sqrt(2) at the interval midpoints, (T, n, 2 m), whose
-    gram is the average of the two node grams; a stack of tables X
-    (..., T + 1, n) gives stacks of both.
+    Returns W = L C (R^-1 = C C', the problem's `Rinv_factor`) at the
+    nodes, (T + 1, n, m), and [W_i, W_i+1] / sqrt(2) at the interval
+    midpoints, (T, n, 2 m), whose gram is the average of the two node
+    grams; a stack of tables X (..., T + 1, n) gives stacks of both.
     """
-    W = input_gain(prob, X) @ np.linalg.cholesky(prob.Rinv)
+    W = input_gain(prob, X) @ prob.Rinv_factor
     return W, np.concatenate((W[..., :-1, :, :], W[..., 1:, :, :]), axis=-1) * np.sqrt(0.5)
 
 
@@ -239,8 +241,15 @@ def riccati_sweep(
       copy on large ensembles) and one batched product of the blocks with
       K's row blocks; X + X' is symmetric whatever the GEMM's rounding.
 
-    So every RK4 step keeps K exactly symmetric.  A K_T that is not finite
-    or not symmetric raises ValueError.
+    So every RK4 step keeps K exactly symmetric.  Each form is one function
+    into(out, K, W) that writes its stage into out, or into a fresh array
+    for out None, as the right-hand side rhs(K, W) does.
+    `numkit.rk4_sweep` steps gain tables within its stage-stack budget on
+    one stack (4, n, n) through `rhs.into`: the weighted sum
+    (h / 6)(1, 2, 2, 1) . stack of exactly symmetric stages is exactly
+    symmetric too (the tests check it for n up to 64).  Larger tables take
+    rhs, the allocating stages, bit for bit as before.  A K_T that is not
+    finite or not symmetric raises ValueError.
     """
     K_T = np.asarray(K_T, dtype=float)
     if not np.isfinite(K_T).all():
@@ -252,9 +261,9 @@ def riccati_sweep(
     if q == 1:
         dense = A_blocks[0]
 
-        def rhs(K, W):
+        def into(out, K, W):
             KW = np.dot(K, W)
-            out = np.dot(KW, KW.T)
+            out = np.dot(KW, KW.T, out=out)
             KA = np.dot(K.T, dense)  # K A, as K is exactly symmetric; K' is the layout read fastest
             out -= KA + KA.T
             return out
@@ -262,20 +271,24 @@ def riccati_sweep(
         diag = A_blocks[:, 0, 0]
         S = diag[:, np.newaxis] + diag
 
-        def rhs(K, W):
+        def into(out, K, W):
             KW = np.dot(K, W)
-            out = np.dot(KW, KW.T)
+            out = np.dot(KW, KW.T, out=out)
             out -= K * S
             return out
     else:
         blocks_t = np.ascontiguousarray(A_blocks.swapaxes(1, 2))
 
-        def rhs(K, W):
+        def into(out, K, W):
             KW = np.dot(K, W)
             H = np.dot(0.5 * KW, KW.T)
             H -= np.matmul(blocks_t, K.reshape(q, b, -1)).reshape(K.shape)
-            return H + H.T
+            return np.add(H, H.T, out=out)
 
+    def rhs(K, W):
+        return into(None, K, W)
+
+    rhs.into = into
     return rk4_sweep(rhs, 0.5 * (K_T + K_T.T), grid, (W_nodes,), (W_mids,), backward=True,
                      error=_riccati_escape)
 
@@ -439,7 +452,9 @@ def _initial_state(prob: BilinearProblem, grid: TimeGrid, probe: float = 0.0) ->
     """Iteration 0: the flow under a constant probe control (zero by default).
 
     A nonzero probe breaks invariant sets of the iteration map on which the
-    frozen input map is blind to the target (dark initial states).
+    frozen input map is blind to the target (dark initial states).  Its zero
+    K, s and p are read-only broadcast views, so no (T + 1, n, n) table is
+    allocated; their `nbytes` is still the full table's.
     """
     T = grid.steps + 1
     u0 = np.full(prob.m, probe)
@@ -447,8 +462,9 @@ def _initial_state(prob: BilinearProblem, grid: TimeGrid, probe: float = 0.0) ->
     drive = prob.B @ u0 + prob.g
     x = linear_sweep(lambda y: y @ coupling.T + drive, prob.x0, grid)
     u_traj = GriddedTrajectory(grid, np.tile(u0, (T, 1)))
-    zeros_n = GriddedTrajectory(grid, np.zeros((T, prob.n)))
-    zeros_nn = GriddedTrajectory(grid, np.zeros((T, prob.n, prob.n)))
+    zeros_n = GriddedTrajectory(grid, np.broadcast_to(np.zeros(prob.n), (T, prob.n)))
+    zeros_nn = GriddedTrajectory(grid, np.broadcast_to(np.zeros((prob.n, prob.n)),
+                                                       (T, prob.n, prob.n)))
     cost = evaluate_cost(prob, u_traj, x.values[-1])
     return IterationState(
         k=0, x=x, p=zeros_n, u=u_traj, K=zeros_nn, s=zeros_n,

@@ -416,3 +416,100 @@ def test_transition_inversion_failure_names_the_first_failing_system():
     with pytest.raises(TransitionInversionError, match="node 200") as exc:
         transition_norms(A, g, [0, 200, 150, 100])
     assert exc.value.system == 1
+
+
+def symmetric_draws(rng, shape):
+    """Random matrices (..., n, n), exactly symmetric."""
+    M = rng.normal(size=shape)
+    return M + M.swapaxes(-1, -2)
+
+
+def replayed(table):
+    """A right-hand side of one stage table whose stages are the table's
+    rows, with the in-place form `rk4_sweep` steps on its stage stack."""
+    def rhs(y, S):
+        return S.copy()
+
+    def into(out, y, S):
+        out[...] = S
+
+    rhs.into = into
+    return rhs
+
+
+def test_stage_stack_weighted_product_of_symmetric_stages_is_symmetric():
+    # the stack sweep adds np.dot((h / 6)(1, 2, 2, 1), stack.reshape(4, -1))
+    # to K; the affine sweep reads s' K as K s, so the product of exactly
+    # symmetric stages must be exactly symmetric, wherever BLAS's kernels
+    # split its columns and whatever the buffers' alignment
+    rng = np.random.default_rng(30)
+    for n in range(1, 65):
+        weights = (-0.0123 / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+        for offset in (0, 8):
+            raw = np.empty(4 * n * n * 8 + 8 + 64, dtype=np.uint8)
+            start = (-raw.ctypes.data) % 64 + offset
+            stack = raw[start:start + 4 * n * n * 8].view(float).reshape(4, n, n)
+            raw_out = np.empty(n * n * 8 + 8 + 64, dtype=np.uint8)
+            start = (-raw_out.ctypes.data) % 64 + offset
+            increment = raw_out[start:start + n * n * 8].view(float)
+            for _ in range(5):
+                stack[...] = symmetric_draws(rng, (4, n, n))
+                np.dot(weights, stack.reshape(4, -1), out=increment)
+                step = increment.reshape(n, n)
+                assert np.array_equal(step, step.T), (n, offset)
+
+
+def test_stage_stack_sweep_keeps_symmetric_stages_symmetric():
+    # the same through rk4_sweep's stack steps, which write each new y into
+    # its row of the table, backward and forward
+    rng = np.random.default_rng(31)
+    for n in range(1, 65):
+        grid = TimeGrid(0.0, 1.0, 3)
+        nodes, mids = symmetric_draws(rng, (4, n, n)), symmetric_draws(rng, (3, n, n))
+        for backward in (True, False):
+            K = rk4_sweep(replayed(nodes), np.eye(n), grid, (nodes,), (mids,), backward).values
+            assert np.array_equal(K, K.swapaxes(1, 2)), (n, backward)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_stage_stack_sweep_is_the_rk4_sweep_up_to_round_off(backward):
+    # a right-hand side of one table with an in-place form steps on the stage
+    # stack up to _STAGE_STACK_BYTES, where only the stages' weighted sum
+    # rounds otherwise, and takes the allocating stages above it, to the bit
+    rng = np.random.default_rng(32)
+    calls = []
+
+    def field(y, B):
+        return y @ B - 0.1 * y * y
+
+    def into(out, y, B):
+        calls.append(B.shape)
+        np.matmul(y, B, out=out)
+        out -= 0.1 * y * y
+
+    stacked = partial(field)
+    stacked.into = into
+    for n in (3, 12, 181, 182):
+        grid = TimeGrid(0.0, 0.2, 6)
+        B = 0.3 * rng.normal(size=(grid.steps + 1, n, n)) / np.sqrt(n)
+        y0 = rng.normal(size=(n, n))
+        calls.clear()
+        got = rk4_sweep(stacked, y0, grid, (B,), (midpoints(B),), backward).values
+        want = rk4_sweep(field, y0, grid, (B,), (midpoints(B),), backward).values
+        if 4 * y0.nbytes <= numkit._STAGE_STACK_BYTES:
+            assert calls == [(n, n)] * 4 * grid.steps
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        else:
+            assert n == 182 and calls == []
+            assert np.array_equal(got, want)
+
+
+def test_stage_stack_sweep_names_the_first_non_finite_node():
+    # stages infinite from node 37 on (forward) or up to node 36 (backward)
+    grid = TimeGrid(0.0, 1.0, 100)
+    for backward, node in ((False, 37), (True, 36)):
+        table = np.zeros((101, 2, 2))
+        (table[:37] if backward else table[37:])[...] = np.inf
+        with pytest.raises(BlowupError) as exc:
+            rk4_sweep(replayed(table), np.eye(2), grid, (table,), (table[1:],), backward)
+        assert exc.value.node_index == node

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from bilqr.model import BilinearProblem, bilinear_factors, diagonal_blocks
+from bilqr.model import BilinearProblem, bilinear_factors, diagonal_blocks, input_gain
 from bilqr.numkit import (STEP_MAPS_MAX_N, BlowupError, GriddedTrajectory, TimeGrid, midpoints,
                           rk4_sweep)
 from bilqr.solver import (
@@ -826,3 +826,97 @@ def test_riccati_escape_on_a_coarse_grid_takes_the_boundary_value_route(monkeypa
     fine = solve(prob, SolveOptions(steps=3200))
     assert len(calls) == coarse_calls and fine.final.K is not None
     assert abs(coarse.final.cost - fine.final.cost) <= 0.01 * fine.final.cost
+
+
+def test_riccati_sweep_is_exactly_symmetric_on_both_sides_of_the_stage_stack_budget():
+    # 12 states step on the stage stack and 183 take fresh stages; on both
+    # sides every block form keeps K symmetric to the last bit at every node
+    from bilqr import numkit
+
+    rng = np.random.default_rng(30)
+    grid = TimeGrid(0.0, 0.5, 4)
+    for n, below in ((12, True), (183, False)):
+        assert (4 * n * n * 8 <= numkit._STAGE_STACK_BYTES) == below
+        for q in (1, n // 3, n):
+            blocks = rng.normal(size=(q, n // q, n // q)) / np.sqrt(n // q)
+            Wn = rng.normal(size=(grid.steps + 1, n, 2)) / np.sqrt(n)
+            Wm = np.concatenate((Wn[:-1], Wn[1:]), axis=2) * np.sqrt(0.5)
+            M = rng.normal(size=(n, n))
+            K = riccati_sweep(blocks, Wn, Wm, M @ M.T / n + np.eye(n), grid).values
+            assert np.array_equal(K, K.swapaxes(1, 2)), (n, q)
+
+
+def test_benchmark_gain_tables_sit_on_fixed_sides_of_the_stage_stack_budget(monkeypatch):
+    # iaf_case1 q=5 (n = 5) and twospin (n = 6) step their Riccati sweeps on
+    # the stage stack; bloch_broadband q=81 (n = 243) keeps the allocating
+    # stages, whose K is the bits of rk4_sweep of the plain right-hand side
+    from bilqr import numkit
+    from bilqr import solver as solver_module
+    from bilqr.scenarios import build
+
+    def stack_bytes(scenario, overrides):
+        n = build(scenario, overrides).problem.n
+        return 4 * n * n * 8
+
+    assert stack_bytes("iaf_case1", {"q": 5}) <= numkit._STAGE_STACK_BYTES
+    assert stack_bytes("twospin_coherence", {}) <= numkit._STAGE_STACK_BYTES
+    assert stack_bytes("bloch_broadband", {"q": 81}) > numkit._STAGE_STACK_BYTES
+
+    prob = build("bloch_broadband", {"q": 81}).problem
+    grid = TimeGrid(0.0, 1.0, 4)
+    rng = np.random.default_rng(81)
+    Wn, Wm = freeze_iteration_fields(prob, rng.normal(size=(grid.steps + 1, prob.n)))
+    K_T = 2.0 * prob.terminal_weight * np.eye(prob.n)
+    K = riccati_sweep(prob.blocks[0], Wn, Wm, K_T, grid).values
+
+    def plain(rhs, *args, **kwargs):
+        return numkit.rk4_sweep(lambda K, W: rhs(K, W), *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "rk4_sweep", plain)
+    assert np.array_equal(K, riccati_sweep(prob.blocks[0], Wn, Wm, K_T, grid).values)
+
+
+def test_initial_state_allocates_no_gain_table():
+    # iteration 0's zero K, s and p are broadcast views: on a problem whose
+    # zero gain table would take 512 MB, _initial_state's traced peak stays
+    # under 5% of it, and K still reads zero at every node
+    rng = np.random.default_rng(0)
+    n, steps = 200, 1600
+    prob = BilinearProblem(
+        A=-np.eye(n) + 0.01 * rng.normal(size=(n, n)), B=rng.normal(size=(n, 1)),
+        Blist=(np.zeros((n, n)),), g=np.zeros(n), x0=rng.normal(size=n), xd=np.zeros(n),
+        tf=1.0, R=[[1.0]],
+    )
+    grid = TimeGrid(0.0, prob.tf, steps)
+    table = (steps + 1) * n * n * 8
+    assert table >= 500e6
+    tracemalloc.start()
+    try:
+        state = _initial_state(prob, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * table
+    assert state.K.values.shape == (steps + 1, n, n) and state.K.values.nbytes == table
+    assert not state.K.values.any() and not state.s.values.any() and not state.p.values.any()
+
+
+def test_solve_forms_no_cholesky_factor(monkeypatch):
+    # the problem holds R^-1's Cholesky factor, so a twospin solve (331
+    # freezes) factors nothing, and W is the product with a fresh factor
+    from bilqr.scenarios import build
+
+    setup = build("twospin_coherence", {"steps": 20})
+    prob = setup.problem
+    X = np.random.default_rng(6).normal(size=(21, prob.n))
+    W, _ = freeze_iteration_fields(prob, X)
+    assert np.array_equal(W, input_gain(prob, X) @ np.linalg.cholesky(prob.Rinv))
+    cholesky, calls = np.linalg.cholesky, []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    res = solve(prob, setup.options)
+    assert res.iterations_used == 331 and calls == []
