@@ -12,15 +12,17 @@ two-point boundary-value equations.
 
 The coupling strengths, the frozen input map (`model.input_gain`) and the
 residuals' dynamics (`model.bilinear_field`) read the problem's per-sample
-blocks (`BilinearProblem.blocks`); only the sweep bounds' closed loop
-A - W W' K is dense.  The contraction reports are formed a block of
-iterate pairs at a time (`contraction_reports`): one freeze (none for
-`solve`'s pairs, whose iterates carry the W they were formed with), one
-stacked closed loop, formed negated in place, one `numkit.transition_norms`
-call with a system per pair, and stacked reductions; a pair holds at most
-four arrays of its gain table's size, and `solve` sizes its blocks by
-that.  `contraction_report` and `bound_coefficients` are the block of one;
-a pair's report does not depend on its block.
+blocks (`BilinearProblem.blocks`), and so does the sweep bounds' closed
+loop A - W W' K, dense by nature, which subtracts the drift's diagonal
+blocks in place; no diagnostic reads the dense stacked A, B or B_i.  The
+contraction reports are formed a block of iterate pairs at a time
+(`contraction_reports`): one freeze (none for `solve`'s pairs, whose
+iterates carry the W they were formed with), one stacked closed loop,
+formed negated in place, one `numkit.transition_norms` call with a system
+per pair, and stacked reductions; a pair holds at most four arrays of its
+gain table's size, and `solve` sizes its blocks by that.
+`contraction_report` is the block of one; a pair's report does not depend
+on its block.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "ConvergenceReport",
     "HJBReport",
     "coupling_strengths",
-    "bound_coefficients",
     "contraction_matrix",
     "criterion_check",
     "contraction_report",
@@ -130,14 +131,23 @@ def _tables(states, name: str, idx=slice(None)) -> np.ndarray:
 
 def _block_bounds(prob: BilinearProblem, prevs, curs, grid: TimeGrid, subsample: int,
                   reuse_fields: bool = False):
-    """`bound_coefficients` of the pairs (prevs[i], curs[i]) as a (pairs, 9)
-    array, with the gain tables of curs stacked (pairs, steps + 1, n, n).
-    The input factors W come from curs when `reuse_fields` is set, else they
-    are frozen along the states of prevs.
+    """Sup-reduced coefficients of the nine sweep-difference bounds of the
+    pairs (prevs[i], curs[i]) as a (pairs, 9) array, with the gain tables of
+    curs stacked (pairs, steps + 1, n, n).  The input factors W come from
+    curs when `reuse_fields` is set, else they are frozen along the states
+    of prevs.
+
+    The transition factor is the propagator of the closed-loop adjoint
+    system dz/dt = -[A - O K]' z built from the pair's frozen subproblem
+    coefficients; each entry of the norm table maps data at the integration
+    variable to the evaluation time, so backward bounds read pairs with
+    sigma >= t and forward bounds pairs with sigma <= t.  Node pairs are
+    subsampled to bound the quadratic pair cost.
 
     A pair holds at most four arrays of its gain table's size: the stacked
     gains, the gram O = W W' and the product O K, which becomes minus the
-    closed loop, O K - A, in place once the gram is released, and the
+    closed loop, O K - A, in place once the gram is released (A's q
+    diagonal blocks, `prob.blocks[0]`, subtracted from O K's), and the
     transition sweep's table.  O K - A has the bits of -(A - O K) up to the
     sign of exact zeros, which the norms do not see, and its swapped view
     has the layout of the negated copy it replaces."""
@@ -149,7 +159,10 @@ def _block_bounds(prob: BilinearProblem, prevs, curs, grid: TimeGrid, subsample:
     K_tables = _tables(curs, "K")
     anti_closed = np.matmul(O_nodes, K_tables)
     del W, O_nodes
-    anti_closed -= prob.A
+    q, b, _ = prob.blocks[0].shape
+    blocks = anti_closed.reshape(-1, q, b, q, b)  # a view; A's diagonal blocks go in place
+    for i, A_i in enumerate(prob.blocks[0]):
+        blocks[:, i, :, i] -= A_i
     try:  # ||Phi(t_a, t_b)||, one system per pair
         phi = transition_norms(anti_closed.swapaxes(-1, -2).swapaxes(0, 1), grid, idx)
     except TransitionInversionError as exc:
@@ -179,25 +192,6 @@ def _block_bounds(prob: BilinearProblem, prevs, curs, grid: TimeGrid, subsample:
     prods = np.concatenate((np.stack([phi, phi, phi, sq, sq], axis=1) * backward,
                             phi[:, np.newaxis] * forward), axis=1)
     return np.max(np.where(pairs, prods, -np.inf), axis=(2, 3)), K_tables
-
-
-def bound_coefficients(
-    prob: BilinearProblem,
-    prev: IterationState,
-    cur: IterationState,
-    grid: TimeGrid,
-    subsample: int = 10,
-) -> np.ndarray:
-    """Sup-reduced coefficients of the nine sweep-difference bounds.
-
-    The transition factor is the propagator of the closed-loop adjoint
-    system dz/dt = -[A - O K]' z built from the pair's frozen subproblem
-    coefficients; each entry of the norm table maps data at the integration
-    variable to the evaluation time, so backward bounds read pairs with
-    sigma >= t and forward bounds pairs with sigma <= t.  Node pairs are
-    subsampled to bound the quadratic pair cost; the block of one pair.
-    """
-    return _block_bounds(prob, [prev], [cur], grid, subsample)[0][0]
 
 
 def contraction_matrix(
@@ -382,6 +376,14 @@ def necessary_condition_residual(
     -drift' p (see `model`); both are `model.bilinear_field` over the
     sample blocks, the costate's over -A' and -2 B_i' with no input or
     translation.  The finite-difference floor is O(h^2).
+
+    The coefficient 2: column j of the frozen drift's correction is
+    N_j R^-1 L' p + L R^-1 N_j' p, and with u = -R^-1 L' p each term
+    contributes p' N_j R^-1 L' p = p' L R^-1 N_j' p = -(sum_i u_i B_i' p)_j
+    (N_j u = sum_i u_i B_i e_j), so drift' p = A' p + 2 sum_i u_i B_i' p.
+    Pontryagin's costate of J, p' = -A' p - sum_i u_i B_i' p, has
+    coefficient 1.  So the costate residual certifies a fixed point of the
+    frozen map, not stationarity of J.
     """
     X = final.x.values
     P = final.p.values

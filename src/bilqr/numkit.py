@@ -14,13 +14,16 @@ increment one weighted product over the stack.
 (steps + 1, 1, n), for a right-hand side affine in y and is the one place
 that picks how to step it: an RK4 step of an affine equation is one affine
 map, so up to STEP_MAPS_MAX_N states it forms the maps of a block of steps
-with one batched `rk4_step`, from the generator the right-hand side brings
-or else from probing it, and applies them in sweep order, one small
-product per step, which beats four stage evaluations on small systems;
-above, it is `rk4_sweep`.  Axes of y before its last two hold independent
-systems, such as an ensemble's samples (q, rows, b), each stepped by its
-own maps, so the limit applies to b whatever q is.  There is no
-adaptive stepping, so repeated runs produce bitwise-identical iterates.
+with one batched `rk4_step` from the block's stage tables, by the
+generator the right-hand side brings or else by probing it, and applies
+them in sweep order, one small product per step, which beats four stage
+evaluations on small systems; above, it is `rk4_sweep`.  A linear sweep
+takes at least one stage table, one map a step; only `rk4_sweep` steps a
+right-hand side without tables.  Axes of y before its last two hold
+independent systems, such as an ensemble's samples (q, rows, b), each
+stepped by its own maps, so the limit applies to b whatever q is.  There
+is no adaptive stepping, so repeated runs produce bitwise-identical
+iterates.
 """
 
 from __future__ import annotations
@@ -264,7 +267,7 @@ def rk4_sweep(
 STEP_MAPS_MAX_N = 16
 
 
-def step_maps(rhs: Callable[..., np.ndarray], n: int, h, nodes: tuple = (), mids: tuple = (),
+def step_maps(rhs: Callable[..., np.ndarray], n: int, h, nodes: tuple, mids: tuple,
               backward: bool = False):
     """RK4 step maps P_i of y' = rhs(y, *args), affine in y's n states, over
     the steps between consecutive entries of the node tables:
@@ -272,7 +275,7 @@ def step_maps(rhs: Callable[..., np.ndarray], n: int, h, nodes: tuple = (), mids
     and node i + 1, or backward [1, y(t_i)] = [1, y(t_i+1)] P_i over -h.
 
     The tables are stage tables as in `rk4_sweep`, `nodes` with one entry
-    more on their first axis than `mids`; without tables there is one map.
+    more on their first axis than `mids`, and give one map per step.
     h is the step length, a scalar or an array that broadcasts against the
     maps.  The maps are `generator_maps` of the generator
     Z = [[0, f], [0, L']] with [1, y] Z = [0, rhs(y)], the right-hand
@@ -296,7 +299,7 @@ def step_maps(rhs: Callable[..., np.ndarray], n: int, h, nodes: tuple = (), mids
     return generator_maps(generator, h, nodes, mids, backward)
 
 
-def generator_maps(generator: Callable[..., np.ndarray], h, nodes: tuple = (), mids: tuple = (),
+def generator_maps(generator: Callable[..., np.ndarray], h, nodes: tuple, mids: tuple,
                    backward: bool = False):
     """The `step_maps` of the generator tables generator(*nodes) and
     generator(*mids) (..., n + 1, n + 1): each P_i is the `rk4_step` of
@@ -311,30 +314,27 @@ def generator_maps(generator: Callable[..., np.ndarray], h, nodes: tuple = (), m
     def product(Y, Z):
         return Z if Y is eye else Y @ Z
 
-    lower, upper = (Zn[:-1], Zn[1:]) if nodes else (Zn, Zn)
-    first, last = (upper, lower) if backward else (lower, upper)
+    first, last = (Zn[1:], Zn[:-1]) if backward else (Zn[:-1], Zn[1:])
     return rk4_step(product, eye, -h if backward else h, (first,), (generator(*mids),), (last,))
 
 
 def step_map_blocks(rhs: Callable[..., np.ndarray], n: int, h, T: int, step_bytes: int,
-                    nodes: tuple = (), mids: tuple = (), backward: bool = False):
+                    nodes: tuple, mids: tuple, backward: bool = False):
     """The `step_maps` of the T steps of stage tables a block of steps at a
     time, in sweep order: (lo, hi, maps of the steps [lo, hi)), each block
-    of _MID_BLOCK_BYTES at step_bytes a step (at least one step).  Without
-    tables one map serves every step of a block.  A right-hand side that
-    brings its generator has it read on each block's tables; any other is
-    probed there."""
+    of _MID_BLOCK_BYTES at step_bytes a step (at least one step).  A
+    right-hand side that brings its generator has it read on each block's
+    tables; any other is probed there."""
     for lo, hi, node, mid in _stage_blocks(nodes, mids, T, step_bytes, backward):
-        maps = step_maps(rhs, n, h, node, mid, backward)
-        yield lo, hi, maps if nodes else np.broadcast_to(maps, (hi - lo,) + maps.shape)
+        yield lo, hi, step_maps(rhs, n, h, node, mid, backward)
 
 
 def linear_sweep(
     rhs: Callable[..., np.ndarray],
     y_start,
     grid: TimeGrid,
-    nodes: tuple = (),
-    mids: tuple = (),
+    nodes: tuple,
+    mids: tuple,
     backward: bool = False,
     error: Callable[[int, float], Exception] = _blowup,
 ) -> GriddedTrajectory:
@@ -345,11 +345,12 @@ def linear_sweep(
     `rhs` acts on the last axis of y, a row vector (n,) or a stack of rows
     (rows, n), and broadcasts over leading axes of its arguments; axes of y
     before its last two hold separate systems (y (q, rows, n): q systems of
-    n states, each with its own maps).  Unlike `rk4_sweep`, every table's
-    value at a node must have two axes or more, plus one per axis of
-    systems, as rhs sees a block of steps at once: a table of vectors
-    enters as (steps + 1, 1, n), or (steps + 1, q, 1, n) per system; a
-    table of fewer axes raises ValueError at every n.  An RK4 step of an
+    n states, each with its own maps).  Unlike `rk4_sweep`, it takes at
+    least one stage table, and every table's value at a node must have two
+    axes or more, plus one per axis of systems, as rhs sees a block of
+    steps at once: a table of vectors enters as (steps + 1, 1, n), or
+    (steps + 1, q, 1, n) per system; no table, or one of fewer axes,
+    raises ValueError at every n.  An RK4 step of an
     affine equation is one affine map: `step_maps` forms a block of steps'
     maps P_i at once, from the generator rhs brings
     (`rhs.generator(*args)`, as `model.bilinear_field` does) or else from
@@ -365,9 +366,9 @@ def linear_sweep(
     """
     y = np.asarray(y_start, dtype=float)
     systems = y.shape[:-2]
-    if any(np.ndim(t) < len(systems) + 3 for t in nodes + mids if t is not None):
-        raise ValueError("linear_sweep tables need two axes per node, plus one per axis of "
-                         "systems: a table of vectors enters as (steps + 1, 1, n)")
+    if not nodes or any(np.ndim(t) < len(systems) + 3 for t in nodes + mids if t is not None):
+        raise ValueError("linear_sweep takes stage tables of two axes per node, plus one per "
+                         "axis of systems: a table of vectors enters as (steps + 1, 1, n)")
     n = y.shape[-1]
     if n > STEP_MAPS_MAX_N:
         return rk4_sweep(rhs, y, grid, nodes, mids, backward, error)

@@ -89,7 +89,10 @@ class RunSetup:
     """Everything a run needs: the problem as stated, which holds q, its
     noise, and their provenance.  `problem` is the one the solver and the
     resimulation take: the deterministic problem of the mean state, which is
-    `stated` itself without noise.  The Monte Carlo paths evolve `stated`."""
+    `stated` itself without noise.  The Monte Carlo paths evolve `stated`.
+    `scenario` is the built-in scenario that built the run, None for a
+    problem file's own coefficients; `scenario_metrics` reads it, not the
+    label, which a problem file takes from its file name."""
 
     label: str
     stated: BilinearProblem
@@ -98,6 +101,7 @@ class RunSetup:
     spec: EnsembleSpec | None = None
     samples: tuple = ()
     notes: tuple = ()
+    scenario: str | None = None
 
     @cached_property
     def problem(self) -> BilinearProblem:
@@ -134,12 +138,13 @@ def _solve_options(overrides: dict, tol: float, **settings) -> SolveOptions:
 
 
 def assemble_run(label: str, problem: BilinearProblem, noises: list, options: SolveOptions,
-                 samples=(), notes=(), spec: EnsembleSpec | None = None) -> RunSetup:
+                 samples=(), notes=(), spec: EnsembleSpec | None = None,
+                 scenario: str | None = None) -> RunSetup:
     """The run of a (stacked) problem and its per-sample noises, the one
     place where noise is stacked."""
     noise = stack_noise(noises) if noises else None
     return RunSetup(label=label, stated=problem, options=options, noise=noise, spec=spec,
-                    samples=tuple(samples), notes=notes)
+                    samples=tuple(samples), notes=notes, scenario=scenario)
 
 
 def _ensemble_run(label: str, spec: EnsembleSpec, options: SolveOptions, notes: tuple,
@@ -148,7 +153,7 @@ def _ensemble_run(label: str, spec: EnsembleSpec, options: SolveOptions, notes: 
     samples = sample_uniform(spec)
     noises = [] if noise is None else [noise] * len(samples)
     return assemble_run(label, stack_problem(spec, samples), noises, options, samples,
-                        notes + (STACKING_NOTE,), spec)
+                        notes + (STACKING_NOTE,), spec, scenario=label)
 
 
 # iaf cases: the box, the coefficient it spreads (the decay rate or the input
@@ -267,7 +272,8 @@ def _twospin_setup(overrides: dict) -> RunSetup:
     options = _solve_options(overrides, 1e-6, max_iters=800, record_diagnostics=True,
                              diag_subsample=20, init_control=0.2)
     return assemble_run("twospin_coherence", problem, [], options,
-                        notes=(NOTE_TWOSPIN_R, NOTE_TWOSPIN_COORD, NOTE_TWOSPIN_DARK))
+                        notes=(NOTE_TWOSPIN_R, NOTE_TWOSPIN_COORD, NOTE_TWOSPIN_DARK),
+                        scenario="twospin_coherence")
 
 
 def build(scenario_id: str, overrides: dict | None = None) -> RunSetup:
@@ -283,21 +289,22 @@ def build(scenario_id: str, overrides: dict | None = None) -> RunSetup:
 
 
 def scenario_metrics(setup: RunSetup, result: SolveResult) -> dict:
-    """Scenario-specific scalars for the run summary."""
+    """Scalars of the built-in scenario that built the run (`setup.scenario`)
+    for the run summary; none for a problem file's own coefficients."""
     X = result.final.x.values
-    if setup.label in IAF_CASES:
+    if setup.scenario in IAF_CASES:
         terminal = X[-1]
         return {
             "terminal_mean": float(np.mean(terminal)),
             "terminal_values": [float(v) for v in terminal],
         }
-    if setup.label == "bloch_broadband":
+    if setup.scenario == "bloch_broadband":
         finals = sample_view(X[-1], setup.q)
         return {
             "omegas": [float(b) for b in setup.samples],
             "final_x_components": [float(v) for v in finals[:, 0]],
         }
-    if setup.label == "twospin_coherence":
+    if setup.scenario == "twospin_coherence":
         transfer = X[:, TWOSPIN_TRANSFER_INDEX]
         peak = int(np.argmax(transfer))
         return {

@@ -26,14 +26,17 @@ module).
 The Riccati sweep and both passes of the boundary-value route are each one
 call of numkit.rk4_sweep, the Riccati sweep with its right-hand side's
 in-place form, which steps gain tables within numkit._STAGE_STACK_BYTES
-on one stage stack (4, n, n); the affine and closed-loop sweeps, the initial
-flow and the bilinear resimulation are linear, and each is one right-hand
-side handed to numkit.linear_sweep, which takes rk4_sweep's arguments
-(tables of vectors as (steps + 1, 1, n)) and steps systems of at most
+on one stage stack (4, n, n); the affine and closed-loop sweeps and the
+bilinear resimulation are linear, and each is one right-hand side handed
+to numkit.linear_sweep, which takes rk4_sweep's arguments (tables of
+vectors as (steps + 1, 1, n)) and steps systems of at most
 numkit.STEP_MAPS_MAX_N states by precomputed RK4 step maps; the
-resimulation is a block sweep, one system per sample.  The right-hand sides act on rows and take the
-coefficients as stage tables: arrays at the grid nodes and interval
-midpoints, in the structure the problem has.  The drift A comes as its
+resimulation is a block sweep, one system per sample, and it is the one
+bilinear flow: iteration 0 is the resimulation under the constant probe
+control.  The right-hand sides act on rows and take the coefficients as
+stage tables: arrays at the grid nodes and interval midpoints, in the
+structure the problem has; no sweep reads the dense stacked A, B or B_i,
+which are the problem's inputs.  The drift A comes as its
 prob.q diagonal blocks (q, b, b), one per sample, and the input gram
 L R^-1 L', whose rank is at most m, as its factor W = L C with
 R^-1 = C C'.  Every product with the gram is taken through W, so an RK4
@@ -449,7 +452,8 @@ def iterate_once(prob: BilinearProblem, factors, prev: IterationState,
 
 
 def _initial_state(prob: BilinearProblem, grid: TimeGrid, probe: float = 0.0) -> IterationState:
-    """Iteration 0: the flow under a constant probe control (zero by default).
+    """Iteration 0: the resimulation (`simulate_bilinear`) under a constant
+    probe control table (zero by default), the one bilinear flow.
 
     A nonzero probe breaks invariant sets of the iteration map on which the
     frozen input map is blind to the target (dark initial states).  Its zero
@@ -457,11 +461,8 @@ def _initial_state(prob: BilinearProblem, grid: TimeGrid, probe: float = 0.0) ->
     allocated; their `nbytes` is still the full table's.
     """
     T = grid.steps + 1
-    u0 = np.full(prob.m, probe)
-    coupling = prob.A + np.tensordot(u0, np.stack(prob.Blist), axes=(0, 0))
-    drive = prob.B @ u0 + prob.g
-    x = linear_sweep(lambda y: y @ coupling.T + drive, prob.x0, grid)
-    u_traj = GriddedTrajectory(grid, np.tile(u0, (T, 1)))
+    u_traj = GriddedTrajectory(grid, np.full((T, prob.m), probe))
+    x = simulate_bilinear(prob, u_traj)
     zeros_n = GriddedTrajectory(grid, np.broadcast_to(np.zeros(prob.n), (T, prob.n)))
     zeros_nn = GriddedTrajectory(grid, np.broadcast_to(np.zeros((prob.n, prob.n)),
                                                        (T, prob.n, prob.n)))
@@ -575,8 +576,9 @@ def simulate_bilinear(
     by its own step maps, and no n x n coupling is formed.  The field
     `model.bilinear_field` brings its generator, so the maps are formed
     from the constant per-sample generators scaled by the control table,
-    not by probing the field; the solver's affine, closed-loop, transition
-    and initial-flow sweeps are probed.
+    not by probing the field; the solver's affine, closed-loop and
+    transition sweeps are probed.  Iteration 0 (`_initial_state`) is this
+    resimulation under the probe control.
     """
     grid = grid or utraj.grid
     A, B, Bs, g, x0 = prob.blocks

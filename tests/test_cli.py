@@ -397,6 +397,25 @@ def test_problem_file_ensemble_matches_its_scenario(tmp_path):
     assert reports["problem"] == reports["scenario"]
 
 
+@pytest.mark.parametrize("name", ["twospin_coherence", "bloch_broadband"])
+def test_problem_file_named_like_a_scenario_reports_no_scenario_metrics(tmp_path, name):
+    # the metrics follow the scenario that built the run, not the label a
+    # problem file takes from its name: a 2-state twospin_coherence.json
+    # used to die at the transfer coordinate 6 after writing its outputs
+    out = tmp_path / "run"
+    assert main(solve_args(write_problem(tmp_path, LINEAR_PROBLEM, f"{name}.json"), out)) == 0
+    assert json.loads((out / "summary.json").read_text())["metrics"] == {}
+
+
+def test_scenario_ensemble_file_keeps_its_scenario_metrics(tmp_path):
+    payload = {"kind": "ensemble", "scenario": "iaf_case1", "q": 3}
+    out = tmp_path / "run"
+    assert main(solve_args(write_problem(tmp_path, payload, "other.json"), out)) == 0
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    assert sorted(metrics) == ["terminal_mean", "terminal_values"]
+    assert len(metrics["terminal_values"]) == 3
+
+
 def test_validate_monte_carlo_groups_do_not_change_the_report(tmp_path, monkeypatch):
     # one sample per group and all samples in one group write the same bytes
     import bilqr.cli as cli

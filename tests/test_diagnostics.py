@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilqr.diagnostics import (
-    bound_coefficients,
     contraction_matrix,
     contraction_report,
     contraction_reports,
@@ -116,7 +115,7 @@ def test_bounds_zero_for_zero_problem():
     res = solve(prob, SolveOptions(steps=100, tol=1e-14, max_iters=2))
     prev = res.final
     cur = iterate_once(prob, None, prev, grid)
-    bounds = bound_coefficients(prob, prev, cur, grid, subsample=10)
+    bounds = contraction_report(prob, None, prev, cur, grid, subsample=10).bounds
     # transition of the zero field is the identity: bounds reduce to plain
     # norms, all zero except the K-driven ones fed by the terminal condition
     assert np.all(np.isfinite(bounds))
@@ -129,7 +128,7 @@ def test_bounds_identity_transition_hand_check(iaf_run):
     grid = res.final.x.grid
     prev = res.final
     cur = iterate_once(prob, None, prev, grid)
-    bounds = bound_coefficients(prob, prev, cur, grid, subsample=10)
+    bounds = contraction_report(prob, None, prev, cur, grid, subsample=10).bounds
     assert np.all(np.isfinite(bounds))
     assert np.all(bounds >= 0.0)
     # b7 and b9 share one defining expression

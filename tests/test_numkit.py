@@ -287,6 +287,10 @@ def test_linear_sweep_refuses_a_vector_table_without_its_row_axis(n):
     # probe rows of 2 systems with its steps on their systems axis
     with pytest.raises(ValueError, match="one per axis of systems"):
         linear_sweep(lambda v, f: v + f, np.zeros((2, 1, n)), g, (f[:, None],), (None,))
+    # every linear sweep steps one map per step of its stage tables; only
+    # rk4_sweep takes a right-hand side without tables
+    with pytest.raises(ValueError, match="takes stage tables"):
+        linear_sweep(lambda v: v, np.zeros(n), g, (), ())
 
 
 def test_interp_exact_at_nodes_and_midpoints():

@@ -901,6 +901,74 @@ def test_initial_state_allocates_no_gain_table():
     assert not state.K.values.any() and not state.s.values.any() and not state.p.values.any()
 
 
+# the three scenario families at a few dozen steps, as (scenario, overrides)
+FAMILIES = [("iaf_case1", {"q": 5, "steps": 40}), ("twospin_coherence", {"steps": 30}),
+            ("bloch_broadband", {"q": 9, "steps": 30})]
+
+
+@pytest.mark.parametrize("scenario, overrides", FAMILIES)
+def test_initial_state_is_the_resimulation_under_the_probe(scenario, overrides):
+    # iteration 0 is simulate_bilinear under the constant probe table, to the bit
+    from bilqr.scenarios import build
+
+    setup = build(scenario, overrides)
+    prob, opts = setup.problem, setup.options
+    grid = TimeGrid(0.0, prob.tf, opts.steps)
+    state = _initial_state(prob, grid, probe=opts.init_control)
+    probe = GriddedTrajectory(grid, np.full((grid.steps + 1, prob.m), opts.init_control))
+    assert np.array_equal(state.u.values, probe.values)
+    assert state.x.values.tobytes() == simulate_bilinear(prob, probe).values.tobytes()
+
+
+def _dense_free_run(scenario, overrides, poison):
+    """Every array of a diagnosed solve, its residuals, the resimulation and
+    a batch of Monte Carlo paths (under the run's noise, or a Wiener noise
+    for a noise-free family), with the dense A, B and B_i of the problem
+    as stated and as solved overwritten by NaN once the setup has formed
+    them when `poison` is set."""
+    from bilqr.diagnostics import hjb_residual, necessary_condition_residual
+    from bilqr.scenarios import build
+    from bilqr.stochastic import NoiseSpec, simulate_poisson_paths, simulate_wiener_paths
+
+    setup = build(scenario, overrides)
+    prob, stated = setup.problem, setup.stated
+    if poison:
+        for target in {id(prob): prob, id(stated): stated}.values():
+            for name in ("A", "B"):
+                object.__setattr__(target, name, np.full_like(getattr(target, name), np.nan))
+            object.__setattr__(target, "Blist",
+                               tuple(np.full_like(Bi, np.nan) for Bi in target.Blist))
+    opts = dataclasses.replace(setup.options, max_iters=4, record_diagnostics=True)
+    res = solve(prob, opts)
+    final, grid = res.final, res.final.x.grid
+    history = np.array(res.history)  # row 0's diff_x is inf
+    arrays = [history[:, 2], history[1:], final.x.values, final.p.values, final.u.values,
+              final.K.values, final.s.values, final.W.values]
+    for row in res.diagnostics.rows:
+        arrays += [row.bounds, row.M, np.array([row.criterion_sum, row.rho, row.delta, row.zeta])]
+    hjb = hjb_residual(prob, None, final, grid)
+    arrays += [np.array([hjb.sup, hjb.scale]),
+               np.array(necessary_condition_residual(prob, final, grid)),
+               simulate_bilinear(prob, final.u).values]
+    noise = setup.noise or NoiseSpec("wiener", 0.1 * np.eye(prob.n))
+    simulate = simulate_poisson_paths if noise.kind == "poisson" else simulate_wiener_paths
+    arrays.append(simulate(stated, noise, final.u, 6, 31).states)
+    return arrays
+
+
+@pytest.mark.parametrize("scenario, overrides", FAMILIES)
+def test_solve_validate_and_diagnostics_never_read_the_dense_matrices(scenario, overrides):
+    # the dense stacked A, B and B_i are inputs and reference forms only:
+    # with them NaN, a diagnosed solve, its residuals, the resimulation and
+    # the Monte Carlo paths give the clean run's arrays to the bit
+    clean = _dense_free_run(scenario, overrides, poison=False)
+    poisoned = _dense_free_run(scenario, overrides, poison=True)
+    assert len(clean) == len(poisoned)
+    for want, got in zip(clean, poisoned):
+        assert np.all(np.isfinite(want))
+        assert want.shape == got.shape and want.tobytes() == got.tobytes()
+
+
 def test_solve_forms_no_cholesky_factor(monkeypatch):
     # the problem holds R^-1's Cholesky factor, so a twospin solve (331
     # freezes) factors nothing, and W is the product with a fresh factor
